@@ -8,6 +8,7 @@ the Hopcroft-Pansiot gadget) omit init/halt; close them with
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -293,6 +294,21 @@ def subset_sum_brute(target: int, values: list[int] | tuple[int, ...]) -> bool:
     for v in values:
         sums |= {s + v for s in sums if s + v <= target}
     return target in sums
+
+
+def subset_sum_witness(target: int, values: list[int] | tuple[int, ...]) -> set[int] | None:
+    """A subset of `values` summing to `target`, as 1-based positions (the
+    `chosen` of np_canonical_policy), or None when there is none.  Takes the
+    first in order of size, then lexicographic order of positions; the
+    oracle rules out negative instances before any enumeration."""
+    if not subset_sum_brute(target, values):
+        return None
+    positions = range(1, len(values) + 1)
+    for r in range(len(values) + 1):
+        for picks in itertools.combinations(positions, r):
+            if sum(values[i - 1] for i in picks) == target:
+                return set(picks)
+    return None
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,17 @@ class ExperimentReport:
         return obj
 
 
+# family -> name of the parameter its rows are labelled with
+_PARAMETER_NAMES = {"exp": "n", "weak": "b", "hp": "z0", "2exp": "k"}
+
+
+def _label(family: str, p: int) -> str:
+    return f"{_PARAMETER_NAMES[family]}={p}"
+
+
 def _row(
     family: str,
-    parameter: str,
+    p: int,
     compiled,
     budget: SearchBudget | None,
     canonical_length: int | None,
@@ -73,7 +81,7 @@ def _row(
         length = len(result.run) if result.verdict == Verdict.FOUND else None
     return ExperimentReport(
         family=family,
-        parameter=parameter,
+        parameter=_label(family, p),
         size_unary=vass_size(vass, "unary"),
         size_binary=vass_size(vass, "binary"),
         flat=is_flat(vass).is_flat,
@@ -94,7 +102,7 @@ def measure_exp(n: int, max_configs: int) -> ExperimentReport:
     )
     budget = SearchBudget(2 * max(out.probe.peak), max_configs)
     return _row(
-        "exp", f"n={n}", compiled, budget, out.probe.length, {"pump": str(pump)}, t0
+        "exp", n, compiled, budget, out.probe.length, {"pump": str(pump)}, t0
     )
 
 
@@ -106,7 +114,7 @@ def measure_weak(b: int, max_configs: int) -> ExperimentReport:
     finals = final_vectors(compiled.vass, budget, at_state=compiled.halt_state)
     max_final = max(vec[0] for vec in finals)
     return _row(
-        "weak", f"b={b}", compiled, budget, out.probe.length,
+        "weak", b, compiled, budget, out.probe.length,
         {"max_final_x": str(max_final)}, t0,
     )
 
@@ -120,7 +128,7 @@ def measure_hp(z0: int, max_configs: int, c: int = 3, d: int = 2) -> ExperimentR
     budget = SearchBudget(2 * max(out.probe.peak) + 2, max_configs)
     final_x = out.final.vector[compiled.program.counters.index("x")]
     return _row(
-        "hp", f"z0={z0}", compiled, budget, out.probe.length,
+        "hp", z0, compiled, budget, out.probe.length,
         {"ratio": f"{c}/{d}", "x0": str(x0), "canonical_final_x": str(final_x)}, t0,
     )
 
@@ -136,7 +144,7 @@ def measure_double_exp(k: int, max_configs: int) -> ExperimentReport:
     )
     budget = SearchBudget(2 * max(out.probe.peak), max_configs)
     return _row(
-        "2exp", f"k={k}", compiled, budget, out.probe.length,
+        "2exp", k, compiled, budget, out.probe.length,
         {
             "canonical_pump": str(meta.canonical_pump),
             "forced_divisor": str(meta.forced_divisor),
@@ -151,16 +159,8 @@ def measure_np(target: int, values: tuple[int, ...], max_configs: int) -> Experi
     program, meta = families.gen_np(inst)
     compiled = compile_counter_program(program)
     canonical_length = None
-    positive = families.subset_sum_brute(target, values)
-    if positive:
-        import itertools
-
-        chosen = next(
-            set(picks)
-            for r in range(len(values) + 1)
-            for picks in itertools.combinations(range(1, len(values) + 1), r)
-            if sum(values[i - 1] for i in picks) == target
-        )
+    chosen = families.subset_sum_witness(target, values)
+    if chosen is not None:
         out = replay_canonical(
             compiled, families.np_canonical_policy(compiled.program, chosen), materialize=False
         )
@@ -173,7 +173,7 @@ def measure_np(target: int, values: tuple[int, ...], max_configs: int) -> Experi
     extra = {
         "target": str(target),
         "values": ",".join(str(v) for v in values),
-        "subset_sum": positive,
+        "subset_sum": chosen is not None,
         "threshold": str(meta.threshold),
     }
     return ExperimentReport(
@@ -219,7 +219,7 @@ def measure_family(
             rows.append(
                 ExperimentReport(
                     family=family,
-                    parameter=f"{'k' if family == '2exp' else 'n' if family == 'exp' else 'b'}={p}",
+                    parameter=_label(family, p),
                     size_unary=0,
                     size_binary=0,
                     flat=False,

@@ -5,14 +5,21 @@ a counter above the budget's bound, so "no halting run" verdicts certify
 nonexistence only within that bound.  Family verifiers pick bounds that
 provably contain every halting run, which upgrades the certificate.
 
+Every search question runs on one representation, `_Packed`: a configuration
+is a single int, and a successor is one integer addition plus a masked check
+per touched counter.  Runs, `(state, vector)` collections and counts are
+decoded from packed keys only when a result is returned.
+
 Search is deterministic: successors are expanded in the canonical transition
 order of the Vass and results (including shortest-run tie-breaking and stats)
-are reproducible.
+are reproducible.  The breadth-first searches are level-synchronous and
+report stats with one meaning: `depth` is the number of levels expanded
+(a level cut off part-way counts) and `frontier_peak` the size of the
+largest level generated in full.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,23 +93,14 @@ def run_from_indices(v: Vass, indices: list[int]) -> Run:
     return Run(v.source, tuple(v.transitions[i] for i in indices))
 
 
-def _adjacency(v: Vass):
-    index = {s: i for i, s in enumerate(v.states)}
-    adj: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in v.states]
-    for tix, t in enumerate(v.transitions):
-        adj[index[t.src]].append((t.delta, index[t.dst], tix))
-    return index, adj
-
-
 class _Packed:
     """Configurations packed into single ints: the state index in the low
     bits, then one fixed-width field per counter.  Fields are wide enough
     that any over/underflow lands above the bound and is rejected, so a
     successor is one integer addition plus one masked check per touched
-    counter."""
+    counter.  States in `absorbing` get no outgoing transitions."""
 
-    def __init__(self, v: Vass, bound: int):
-        self.v = v
+    def __init__(self, v: Vass, bound: int, absorbing: frozenset[str] = frozenset()):
         self.bound = bound
         self.index = {s: i for i, s in enumerate(v.states)}
         self.sbits = max(1, (len(v.states) - 1).bit_length())
@@ -110,79 +108,99 @@ class _Packed:
         self.wbits = max(1, (2 * (bound + max_amount) + 1).bit_length())
         self.smask = (1 << self.sbits) - 1
         self.cmask = (1 << self.wbits) - 1
-        # per state: (packed delta, shifts of touched counter fields)
-        self.adj: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in v.states]
-        for t in v.transitions:
+        self.shifts = tuple(self.sbits + self.wbits * i for i in range(v.dimension))
+        # per transition index: packed delta; per state: (packed delta,
+        # shifts of touched counter fields, transition index)
+        self.deltas: list[int] = []
+        self.adj: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in v.states]
+        for tix, t in enumerate(v.transitions):
             pd = self.index[t.dst] - self.index[t.src]
             checks = []
-            for i, d in enumerate(t.delta):
+            for d, shift in zip(t.delta, self.shifts):
                 if d:
-                    shift = self.sbits + self.wbits * i
                     pd += d << shift
                     checks.append(shift)
-            self.adj[self.index[t.src]].append((pd, tuple(checks)))
+            self.deltas.append(pd)
+            if t.src not in absorbing:
+                self.adj[self.index[t.src]].append((pd, tuple(checks), tix))
+        self.src = self.encode(v.source)
+        # a target above the bound is unreachable, and its fields could alias
+        self.tgt = self.encode(v.target) if max(v.target.vector, default=0) <= bound else -1
 
     def encode(self, cfg: Configuration) -> int:
         key = self.index[cfg.state]
-        for i, x in enumerate(cfg.vector):
-            key += x << (self.sbits + self.wbits * i)
+        for x, shift in zip(cfg.vector, self.shifts):
+            key += x << shift
         return key
 
+    def successors(self, key: int):
+        """Yield the packed successors of `key` within the bound, in
+        canonical transition order."""
+        bound = self.bound
+        cmask = self.cmask
+        for pd, checks, _tix in self.adj[key & self.smask]:
+            nk = key + pd
+            for sh in checks:
+                if ((nk >> sh) & cmask) > bound:
+                    break
+            else:
+                yield nk
 
-def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
-    """Existence-only variant of shortest_halting: same verdicts and the
-    same BFS depth, but no run is reconstructed, which keeps memory linear
-    in the visited-set size for multi-million-configuration spaces."""
-    bound = budget.counter_bound
-    if max(v.source.vector, default=0) > bound:
-        return ReachResult(Verdict.EXHAUSTED, None, SearchStats(0, 0, 0))
-    packed = _Packed(v, bound)
-    src = packed.encode(v.source)
-    tgt = packed.encode(v.target)
-    if src == tgt:
-        return ReachResult(Verdict.FOUND, Run(v.source, ()), SearchStats(0, 1, 0))
+
+def _explore(
+    packed: _Packed, tgt: int, max_configs: int, max_depth: int | None
+) -> tuple[Verdict, set[int], SearchStats]:
+    """Breadth-first search from the source for `tgt`, recording only the
+    visited set.  Its stats count `expanded` as visited-set size."""
     adj = packed.adj
+    bound = packed.bound
     smask = packed.smask
     cmask = packed.cmask
+    src = packed.src
     visited = {src}
     frontier = [src]
     depth = 0
     peak = 1
     while frontier:
         depth += 1
-        if budget.max_depth is not None and depth > budget.max_depth:
-            return ReachResult(
-                Verdict.BUDGET_EXCEEDED, None, SearchStats(len(visited), peak, depth - 1)
-            )
+        if max_depth is not None and depth > max_depth:
+            return Verdict.BUDGET_EXCEEDED, visited, SearchStats(len(visited), peak, depth - 1)
         nxt: list[int] = []
         for key in frontier:
-            for pd, checks in adj[key & smask]:
+            for pd, checks, _tix in adj[key & smask]:
                 nk = key + pd
-                ok = True
                 for sh in checks:
                     if ((nk >> sh) & cmask) > bound:
-                        ok = False
                         break
-                if not ok or nk in visited:
-                    continue
-                if nk == tgt:
-                    return ReachResult(
-                        Verdict.FOUND, None, SearchStats(len(visited), peak, depth)
-                    )
-                if len(visited) >= budget.max_configs:
-                    return ReachResult(
-                        Verdict.BUDGET_EXCEEDED, None, SearchStats(len(visited), peak, depth)
-                    )
-                visited.add(nk)
-                nxt.append(nk)
+                else:
+                    if nk in visited:
+                        continue
+                    if nk == tgt:
+                        return Verdict.FOUND, visited, SearchStats(len(visited), peak, depth)
+                    if len(visited) >= max_configs:
+                        stats = SearchStats(len(visited), peak, depth)
+                        return Verdict.BUDGET_EXCEEDED, visited, stats
+                    visited.add(nk)
+                    nxt.append(nk)
         frontier = nxt
         if len(frontier) > peak:
             peak = len(frontier)
-    return ReachResult(Verdict.EXHAUSTED, None, SearchStats(len(visited), peak, depth))
+    return Verdict.EXHAUSTED, visited, SearchStats(len(visited), peak, depth)
 
 
-def _key(state_ix: int, vector: tuple[int, ...]) -> tuple[int, ...]:
-    return (state_ix,) + vector
+def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
+    """Existence-only variant of shortest_halting: same verdicts and the
+    same BFS depth, but no run is reconstructed (`run` is always None),
+    which keeps memory linear in the visited-set size for
+    multi-million-configuration spaces."""
+    bound = budget.counter_bound
+    if max(v.source.vector, default=0) > bound:
+        return ReachResult(Verdict.EXHAUSTED, None, SearchStats(0, 0, 0))
+    packed = _Packed(v, bound)
+    if packed.src == packed.tgt:
+        return ReachResult(Verdict.FOUND, None, SearchStats(0, 1, 0))
+    verdict, _visited, stats = _explore(packed, packed.tgt, budget.max_configs, budget.max_depth)
+    return ReachResult(verdict, None, stats)
 
 
 def shortest_halting(v: Vass, budget: SearchBudget) -> ReachResult:
@@ -191,73 +209,66 @@ def shortest_halting(v: Vass, budget: SearchBudget) -> ReachResult:
     FOUND returns a minimum-length halting run (ties broken by canonical
     transition order); EXHAUSTED certifies that no halting run stays within
     the bound; BUDGET_EXCEEDED means the node or depth budget cut search off.
+    `stats.expanded` counts the configurations whose successors were generated.
     """
-    index, adj = _adjacency(v)
     bound = budget.counter_bound
-    src = _key(index[v.source.state], v.source.vector)
-    tgt = _key(index[v.target.state], v.target.vector)
-
     if max(v.source.vector, default=0) > bound:
         return ReachResult(Verdict.EXHAUSTED, None, SearchStats(0, 0, 0))
+    packed = _Packed(v, bound)
+    src, tgt = packed.src, packed.tgt
     if src == tgt:
         return ReachResult(Verdict.FOUND, Run(v.source, ()), SearchStats(0, 1, 0))
+    adj = packed.adj
+    smask = packed.smask
+    cmask = packed.cmask
+    max_configs = budget.max_configs
+    # configuration -> index of the transition that first reached it; the
+    # parent configuration is the key minus that transition's packed delta
+    parent = {src: -1}
+    frontier = [src]
+    expanded = 0  # over completed levels
+    depth = 0
+    peak = 1
+    while frontier:
+        depth += 1
+        if budget.max_depth is not None and depth > budget.max_depth:
+            return ReachResult(
+                Verdict.BUDGET_EXCEEDED, None, SearchStats(expanded, peak, depth - 1)
+            )
+        nxt: list[int] = []
+        for key in frontier:
+            for pd, checks, tix in adj[key & smask]:
+                nk = key + pd
+                for sh in checks:
+                    if ((nk >> sh) & cmask) > bound:
+                        break
+                else:
+                    if nk in parent:
+                        continue
+                    if len(parent) >= max_configs:
+                        stats = SearchStats(expanded + frontier.index(key) + 1, peak, depth)
+                        return ReachResult(Verdict.BUDGET_EXCEEDED, None, stats)
+                    parent[nk] = tix
+                    if nk == tgt:
+                        stats = SearchStats(expanded + frontier.index(key) + 1, peak, depth)
+                        return ReachResult(Verdict.FOUND, _trace_run(v, packed, parent), stats)
+                    nxt.append(nk)
+        expanded += len(frontier)
+        frontier = nxt
+        if len(frontier) > peak:
+            peak = len(frontier)
+    return ReachResult(Verdict.EXHAUSTED, None, SearchStats(expanded, peak, depth))
 
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {src: None}
-    dq = deque([(src, 0)])
-    expanded = 0
-    frontier_peak = 1
-    depth_seen = 0
-    suppressed = False
-    found_key = None
 
-    while dq:
-        key, depth = dq.popleft()
-        depth_seen = max(depth_seen, depth)
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            suppressed = True
-            continue
-        expanded += 1
-        vec = key[1:]
-        for delta, dst, tix in adj[key[0]]:
-            nvec = tuple(a + b for a, b in zip(vec, delta))
-            ok = True
-            for x in nvec:
-                if x < 0 or x > bound:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nk = (dst,) + nvec
-            if nk in parents:
-                continue
-            if len(parents) >= budget.max_configs:
-                return ReachResult(
-                    Verdict.BUDGET_EXCEEDED, None,
-                    SearchStats(expanded, frontier_peak, depth_seen),
-                )
-            parents[nk] = (key, tix)
-            if nk == tgt:
-                found_key = nk
-                break
-            dq.append((nk, depth + 1))
-        if found_key is not None:
-            break
-        if len(dq) > frontier_peak:
-            frontier_peak = len(dq)
-
-    if found_key is None:
-        verdict = Verdict.BUDGET_EXCEEDED if suppressed else Verdict.EXHAUSTED
-        return ReachResult(verdict, None, SearchStats(expanded, frontier_peak, depth_seen))
-
+def _trace_run(v: Vass, packed: _Packed, parent: dict[int, int]) -> Run:
     steps: list[Transition] = []
-    key = found_key
-    while parents[key] is not None:
-        prev, tix = parents[key]
+    key = packed.tgt
+    while key != packed.src:
+        tix = parent[key]
         steps.append(v.transitions[tix])
-        key = prev
+        key -= packed.deltas[tix]
     steps.reverse()
-    run = Run(v.source, tuple(steps))
-    return ReachResult(Verdict.FOUND, run, SearchStats(expanded, frontier_peak, len(steps)))
+    return Run(v.source, tuple(steps))
 
 
 def reachable_configs(
@@ -268,40 +279,25 @@ def reachable_configs(
     States in `absorbing` are not expanded (their configurations are still
     collected), which is how halt-completion drains are kept out of
     "values on arrival" collections.  Raises BudgetExceededError if the node
-    budget is hit before exhaustion.
+    budget is hit before exhaustion; the depth budget does not apply.
     """
-    index, adj = _adjacency(v)
-    bound = budget.counter_bound
-    absorbing_ix = {index[s] for s in absorbing if s in index}
     out: dict[str, set[tuple[int, ...]]] = {}
-    if max(v.source.vector, default=0) > bound:
+    if max(v.source.vector, default=0) > budget.counter_bound:
         return out
-    src = _key(index[v.source.state], v.source.vector)
-    visited = {src}
-    dq = deque([src])
-    while dq:
-        key = dq.popleft()
-        out.setdefault(v.states[key[0]], set()).add(key[1:])
-        if key[0] in absorbing_ix:
-            continue
-        vec = key[1:]
-        for delta, dst, _tix in adj[key[0]]:
-            nvec = tuple(a + b for a, b in zip(vec, delta))
-            ok = True
-            for x in nvec:
-                if x < 0 or x > bound:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nk = (dst,) + nvec
-            if nk not in visited:
-                if len(visited) >= budget.max_configs:
-                    raise BudgetExceededError(
-                        f"reachable-set exploration exceeded {budget.max_configs} configurations"
-                    )
-                visited.add(nk)
-                dq.append(nk)
+    packed = _Packed(v, budget.counter_bound, absorbing)
+    verdict, visited, _stats = _explore(packed, -1, budget.max_configs, None)
+    if verdict == Verdict.BUDGET_EXCEEDED:
+        raise BudgetExceededError(
+            f"reachable-set exploration exceeded {budget.max_configs} configurations"
+        )
+    smask, cmask, shifts = packed.smask, packed.cmask, packed.shifts
+    for key in visited:
+        state = v.states[key & smask]
+        vec = tuple([(key >> sh) & cmask for sh in shifts])
+        if state in out:
+            out[state].add(vec)
+        else:
+            out[state] = {vec}
     return out
 
 
@@ -329,58 +325,44 @@ def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -
     counts infinite); a back edge raises ConfigCycleError.  This is a bounded
     check, not a proof about unbounded runs.
     """
-    index, adj = _adjacency(v)
     bound = budget.counter_bound
     if max(v.source.vector, default=0) > bound:
         return 0
-    src = _key(index[v.source.state], v.source.vector)
-    tgt = _key(index[v.target.state], v.target.vector)
-
-    def successors(key):
-        vec = key[1:]
-        out = []
-        for delta, dst, _tix in adj[key[0]]:
-            nvec = tuple(a + b for a, b in zip(vec, delta))
-            ok = True
-            for x in nvec:
-                if x < 0 or x > bound:
-                    ok = False
-                    break
-            if ok:
-                out.append((dst,) + nvec)
-        return out
-
-    counts: dict[tuple[int, ...], int] = {}
-    on_stack = {src}
-    # frames: [key, children or None, next_child_index, accumulated count]
-    stack: list[list] = [[src, None, 0, 1 if src == tgt else 0]]
+    packed = _Packed(v, bound)
+    successors = packed.successors
+    src, tgt = packed.src, packed.tgt
+    max_configs = budget.max_configs
+    # configuration -> halting-run count, saturated at `cutoff`, once its
+    # subtree is done; -1 while it is on the DFS stack
+    counts = {src: -1}
+    stack = [(src, successors(src))]
+    accs = [1 if src == tgt else 0]  # unsaturated partial count per frame
     while stack:
-        frame = stack[-1]
-        key, children, ix, acc = frame
-        if children is None:
-            children = frame[1] = successors(key)
-        if ix == len(children):
-            counts[key] = min(acc, cutoff)
-            on_stack.discard(key)
+        key, children = stack[-1]
+        acc = accs[-1]
+        for child in children:
+            c = counts.get(child)
+            if c is None:
+                if len(counts) >= max_configs:
+                    raise BudgetExceededError(
+                        f"run counting exceeded {max_configs} configurations"
+                    )
+                accs[-1] = acc
+                counts[child] = -1
+                stack.append((child, successors(child)))
+                accs.append(1 if child == tgt else 0)
+                break
+            if c < 0:
+                raise ConfigCycleError(
+                    "configuration graph has a cycle; halting-run count undefined"
+                )
+            acc += c
+        else:
+            acc = counts[key] = min(acc, cutoff)
             stack.pop()
-            if stack:
-                stack[-1][3] = min(stack[-1][3] + counts[key], cutoff)
-            continue
-        frame[2] += 1
-        child = children[ix]
-        if child in counts:
-            frame[3] = min(acc + counts[child], cutoff)
-            continue
-        if child in on_stack:
-            raise ConfigCycleError(
-                "configuration graph has a cycle; halting-run count undefined"
-            )
-        if len(counts) + len(on_stack) >= budget.max_configs:
-            raise BudgetExceededError(
-                f"run counting exceeded {budget.max_configs} configurations"
-            )
-        on_stack.add(child)
-        stack.append([child, None, 0, 1 if child == tgt else 0])
+            accs.pop()
+            if accs:
+                accs[-1] += acc
     return counts[src]
 
 

@@ -20,6 +20,7 @@ from vasskit.families import (
     gen_weak_mult,
     maximal_policy,
     subset_sum_brute,
+    subset_sum_witness,
     with_initial_values,
 )
 from vasskit.lang import Add, Lit, Loop, Sub, parse, pretty_print
@@ -206,6 +207,26 @@ class TestSubsetSumBrute:
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
             subset_sum_brute(1, tuple([1] * 26))
+
+
+class TestSubsetSumWitness:
+    def test_none_exactly_when_oracle_is_negative(self):
+        import itertools
+
+        for k in range(4):
+            for values in itertools.product((1, 2, 3), repeat=k):
+                for target in range(0, 10):
+                    picks = subset_sum_witness(target, values)
+                    assert (picks is None) == (not subset_sum_brute(target, values))
+                    if picks is not None:
+                        assert picks <= set(range(1, k + 1))
+                        assert sum(values[i - 1] for i in picks) == target
+
+    def test_smallest_then_first_subset(self):
+        assert subset_sum_witness(3, (1, 2, 3)) == {3}
+        assert subset_sum_witness(2, (1, 1, 2)) == {3}
+        assert subset_sum_witness(2, (1, 1)) == {1, 2}
+        assert subset_sum_witness(0, (4,)) == set()
 
 
 class TestNpInstance:

@@ -1,5 +1,7 @@
 import pytest
 
+from vasskit import measure
+from vasskit.errors import BudgetExceededError
 from vasskit.measure import format_table, measure_family
 from vasskit.search import Verdict
 
@@ -16,6 +18,30 @@ class TestMeasureFamily:
         rows = measure_family("exp", [1, 2], max_configs=10)
         assert len(rows) == 2
         assert all(r.shortest_verdict == Verdict.BUDGET_EXCEEDED.value for r in rows)
+
+    @pytest.mark.parametrize(
+        "family, name",
+        [("exp", "measure_exp"), ("weak", "measure_weak"), ("hp", "measure_hp"),
+         ("2exp", "measure_double_exp")],
+    )
+    def test_budget_exceeded_row_keeps_the_family_label(self, monkeypatch, family, name):
+        measured = measure_family(family, [1])[0]
+
+        def blow_budget(p, max_configs):
+            raise BudgetExceededError("node budget")
+
+        monkeypatch.setattr(measure, name, blow_budget)
+        row = measure_family(family, [1])[0]
+        assert row.shortest_verdict == Verdict.BUDGET_EXCEEDED.value
+        assert row.extra == {"error": "node budget"}
+        assert row.parameter == measured.parameter
+
+    def test_hp_budget_exceeded_row_is_labelled_z0(self, monkeypatch):
+        def blow_budget(p, max_configs):
+            raise BudgetExceededError("node budget")
+
+        monkeypatch.setattr(measure, "measure_hp", blow_budget)
+        assert [r.parameter for r in measure_family("hp", [0, 2])] == ["z0=0", "z0=2"]
 
     def test_hp_rows_report_canonical_power(self):
         rows = measure_family("hp", [0, 1, 2])

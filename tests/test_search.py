@@ -1,8 +1,11 @@
+import random
+from collections import deque
+
 import pytest
 
 from vasskit.arith import divisibility_threshold
 from vasskit.compiler import compile_counter_program
-from vasskit.errors import ConfigCycleError, PolicyStuckError
+from vasskit.errors import BudgetExceededError, ConfigCycleError, PolicyStuckError
 from vasskit.families import (
     exp_canonical_policy,
     gen_exp,
@@ -17,15 +20,17 @@ from vasskit.lang import parse
 from vasskit.search import (
     CountedLoop,
     SearchBudget,
+    SearchStats,
     Verdict,
     count_halting_runs,
     final_values,
     halting_reachable,
+    reachable_configs,
     replay_canonical,
     run_from_indices,
     shortest_halting,
 )
-from vasskit.vass import Configuration, Vass, validate_run
+from vasskit.vass import Configuration, Run, Transition, Vass, validate_run
 
 
 def iddfs_shortest(v, bound, max_len):
@@ -124,7 +129,10 @@ class TestShortestHalting:
         for program in (gen_exp_fixed(2, 2), gen_exp_fixed(2, 3), gen_exp_fixed(3, 4)):
             v = compile_counter_program(program).vass
             budget = SearchBudget(25)
-            assert halting_reachable(v, budget).verdict == shortest_halting(v, budget).verdict
+            a, b = halting_reachable(v, budget), shortest_halting(v, budget)
+            assert a.verdict == b.verdict
+            # both searches are level-synchronous: their levels agree
+            assert (a.stats.depth, a.stats.frontier_peak) == (b.stats.depth, b.stats.frontier_peak)
 
 
 class TestFinalValues:
@@ -339,3 +347,280 @@ class TestReplay:
             final_values(
                 compiled.vass, 0, SearchBudget(12, max_configs=5), at_state=compiled.halt_state
             )
+
+
+# ---------------------------------------------------------------------------
+# Packed kernels against a tuple-keyed reference
+
+
+def _ref_successors(v, bound, absorbing=frozenset()):
+    """Per state, (transition index, successor function) in canonical order;
+    configurations are plain (state, vector) tuples."""
+    adj = {s: [] for s in v.states}
+    for tix, t in enumerate(v.transitions):
+        if t.src not in absorbing:
+            adj[t.src].append((tix, t))
+
+    def successors(cfg):
+        state, vec = cfg
+        for tix, t in adj[state]:
+            nvec = tuple(a + b for a, b in zip(vec, t.delta))
+            if all(0 <= x <= bound for x in nvec):
+                yield tix, (t.dst, nvec)
+
+    return successors
+
+
+def ref_shortest(v, budget):
+    """Deque BFS on tuple keys: (verdict, run, expanded).  `expanded` counts
+    configurations whose successors were generated; the node budget is
+    checked before the target test, as in shortest_halting."""
+    bound = budget.counter_bound
+    src = (v.source.state, v.source.vector)
+    tgt = (v.target.state, v.target.vector)
+    if max(v.source.vector, default=0) > bound:
+        return Verdict.EXHAUSTED, None, 0
+    if src == tgt:
+        return Verdict.FOUND, Run(v.source, ()), 0
+    successors = _ref_successors(v, bound)
+    parents = {src: None}
+    dq = deque([(src, 0)])
+    expanded = 0
+    suppressed = False
+    while dq:
+        cfg, depth = dq.popleft()
+        if budget.max_depth is not None and depth >= budget.max_depth:
+            suppressed = True
+            continue
+        expanded += 1
+        for tix, nxt in successors(cfg):
+            if nxt in parents:
+                continue
+            if len(parents) >= budget.max_configs:
+                return Verdict.BUDGET_EXCEEDED, None, expanded
+            parents[nxt] = (cfg, tix)
+            if nxt == tgt:
+                steps = []
+                while parents[nxt] is not None:
+                    nxt, tix = parents[nxt]
+                    steps.append(v.transitions[tix])
+                return Verdict.FOUND, Run(v.source, tuple(reversed(steps))), expanded
+            dq.append((nxt, depth + 1))
+    return (Verdict.BUDGET_EXCEEDED if suppressed else Verdict.EXHAUSTED), None, expanded
+
+
+def ref_reachable(v, budget, absorbing=frozenset()):
+    bound = budget.counter_bound
+    out = {}
+    if max(v.source.vector, default=0) > bound:
+        return out
+    successors = _ref_successors(v, bound, absorbing)
+    src = (v.source.state, v.source.vector)
+    visited = {src}
+    dq = deque([src])
+    while dq:
+        cfg = dq.popleft()
+        out.setdefault(cfg[0], set()).add(cfg[1])
+        for _tix, nxt in successors(cfg):
+            if nxt not in visited:
+                if len(visited) >= budget.max_configs:
+                    raise BudgetExceededError("reference budget")
+                visited.add(nxt)
+                dq.append(nxt)
+    return out
+
+
+def ref_count(v, budget, cutoff):
+    """Recursive path count with the same cycle and budget checks."""
+    bound = budget.counter_bound
+    if max(v.source.vector, default=0) > bound:
+        return 0
+    successors = _ref_successors(v, bound)
+    tgt = (v.target.state, v.target.vector)
+    counts, on_stack = {}, set()
+
+    def count(cfg):
+        on_stack.add(cfg)
+        acc = 1 if cfg == tgt else 0
+        for _tix, nxt in successors(cfg):
+            if nxt in counts:
+                acc = min(acc + counts[nxt], cutoff)
+                continue
+            if nxt in on_stack:
+                raise ConfigCycleError("reference cycle")
+            if len(counts) + len(on_stack) >= budget.max_configs:
+                raise BudgetExceededError("reference budget")
+            acc = min(acc + count(nxt), cutoff)
+        on_stack.discard(cfg)
+        counts[cfg] = acc
+        return acc
+
+    return count((v.source.state, v.source.vector))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BudgetExceededError, ConfigCycleError) as e:
+        return type(e)
+
+
+def random_vass(rng):
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 4)))
+    dim = rng.randint(0, 3)
+    transitions = tuple(
+        Transition(rng.choice(states), tuple(rng.randint(-3, 3) for _ in range(dim)),
+                   rng.choice(states))
+        for _ in range(rng.randint(0, 8))
+    )
+    source = Configuration(rng.choice(states), tuple(rng.randint(0, 3) for _ in range(dim)))
+    target = Configuration(rng.choice(states), tuple(rng.randint(0, 4) for _ in range(dim)))
+    return Vass(dim, states, transitions, source, target)
+
+
+def random_dag_vass(rng):
+    """Transitions only go to higher-numbered states, so the configuration
+    graph is acyclic and halting paths can be counted, often several."""
+    states = tuple(f"q{i}" for i in range(rng.randint(2, 6)))
+    dim = rng.randint(0, 2)
+    transitions = []
+    for _ in range(rng.randint(1, 12)):
+        i = rng.randrange(len(states) - 1)
+        j = rng.randrange(i + 1, len(states))
+        delta = tuple(rng.randint(-2, 2) for _ in range(dim))
+        transitions.append(Transition(states[i], delta, states[j]))
+    source = Configuration(states[0], tuple(rng.randint(0, 3) for _ in range(dim)))
+    target = Configuration(states[-1], tuple(rng.randint(0, 3) for _ in range(dim)))
+    return Vass(dim, states, tuple(transitions), source, target)
+
+
+def random_budget(rng):
+    return SearchBudget(
+        rng.randint(0, 5),
+        rng.choice((1, 2, 5, 20, 1_000_000)),
+        rng.choice((None, None, 0, 1, 3, 6)),
+    )
+
+
+class TestAgainstTupleReference:
+    def test_random_vass(self):
+        rng = random.Random(20200113)
+        outcomes = set()
+        for _ in range(600):
+            v = random_vass(rng)
+            budget = random_budget(rng)
+
+            verdict, run, expanded = ref_shortest(v, budget)
+            res = shortest_halting(v, budget)
+            assert (res.verdict, res.run, res.stats.expanded) == (verdict, run, expanded)
+            if run is not None:
+                assert validate_run(v, run).halting
+            outcomes.add(verdict)
+
+            absorbing = frozenset(s for s in v.states if rng.random() < 0.3)
+            for drop in (frozenset(), absorbing):
+                want = _outcome(ref_reachable, v, budget, drop)
+                assert _outcome(reachable_configs, v, budget, drop) == want
+                outcomes.add(want if isinstance(want, type) else "collected")
+
+            for w in (v, random_dag_vass(rng)):
+                cutoff = rng.choice((1, 2, 3, 1_000_000))
+                want = _outcome(ref_count, w, budget, cutoff)
+                assert _outcome(count_halting_runs, w, budget, cutoff) == want
+                if isinstance(want, type):
+                    outcomes.add(want)
+                elif want > 1:
+                    outcomes.add("several runs")
+                elif want < _outcome(ref_count, w, budget, 1_000_000):
+                    outcomes.add("saturated")
+        # the corpus reaches every outcome it is meant to pin
+        assert outcomes >= {
+            Verdict.FOUND, Verdict.EXHAUSTED, Verdict.BUDGET_EXCEEDED,
+            BudgetExceededError, ConfigCycleError, "collected", "several runs", "saturated",
+        }
+
+    def test_halting_reachable_agrees_with_shortest(self):
+        rng = random.Random(7)
+        for _ in range(600):
+            v = random_vass(rng)
+            budget = random_budget(rng)
+            a = halting_reachable(v, budget)
+            b = shortest_halting(v, budget)
+            assert a.run is None
+            assert (a.stats.depth, a.stats.frontier_peak) == (b.stats.depth, b.stats.frontier_peak)
+            if a.verdict != b.verdict:
+                # the target is tested before the node budget only here
+                assert (a.verdict, b.verdict) == (Verdict.FOUND, Verdict.BUDGET_EXCEEDED)
+
+class TestPacking:
+    """Field-width edge cases of the packed configuration encoding: every
+    over- or underflow must land above the bound and be rejected."""
+
+    @staticmethod
+    def vass(transitions, source, target, dim=2):
+        states = ("p", "q")
+        ts = tuple(Transition(a, d, b) for a, d, b in transitions)
+        return Vass(dim, states, ts, Configuration(*source), Configuration(*target))
+
+    def check_all_kernels(self, v, budget):
+        assert shortest_halting(v, budget).run == ref_shortest(v, budget)[1]
+        assert halting_reachable(v, budget).verdict == ref_shortest(v, budget)[0]
+        for absorbing in (frozenset(), frozenset({"q"})):
+            assert reachable_configs(v, budget, absorbing) == ref_reachable(v, budget, absorbing)
+        assert count_halting_runs(v, budget) == ref_count(v, budget, 1_000_000)
+
+    def test_largest_decrement_at_zero(self):
+        # -7 is the largest amount; at 0 it must not borrow into the next field
+        v = self.vass(
+            [("p", (-7, 0), "q"), ("p", (0, -7), "q"), ("p", (0, 1), "q")],
+            ("p", (0, 0)), ("q", (0, 1)),
+        )
+        budget = SearchBudget(3)
+        assert reachable_configs(v, budget) == {"p": {(0, 0)}, "q": {(0, 1)}}
+        self.check_all_kernels(v, budget)
+        # the same decrement is fine when the counter holds exactly 7
+        w = self.vass([("p", (-7, 0), "q")], ("p", (7, 2)), ("q", (0, 2)))
+        assert reachable_configs(w, SearchBudget(7)) == {"p": {(7, 2)}, "q": {(0, 2)}}
+        self.check_all_kernels(w, SearchBudget(7))
+
+    def test_largest_increment_at_bound(self):
+        # +7 at the bound must not carry into the next field
+        v = self.vass(
+            [("p", (7, 0), "q"), ("p", (0, 7), "q"), ("p", (-1, 0), "q")],
+            ("p", (5, 5)), ("q", (4, 5)),
+        )
+        budget = SearchBudget(5)
+        assert reachable_configs(v, budget) == {"p": {(5, 5)}, "q": {(4, 5)}}
+        self.check_all_kernels(v, budget)
+        # an increment landing exactly on the bound is kept
+        w = self.vass([("p", (7, 0), "q")], ("p", (0, 5)), ("q", (7, 5)))
+        assert reachable_configs(w, SearchBudget(7)) == {"p": {(0, 5)}, "q": {(7, 5)}}
+        self.check_all_kernels(w, SearchBudget(7))
+
+    def test_underflow_in_last_field(self):
+        # the last field borrows from nothing: the packed int goes negative
+        v = self.vass(
+            [("p", (0, 0, -4), "q"), ("p", (2, 0, -3), "q"), ("q", (1, 0, 0), "p")],
+            ("p", (0, 1, 3)), ("q", (2, 1, 0)), dim=3,
+        )
+        budget = SearchBudget(4)
+        assert reachable_configs(v, budget) == {"p": {(0, 1, 3), (3, 1, 0)}, "q": {(2, 1, 0)}}
+        res = shortest_halting(v, budget)
+        assert res.verdict == Verdict.FOUND and [t.delta for t in res.run.steps] == [(2, 0, -3)]
+        self.check_all_kernels(v, budget)
+
+    def test_target_above_bound_is_not_aliased(self):
+        # (0, 1) and (16, 0) would share a packed key if the target were
+        # encoded with a field wider than its width
+        v = self.vass([("p", (0, 1), "q")], ("p", (0, 0)), ("q", (16, 0)))
+        for kernel in (shortest_halting, halting_reachable):
+            assert kernel(v, SearchBudget(3)).verdict == Verdict.EXHAUSTED
+        assert count_halting_runs(v, SearchBudget(3)) == 0
+
+
+def test_halting_reachable_source_is_target_has_no_run():
+    v = Vass(1, ("p",), (), Configuration("p", (2,)), Configuration("p", (2,)))
+    res = halting_reachable(v, SearchBudget(5))
+    assert res.verdict == Verdict.FOUND
+    assert res.run is None
+    assert res.stats == SearchStats(0, 1, 0)
