@@ -89,12 +89,12 @@ def _row(
         shortest_length=length,
         canonical_length=canonical_length,
         extra=extra,
-        wall_clock_s=time.time() - t0,
+        wall_clock_s=time.perf_counter() - t0,
     )
 
 
 def measure_exp(n: int, max_configs: int) -> ExperimentReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     compiled = compile_counter_program(families.gen_exp(n))
     pump = divisibility_threshold(n)
     out = replay_canonical(
@@ -107,7 +107,7 @@ def measure_exp(n: int, max_configs: int) -> ExperimentReport:
 
 
 def measure_weak(b: int, max_configs: int) -> ExperimentReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     compiled = compile_counter_program(families.gen_weak(b))
     out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
     budget = SearchBudget(2 * b + 2, max_configs)
@@ -120,7 +120,7 @@ def measure_weak(b: int, max_configs: int) -> ExperimentReport:
 
 
 def measure_hp(z0: int, max_configs: int, c: int = 3, d: int = 2) -> ExperimentReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     x0 = d**z0
     prog = families.with_initial_values(families.gen_hp(c, d), {"x": x0, "z": z0})
     compiled = compile_counter_program(prog)
@@ -134,7 +134,7 @@ def measure_hp(z0: int, max_configs: int, c: int = 3, d: int = 2) -> ExperimentR
 
 
 def measure_double_exp(k: int, max_configs: int) -> ExperimentReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     program, meta = families.gen_double_exp(k)
     compiled = compile_counter_program(program)
     out = replay_canonical(
@@ -154,7 +154,7 @@ def measure_double_exp(k: int, max_configs: int) -> ExperimentReport:
 
 
 def measure_np(target: int, values: tuple[int, ...], max_configs: int) -> ExperimentReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = families.NpInstance(target, values)
     program, meta = families.gen_np(inst)
     compiled = compile_counter_program(program)
@@ -186,7 +186,7 @@ def measure_np(target: int, values: tuple[int, ...], max_configs: int) -> Experi
         shortest_length=None,
         canonical_length=canonical_length,
         extra=extra,
-        wall_clock_s=time.time() - t0,
+        wall_clock_s=time.perf_counter() - t0,
     )
 
 

@@ -10,12 +10,22 @@ is a single int, and a successor is one integer addition plus a masked check
 per touched counter.  Runs, `(state, vector)` collections and counts are
 decoded from packed keys only when a result is returned.
 
+`halting_reachable` asks only whether the target is reachable, so it runs on
+chain adjacency: each successor step follows a maximal deterministic chain
+of transitions, split wherever a counter would change direction, and only
+the configurations where chains start or end are stored.  Its stats count
+those configurations and chain levels.  With `max_depth` set it falls back
+to one transition per level, since `max_depth` counts transitions.  The
+other searches need every configuration, per-step levels or exact node
+budgets, and step one transition at a time.
+
 Search is deterministic: successors are expanded in the canonical transition
 order of the Vass and results (including shortest-run tie-breaking and stats)
 are reproducible.  The breadth-first searches are level-synchronous and
 report stats with one meaning: `depth` is the number of levels expanded
 (a level cut off part-way counts) and `frontier_peak` the size of the
-largest level generated in full.
+largest level generated in full, where a level is one transition or, for
+chain adjacency, one chain.
 """
 
 from __future__ import annotations
@@ -98,34 +108,63 @@ class _Packed:
     bits, then one fixed-width field per counter.  Fields are wide enough
     that any over/underflow lands above the bound and is rejected, so a
     successor is one integer addition plus one masked check per touched
-    counter.  States in `absorbing` get no outgoing transitions."""
+    counter.  States in `absorbing` get no outgoing transitions.
 
-    def __init__(self, v: Vass, bound: int, absorbing: frozenset[str] = frozenset()):
+    With `chains`, each adjacency entry is a maximal deterministic chain of
+    transitions (see `_chain_moves`) rather than one transition, and only
+    the states where chains start get entries.  Every chain is monotone in
+    every counter, so checking its end configuration checks every
+    configuration along it."""
+
+    def __init__(
+        self,
+        v: Vass,
+        bound: int,
+        absorbing: frozenset[str] = frozenset(),
+        chains: bool = False,
+    ):
         self.bound = bound
-        self.index = {s: i for i, s in enumerate(v.states)}
-        self.sbits = max(1, (len(v.states) - 1).bit_length())
+        index = self.index = {s: i for i, s in enumerate(v.states)}
         max_amount = max((abs(d) for t in v.transitions for d in t.delta), default=0)
+        if chains:
+            moves = _chain_moves(v, index, absorbing)
+            # a chain's net amount can exceed every single transition's
+            max_amount = max(
+                [max_amount] + [abs(d) for ms in moves for delta, _dst, _tix in ms for d in delta]
+            )
+        self.sbits = max(1, (len(v.states) - 1).bit_length())
         self.wbits = max(1, (2 * (bound + max_amount) + 1).bit_length())
         self.smask = (1 << self.sbits) - 1
         self.cmask = (1 << self.wbits) - 1
         self.shifts = tuple(self.sbits + self.wbits * i for i in range(v.dimension))
         # per transition index: packed delta; per state: (packed delta,
-        # shifts of touched counter fields, transition index)
+        # shifts of touched counter fields, first transition index)
         self.deltas: list[int] = []
         self.adj: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in v.states]
         for tix, t in enumerate(v.transitions):
-            pd = self.index[t.dst] - self.index[t.src]
-            checks = []
-            for d, shift in zip(t.delta, self.shifts):
-                if d:
-                    pd += d << shift
-                    checks.append(shift)
-            self.deltas.append(pd)
-            if t.src not in absorbing:
-                self.adj[self.index[t.src]].append((pd, tuple(checks), tix))
+            entry = self._pack(t.delta, index[t.dst] - index[t.src], tix)
+            self.deltas.append(entry[0])
+            if not chains and t.src not in absorbing:
+                self.adj[index[t.src]].append(entry)
+        if chains:
+            self.adj = [
+                [self._pack(delta, dst - s, tix) for delta, dst, tix in ms]
+                for s, ms in enumerate(moves)
+            ]
         self.src = self.encode(v.source)
         # a target above the bound is unreachable, and its fields could alias
         self.tgt = self.encode(v.target) if max(v.target.vector, default=0) <= bound else -1
+
+    def _pack(
+        self, delta: tuple[int, ...], state_step: int, tix: int
+    ) -> tuple[int, tuple[int, ...], int]:
+        pd = state_step
+        checks = []
+        for d, shift in zip(delta, self.shifts):
+            if d:
+                pd += d << shift
+                checks.append(shift)
+        return pd, tuple(checks), tix
 
     def encode(self, cfg: Configuration) -> int:
         key = self.index[cfg.state]
@@ -145,6 +184,54 @@ class _Packed:
                     break
             else:
                 yield nk
+
+
+def _chain_moves(
+    v: Vass, index: dict[str, int], absorbing: frozenset[str]
+) -> list[list[tuple[tuple[int, ...], int, int]]]:
+    """Per state index, one `(net delta, end state index, first transition
+    index)` per outgoing transition of a cut state reachable from the source
+    state: the maximal deterministic chain that starts with that transition.
+    States in `absorbing` have no outgoing transitions.
+
+    A chain ends at the first cut state it enters.  The source and target
+    states are cuts, and so is every state whose out-degree is not 1.  A
+    state also becomes a cut when extending the chain past it would revisit
+    a state of the chain (which breaks deterministic cycles) or reverse the
+    direction of some counter (which keeps every chain monotone in every
+    counter)."""
+    transitions = v.transitions
+    out: list[list[int]] = [[] for _ in v.states]
+    for tix, t in enumerate(transitions):
+        if t.src not in absorbing:
+            out[index[t.src]].append(tix)
+    cut = [len(ts) != 1 for ts in out]
+    cut[index[v.source.state]] = cut[index[v.target.state]] = True
+    moves: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in out]
+    start = index[v.source.state]
+    queued = {start}
+    todo = [start]
+    while todo:
+        s = todo.pop()
+        for first in out[s]:
+            t = transitions[first]
+            net = t.delta
+            cur = index[t.dst]
+            seen = {s, cur}
+            while not cut[cur]:
+                t = transitions[out[cur][0]]
+                nxt = index[t.dst]
+                if (nxt in seen and not cut[nxt]) or any(a * d < 0 for a, d in zip(net, t.delta)):
+                    cut[cur] = True
+                    break
+                net = tuple([a + d for a, d in zip(net, t.delta)])
+                seen.add(nxt)
+                cur = nxt
+            moves[s].append((net, cur, first))
+            if cur not in queued:
+                queued.add(cur)
+                todo.append(cur)
+    return moves
 
 
 def _explore(
@@ -189,14 +276,25 @@ def _explore(
 
 
 def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
-    """Existence-only variant of shortest_halting: same verdicts and the
-    same BFS depth, but no run is reconstructed (`run` is always None),
-    which keeps memory linear in the visited-set size for
-    multi-million-configuration spaces."""
+    """Existence-only variant of shortest_halting: the same verdicts
+    whenever no budget cuts the search, but no run is reconstructed (`run`
+    is always None), which keeps memory linear in the visited-set size for
+    multi-million-configuration spaces.
+
+    The search steps along maximal deterministic chains of transitions and
+    stores only the configurations where chains start or end, which include
+    every place where runs can branch.  `stats.expanded` counts those
+    configurations, and `depth` and `frontier_peak` count chain levels.  It
+    stores a subset of the configurations an exhaustive per-transition
+    search stores, so it never needs a larger `max_configs` to exhaust the
+    space; when `max_configs` cuts a search, the two may stop at different
+    points.  `max_depth` counts transitions: with it set, the search steps
+    one transition per level and its stats match shortest_halting's `depth`
+    and `frontier_peak`."""
     bound = budget.counter_bound
     if max(v.source.vector, default=0) > bound:
         return ReachResult(Verdict.EXHAUSTED, None, SearchStats(0, 0, 0))
-    packed = _Packed(v, bound)
+    packed = _Packed(v, bound, chains=budget.max_depth is None)
     if packed.src == packed.tgt:
         return ReachResult(Verdict.FOUND, None, SearchStats(0, 1, 0))
     verdict, _visited, stats = _explore(packed, packed.tgt, budget.max_configs, budget.max_depth)
@@ -279,17 +377,16 @@ def reachable_configs(
     States in `absorbing` are not expanded (their configurations are still
     collected), which is how halt-completion drains are kept out of
     "values on arrival" collections.  Raises BudgetExceededError if the node
-    budget is hit before exhaustion; the depth budget does not apply.
+    budget is hit before exhaustion, or if configurations remain unexpanded
+    at depth `max_depth`.
     """
     out: dict[str, set[tuple[int, ...]]] = {}
     if max(v.source.vector, default=0) > budget.counter_bound:
         return out
     packed = _Packed(v, budget.counter_bound, absorbing)
-    verdict, visited, _stats = _explore(packed, -1, budget.max_configs, None)
+    verdict, visited, _stats = _explore(packed, -1, budget.max_configs, budget.max_depth)
     if verdict == Verdict.BUDGET_EXCEEDED:
-        raise BudgetExceededError(
-            f"reachable-set exploration exceeded {budget.max_configs} configurations"
-        )
+        raise BudgetExceededError(f"reachable-set exploration exceeded its budget: {budget}")
     smask, cmask, shifts = packed.smask, packed.cmask, packed.shifts
     for key in visited:
         state = v.states[key & smask]
@@ -323,8 +420,11 @@ def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -
 
     The bounded configuration graph must be acyclic (a cycle would make some
     counts infinite); a back edge raises ConfigCycleError.  This is a bounded
-    check, not a proof about unbounded runs.
+    check, not a proof about unbounded runs.  A depth budget would make the
+    count silently partial, so `max_depth` must be None (ValueError).
     """
+    if budget.max_depth is not None:
+        raise ValueError("count_halting_runs counts whole runs; max_depth must be None")
     bound = budget.counter_bound
     if max(v.source.vector, default=0) > bound:
         return 0

@@ -72,7 +72,7 @@ class SuiteResult:
 
 
 def _suite(name: str, checks: list[CheckResult], t0: float) -> SuiteResult:
-    return SuiteResult(name, checks, time.time() - t0)
+    return SuiteResult(name, checks, time.perf_counter() - t0)
 
 
 def _check(name: str, counterexample: str | None) -> CheckResult:
@@ -84,7 +84,7 @@ def _check(name: str, counterexample: str | None) -> CheckResult:
 
 
 def suite_arith(max_pair: int = 200, max_n: int = 100, trials: int = 300) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
 
     bad = None
@@ -166,7 +166,7 @@ def suite_weak_mult(
     pairs: tuple[tuple[int, int], ...] = ((2, 1), (3, 2), (5, 3), (7, 4)),
     max_sum: int = 30,
 ) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     for c, d in pairs:
         bad = None
@@ -219,7 +219,7 @@ def suite_weak_mult(
 
 
 def suite_weak(max_b: int = 12) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     bad = None
     for b in range(1, max_b + 1):
@@ -242,7 +242,7 @@ def suite_weak(max_b: int = 12) -> SuiteResult:
 
 
 def suite_exp(max_n: int = 4, trend_ns: tuple[int, ...] = (1, 2, 3)) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
 
     bad = None
@@ -298,7 +298,7 @@ def suite_exp(max_n: int = 4, trend_ns: tuple[int, ...] = (1, 2, 3)) -> SuiteRes
 
 
 def suite_fractions(max_k: int = 16) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     bad = None
     for k in range(1, max_k + 1):
@@ -345,7 +345,7 @@ def suite_fractions(max_k: int = 16) -> SuiteResult:
 
 
 def suite_hp(max_sum: int = 16, max_z: int = 3, c: int = 3, d: int = 2) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     bad = None
     fragment = families.gen_hp(c, d)
@@ -482,7 +482,7 @@ def check_np_run_accounting(
 
 
 def suite_np(max_value: int = 3, max_k: int = 2, deep_n: int = 4) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
 
     # Initializer: canonical run computes the threshold exactly (e, f) and
@@ -574,7 +574,7 @@ def suite_np(max_value: int = 3, max_k: int = 2, deep_n: int = 4) -> SuiteResult
 
 
 def suite_double_exp(flow_max_k: int = 3, probe_max_k: int = 2, pump_sweep: int = 32) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
 
     # Tower-exponent maximality: under the suffix-sum constraints the
@@ -687,7 +687,7 @@ def suite_double_exp(flow_max_k: int = 3, probe_max_k: int = 2, pump_sweep: int 
 
 
 def suite_sizes(max_n: int = 8, max_k: int = 8) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
 
     bad = None
@@ -754,7 +754,7 @@ def check_compiler_semantics(program: CounterProgram, bound: int) -> str | None:
 
 
 def suite_semantics(bound: int = 20) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     for name, program in _semantics_corpus():
         bad = check_compiler_semantics(program, bound)

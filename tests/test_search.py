@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -7,10 +8,12 @@ from vasskit.arith import divisibility_threshold
 from vasskit.compiler import compile_counter_program
 from vasskit.errors import BudgetExceededError, ConfigCycleError, PolicyStuckError
 from vasskit.families import (
+    NpInstance,
     exp_canonical_policy,
     gen_exp,
     gen_exp_fixed,
     gen_hp,
+    gen_np,
     gen_weak,
     gen_weak_mult,
     maximal_policy,
@@ -31,6 +34,11 @@ from vasskit.search import (
     shortest_halting,
 )
 from vasskit.vass import Configuration, Run, Transition, Vass, validate_run
+
+
+# a depth budget no test search reaches: it only selects halting_reachable's
+# per-transition levels
+UNCUT_DEPTH = 10**9
 
 
 def iddfs_shortest(v, bound, max_len):
@@ -131,8 +139,15 @@ class TestShortestHalting:
             budget = SearchBudget(25)
             a, b = halting_reachable(v, budget), shortest_halting(v, budget)
             assert a.verdict == b.verdict
-            # both searches are level-synchronous: their levels agree
-            assert (a.stats.depth, a.stats.frontier_peak) == (b.stats.depth, b.stats.frontier_peak)
+            # a depth budget keeps halting_reachable on one transition per
+            # level, where both level-synchronous searches' levels agree
+            deep = replace(budget, max_depth=UNCUT_DEPTH)
+            c, d = halting_reachable(v, deep), shortest_halting(v, deep)
+            assert (c.verdict, d.verdict) == (a.verdict, a.verdict)
+            assert (c.stats.depth, c.stats.frontier_peak) == (d.stats.depth, d.stats.frontier_peak)
+            # without one it stores only the configurations at chain ends,
+            # which on these members are fewer
+            assert a.stats.expanded <= c.stats.expanded
 
 
 class TestFinalValues:
@@ -417,16 +432,18 @@ def ref_reachable(v, budget, absorbing=frozenset()):
     successors = _ref_successors(v, bound, absorbing)
     src = (v.source.state, v.source.vector)
     visited = {src}
-    dq = deque([src])
+    dq = deque([(src, 0)])
     while dq:
-        cfg = dq.popleft()
+        cfg, depth = dq.popleft()
+        if budget.max_depth is not None and depth >= budget.max_depth:
+            raise BudgetExceededError("reference depth budget")
         out.setdefault(cfg[0], set()).add(cfg[1])
         for _tix, nxt in successors(cfg):
             if nxt not in visited:
                 if len(visited) >= budget.max_configs:
                     raise BudgetExceededError("reference budget")
                 visited.add(nxt)
-                dq.append(nxt)
+                dq.append((nxt, depth + 1))
     return out
 
 
@@ -523,15 +540,17 @@ class TestAgainstTupleReference:
                 assert _outcome(reachable_configs, v, budget, drop) == want
                 outcomes.add(want if isinstance(want, type) else "collected")
 
+            # counting takes no depth budget
+            count_budget = replace(budget, max_depth=None)
             for w in (v, random_dag_vass(rng)):
                 cutoff = rng.choice((1, 2, 3, 1_000_000))
-                want = _outcome(ref_count, w, budget, cutoff)
-                assert _outcome(count_halting_runs, w, budget, cutoff) == want
+                want = _outcome(ref_count, w, count_budget, cutoff)
+                assert _outcome(count_halting_runs, w, count_budget, cutoff) == want
                 if isinstance(want, type):
                     outcomes.add(want)
                 elif want > 1:
                     outcomes.add("several runs")
-                elif want < _outcome(ref_count, w, budget, 1_000_000):
+                elif want < _outcome(ref_count, w, count_budget, 1_000_000):
                     outcomes.add("saturated")
         # the corpus reaches every outcome it is meant to pin
         assert outcomes >= {
@@ -547,10 +566,45 @@ class TestAgainstTupleReference:
             a = halting_reachable(v, budget)
             b = shortest_halting(v, budget)
             assert a.run is None
-            assert (a.stats.depth, a.stats.frontier_peak) == (b.stats.depth, b.stats.frontier_peak)
+            if budget.max_depth is not None:
+                # one transition per level, as in shortest_halting
+                assert (a.stats.depth, a.stats.frontier_peak) == (b.stats.depth, b.stats.frontier_peak)
+            else:
+                per_step = halting_reachable(v, replace(budget, max_depth=UNCUT_DEPTH))
+                if per_step.verdict != Verdict.FOUND:
+                    # chain ends are a subset of what the per-transition
+                    # search stores when it exhausts or fills max_configs
+                    assert a.stats.expanded <= per_step.stats.expanded
             if a.verdict != b.verdict:
-                # the target is tested before the node budget only here
-                assert (a.verdict, b.verdict) == (Verdict.FOUND, Verdict.BUDGET_EXCEEDED)
+                # the target is tested before the node budget only here, and
+                # chains can exhaust a space on which the per-transition
+                # search runs out of max_configs
+                assert (a.verdict, b.verdict) in {
+                    (Verdict.FOUND, Verdict.BUDGET_EXCEEDED),
+                    (Verdict.EXHAUSTED, Verdict.BUDGET_EXCEEDED),
+                }
+                if a.verdict == Verdict.EXHAUSTED:
+                    # only max_configs cut the per-transition search
+                    assert budget.max_depth is None
+                    assert per_step.verdict == Verdict.BUDGET_EXCEEDED
+
+    def test_reachable_configs_honours_max_depth(self):
+        # p -> q -> r, one step each
+        v = Vass(
+            0, ("p", "q", "r"), (Transition("p", (), "q"), Transition("q", (), "r")),
+            Configuration("p", ()), Configuration("r", ()),
+        )
+        assert reachable_configs(v, SearchBudget(0, max_depth=3)) == {
+            "p": {()}, "q": {()}, "r": {()},
+        }
+        with pytest.raises(BudgetExceededError):
+            reachable_configs(v, SearchBudget(0, max_depth=1))
+
+    def test_count_halting_runs_rejects_max_depth(self):
+        v = compile_counter_program(gen_exp_fixed(1, 1)).vass
+        with pytest.raises(ValueError, match="max_depth"):
+            count_halting_runs(v, SearchBudget(10, max_depth=100))
+
 
 class TestPacking:
     """Field-width edge cases of the packed configuration encoding: every
@@ -616,6 +670,98 @@ class TestPacking:
         for kernel in (shortest_halting, halting_reachable):
             assert kernel(v, SearchBudget(3)).verdict == Verdict.EXHAUSTED
         assert count_halting_runs(v, SearchBudget(3)) == 0
+
+
+class TestChains:
+    """halting_reachable steps along maximal deterministic chains of
+    transitions; each case is one way a chain could pass a configuration the
+    per-transition reference rejects, or miss one it reaches."""
+
+    @staticmethod
+    def line(deltas, source, target_state, target_vector, extra=()):
+        """States p0, p1, ... joined by one transition per delta, in order,
+        plus the `extra` transitions among them."""
+        states = tuple(f"p{i}" for i in range(len(deltas) + 1))
+        ts = tuple(Transition(f"p{i}", d, f"p{i + 1}") for i, d in enumerate(deltas))
+        ts += tuple(Transition(*t) for t in extra)
+        return Vass(len(source), states, ts, Configuration("p0", source),
+                    Configuration(target_state, target_vector))
+
+    @staticmethod
+    def check(v, bound, want):
+        budget = SearchBudget(bound)
+        assert ref_shortest(v, budget)[0] == want
+        assert halting_reachable(v, budget).verdict == want
+        assert halting_reachable(v, replace(budget, max_depth=UNCUT_DEPTH)).verdict == want
+
+    def test_eight_decrements_do_not_borrow(self):
+        # a field sized for one -1 step is 3 bits wide: the chain's -8 from
+        # x = 1 would borrow from y and read as (1, 0)
+        v = self.line([(-1, 0)] * 8, (1, 1), "p8", (1, 0))
+        self.check(v, 1, Verdict.EXHAUSTED)
+
+    def test_zero_test_gadget_is_split(self):
+        # y -= 1; y += 1 has net 0, but y = 0 blocks it
+        v = self.line([(0, -1), (0, 1)], (0, 0), "p2", (0, 0))
+        self.check(v, 3, Verdict.EXHAUSTED)
+        self.check(self.line([(0, -1), (0, 1)], (0, 1), "p2", (0, 1)), 3, Verdict.FOUND)
+
+    def test_up_then_down_is_split(self):
+        # x += 3; x -= 3 passes bound + 1 on the way
+        bound = 6
+        v = self.line([(3,), (-3,)], (bound - 2,), "p2", (bound - 2,))
+        self.check(v, bound, Verdict.EXHAUSTED)
+        self.check(self.line([(3,), (-3,)], (bound - 3,), "p2", (bound - 3,)), bound,
+                   Verdict.FOUND)
+
+    def test_cycle_without_branch_terminates(self):
+        # p0 -> p1 -> p2 -> p3 -> p1: a deterministic cycle with no cut state
+        # on it, entered from the source; it pumps x up to the bound
+        cycle = [("p3", (0,), "p1")]
+        pump = self.line([(0,), (1,), (0,)], (0,), "p0", (1,), extra=cycle)
+        self.check(pump, 4, Verdict.EXHAUSTED)
+        idle = self.line([(0,), (0,), (0,)], (0,), "p0", (1,), extra=cycle)
+        self.check(idle, 4, Verdict.EXHAUSTED)
+        # the same cycle through the target state
+        through = self.line([(0,), (1,), (0,)], (0,), "p3", (5,), extra=cycle)
+        self.check(through, 4, Verdict.EXHAUSTED)
+        self.check(through, 5, Verdict.FOUND)
+
+    def test_target_mid_line_is_found(self):
+        # every step increases, so no counter forces a cut at p3
+        v = self.line([(1, 0), (0, 1), (1, 1), (1, 0), (0, 1)], (0, 0), "p3", (2, 2))
+        self.check(v, 3, Verdict.FOUND)
+        self.check(v, 2, Verdict.FOUND)  # the rest of the line leaves the bound
+        self.check(v, 1, Verdict.EXHAUSTED)
+
+    def test_chains_agree_with_per_transition_on_families(self):
+        members = [
+            (gen_exp_fixed(n, x0), (4, 10, 20, 30))
+            for n, x0 in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 4), (3, 6))
+        ]
+        members += [
+            (gen_np(NpInstance(1, (1,)))[0], (8, 16)),
+            (gen_np(NpInstance(2, (1,)))[0], (8, 32)),
+        ]
+        members += [
+            (with_initial_values(gen_weak_mult(c, d), {"x": x}), (3, 6, 12))
+            for c, d in ((2, 1), (3, 2)) for x in (0, 1, 3)
+        ]
+        members += [
+            (with_initial_values(gen_hp(3, 2), {"x": x, "z": z}), (4, 9, 16))
+            for x, z in ((0, 0), (1, 1), (2, 1), (4, 2))
+        ]
+        seen = set()
+        for program, bounds in members:
+            v = compile_counter_program(program).vass
+            for bound in bounds:
+                budget = SearchBudget(bound, 2_000_000)
+                chains = halting_reachable(v, budget)
+                per_step = halting_reachable(v, replace(budget, max_depth=UNCUT_DEPTH))
+                assert chains.verdict == per_step.verdict != Verdict.BUDGET_EXCEEDED
+                assert chains.stats.expanded <= per_step.stats.expanded
+                seen.add(chains.verdict)
+        assert seen == {Verdict.FOUND, Verdict.EXHAUSTED}
 
 
 def test_halting_reachable_source_is_target_has_no_run():
