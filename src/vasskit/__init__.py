@@ -75,7 +75,6 @@ from .vass import (
     Transition,
     Vass,
     is_flat,
-    simple_cycles,
     step,
     validate_run,
     vass_size,

@@ -101,7 +101,7 @@ def cmd_compile(args) -> int:
 
 def cmd_flat(args) -> int:
     vass = _load_vass(_read_input(args.input))
-    report = is_flat(vass, max_cycles=args.cycle_budget)
+    report = is_flat(vass)
     if args.format == "json":
         obj = {"flat": report.is_flat}
         if not report.is_flat:
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     flat = sub.add_parser("flat", help="check flatness (exit 1 when not flat)")
     add_io(flat)
     flat.add_argument("--format", choices=["text", "json"], default="text")
-    flat.add_argument("--cycle-budget", type=int, default=1_000_000)
     flat.set_defaults(func=cmd_flat)
 
     solve = sub.add_parser("solve", help="bounded shortest halting run")

@@ -15,6 +15,7 @@ from .arith import divisibility_threshold
 from .compiler import compile_counter_program
 from .errors import BudgetExceededError
 from .search import (
+    ReachResult,
     SearchBudget,
     Verdict,
     final_vectors,
@@ -65,28 +66,22 @@ def _label(family: str, p: int) -> str:
 
 def _row(
     family: str,
-    p: int,
+    parameter: str,
     compiled,
-    budget: SearchBudget | None,
+    result: ReachResult,
     canonical_length: int | None,
     extra: dict,
     t0: float,
 ) -> ExperimentReport:
     vass = compiled.vass
-    if budget is None:
-        verdict, length = "skipped", None
-    else:
-        result = shortest_halting(vass, budget)
-        verdict = result.verdict.value
-        length = len(result.run) if result.verdict == Verdict.FOUND else None
     return ExperimentReport(
         family=family,
-        parameter=_label(family, p),
+        parameter=parameter,
         size_unary=vass_size(vass, "unary"),
         size_binary=vass_size(vass, "binary"),
         flat=is_flat(vass).is_flat,
-        shortest_verdict=verdict,
-        shortest_length=length,
+        shortest_verdict=result.verdict.value,
+        shortest_length=len(result.run) if result.run is not None else None,
         canonical_length=canonical_length,
         extra=extra,
         wall_clock_s=time.perf_counter() - t0,
@@ -100,9 +95,9 @@ def measure_exp(n: int, max_configs: int) -> ExperimentReport:
     out = replay_canonical(
         compiled, families.exp_canonical_policy(compiled.program, pump), materialize=False
     )
-    budget = SearchBudget(2 * max(out.probe.peak), max_configs)
+    result = shortest_halting(compiled.vass, SearchBudget(2 * max(out.probe.peak), max_configs))
     return _row(
-        "exp", n, compiled, budget, out.probe.length, {"pump": str(pump)}, t0
+        "exp", _label("exp", n), compiled, result, out.probe.length, {"pump": str(pump)}, t0
     )
 
 
@@ -112,10 +107,9 @@ def measure_weak(b: int, max_configs: int) -> ExperimentReport:
     out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
     budget = SearchBudget(2 * b + 2, max_configs)
     finals = final_vectors(compiled.vass, budget, at_state=compiled.halt_state)
-    max_final = max(vec[0] for vec in finals)
     return _row(
-        "weak", b, compiled, budget, out.probe.length,
-        {"max_final_x": str(max_final)}, t0,
+        "weak", _label("weak", b), compiled, shortest_halting(compiled.vass, budget),
+        out.probe.length, {"max_final_x": str(max(vec[0] for vec in finals))}, t0,
     )
 
 
@@ -125,10 +119,12 @@ def measure_hp(z0: int, max_configs: int, c: int = 3, d: int = 2) -> ExperimentR
     prog = families.with_initial_values(families.gen_hp(c, d), {"x": x0, "z": z0})
     compiled = compile_counter_program(prog)
     out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
-    budget = SearchBudget(2 * max(out.probe.peak) + 2, max_configs)
+    result = shortest_halting(
+        compiled.vass, SearchBudget(2 * max(out.probe.peak) + 2, max_configs)
+    )
     final_x = out.final.vector[compiled.program.counters.index("x")]
     return _row(
-        "hp", z0, compiled, budget, out.probe.length,
+        "hp", _label("hp", z0), compiled, result, out.probe.length,
         {"ratio": f"{c}/{d}", "x0": str(x0), "canonical_final_x": str(final_x)}, t0,
     )
 
@@ -142,9 +138,9 @@ def measure_double_exp(k: int, max_configs: int) -> ExperimentReport:
         families.double_exp_canonical_policy(compiled.program, meta.canonical_pump),
         materialize=False,
     )
-    budget = SearchBudget(2 * max(out.probe.peak), max_configs)
+    result = shortest_halting(compiled.vass, SearchBudget(2 * max(out.probe.peak), max_configs))
     return _row(
-        "2exp", k, compiled, budget, out.probe.length,
+        "2exp", _label("2exp", k), compiled, result, out.probe.length,
         {
             "canonical_pump": str(meta.canonical_pump),
             "forced_divisor": str(meta.forced_divisor),
@@ -169,25 +165,14 @@ def measure_np(target: int, values: tuple[int, ...], max_configs: int) -> Experi
     # too many for run reconstruction at the default budget
     budget = SearchBudget(8 * meta.threshold * (len(values) + 1), max_configs)
     result = halting_reachable(compiled.vass, budget)
-    vass = compiled.vass
     extra = {
         "target": str(target),
         "values": ",".join(str(v) for v in values),
         "subset_sum": chosen is not None,
         "threshold": str(meta.threshold),
     }
-    return ExperimentReport(
-        family="np",
-        parameter=f"s0={target},S={','.join(map(str, values))}",
-        size_unary=vass_size(vass, "unary"),
-        size_binary=vass_size(vass, "binary"),
-        flat=is_flat(vass).is_flat,
-        shortest_verdict=result.verdict.value,
-        shortest_length=None,
-        canonical_length=canonical_length,
-        extra=extra,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    parameter = f"s0={target},S={','.join(map(str, values))}"
+    return _row("np", parameter, compiled, result, canonical_length, extra, t0)
 
 
 def measure_family(

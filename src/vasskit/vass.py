@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, NegativeCounterError, WrongStateError
+from .errors import NegativeCounterError, WrongStateError
 
 
 @dataclass(frozen=True, order=True)
@@ -160,73 +160,89 @@ def validate_run(v: Vass, r: Run) -> RunReport:
 @dataclass(frozen=True)
 class FlatnessReport:
     is_flat: bool
-    # On failure: a state plus two distinct simple cycles through it,
-    # each a tuple of transitions in path order.
+    # On failure: a state plus two distinct simple cycles through it, each a
+    # tuple of transitions in path order, rotated to start at its earliest
+    # transition in `Vass.transitions`; the pair is sorted by those positions.
     witness_state: str | None = None
     witness_cycles: tuple[tuple[Transition, ...], tuple[Transition, ...]] | None = None
 
 
-def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    # Cycles are cyclic edge sequences; compare rotations so that the same
-    # cycle entered at a different state is not counted twice.
-    best = cycle
-    for i in range(1, len(cycle)):
-        rot = cycle[i:] + cycle[:i]
-        if rot < best:
-            best = rot
-    return best
+_Edges = list[list[tuple[int, int]]]  # per state: its (dst_ix, transition_ix) edges
 
 
-def simple_cycles(v: Vass, max_cycles: int = 1_000_000) -> list[tuple[Transition, ...]]:
-    """Enumerate all simple cycles of the control graph (parallel transitions
-    count as distinct edges), each reported once up to rotation."""
+def _scc_ids(out: _Edges) -> list[int]:
+    """The strongly connected component of each state, named by its root
+    (Tarjan, SIAM J. Comput. 1972).  Iterative, so that long control graphs
+    cannot exhaust the recursion limit."""
+    index = [-1] * len(out)
+    low = [0] * len(out)
+    comp = [-1] * len(out)  # -1 while a visited state is still on `stack`
+    stack: list[int] = []
+    count = 0
+    for root in range(len(out)):
+        work = [(root, iter(out[root]))] if index[root] < 0 else []
+        while work:
+            u, edges = work[-1]
+            if index[u] < 0:
+                index[u] = low[u] = count
+                count += 1
+                stack.append(u)
+            for w, _tix in edges:
+                if index[w] < 0:
+                    work.append((w, iter(out[w])))
+                    break
+                if comp[w] < 0:
+                    low[u] = min(low[u], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
+                if low[u] == index[u]:
+                    while comp[u] < 0:
+                        comp[stack.pop()] = u
+    return comp
+
+
+def _cycle_through(inner: _Edges, u: int, first: tuple[int, int]) -> tuple[int, ...]:
+    # `first` leaves u and stays inside u's component, so a BFS shortest
+    # path from its end back to u closes a simple cycle.
+    parent = {first[0]: (-1, first[1])}
+    frontier = [first[0]]
+    while u not in parent:
+        nxt = []
+        for x in frontier:
+            for w, tix in inner[x]:
+                if w not in parent:
+                    parent[w] = (x, tix)
+                    nxt.append(w)
+        frontier = nxt
+    path, x = [], u
+    while x != -1:
+        x, tix = parent[x]
+        path.append(tix)
+    path.reverse()
+    i = path.index(min(path))
+    return tuple(path[i:] + path[:i])
+
+
+def is_flat(v: Vass) -> FlatnessReport:
+    """A VASS is flat when no state lies on two distinct simple cycles, that
+    is, when no state has two out-transitions inside its strongly connected
+    component (parallel transitions and self-loops are distinct edges).
+    Linear in |Q| + |T|.  The witness is the first such state; its cycles
+    start with its first two inner transitions and return by shortest paths.
+    """
     index = {s: i for i, s in enumerate(v.states)}
-    out: list[list[tuple[int, int]]] = [[] for _ in v.states]  # (dst_ix, transition_ix)
+    out: _Edges = [[] for _ in v.states]
     for tix, t in enumerate(v.transitions):
         out[index[t.src]].append((index[t.dst], tix))
-
-    found: set[tuple[int, ...]] = set()
-    n = len(v.states)
-    for start in range(n):
-        # Only cycles whose minimal state is `start`; DFS restricted to >= start.
-        on_path: list[int] = [start]
-        path_edges: list[int] = []
-        iters = [iter(out[start])]
-        while iters:
-            try:
-                dst, tix = next(iters[-1])
-            except StopIteration:
-                iters.pop()
-                on_path.pop()
-                if path_edges:
-                    path_edges.pop()
-                continue
-            if dst == start:
-                cyc = _canonical_rotation(tuple(path_edges + [tix]))
-                found.add(cyc)
-                if len(found) > max_cycles:
-                    raise BudgetExceededError(
-                        f"simple-cycle enumeration exceeded budget of {max_cycles}"
-                    )
-                continue
-            if dst < start or dst in on_path:
-                continue
-            on_path.append(dst)
-            path_edges.append(tix)
-            iters.append(iter(out[dst]))
-    return [tuple(v.transitions[i] for i in cyc) for cyc in sorted(found)]
-
-
-def is_flat(v: Vass, max_cycles: int = 1_000_000) -> FlatnessReport:
-    """A VASS is flat when no state lies on two distinct simple cycles."""
-    through: dict[str, list[tuple[Transition, ...]]] = {}
-    for cyc in simple_cycles(v, max_cycles=max_cycles):
-        for t in cyc:
-            through.setdefault(t.src, []).append(cyc)
-    for state in sorted(through):
-        cycles = through[state]
-        if len(cycles) >= 2:
-            return FlatnessReport(False, state, (cycles[0], cycles[1]))
+    comp = _scc_ids(out)
+    inner = [[e for e in edges if comp[e[0]] == comp[u]] for u, edges in enumerate(out)]
+    for u, edges in enumerate(inner):
+        if len(edges) >= 2:
+            cycles = sorted(_cycle_through(inner, u, e) for e in edges[:2])
+            witness = tuple(tuple(v.transitions[tix] for tix in c) for c in cycles)
+            return FlatnessReport(False, v.states[u], witness)
     return FlatnessReport(True)
 
 

@@ -81,6 +81,23 @@ class TestPipeline:
         obj = json.loads(out)
         assert obj["flat"] is False and obj["witness_state"]
 
+        # complete digraph on 12 states: no cycle budget to run out of
+        states = [f"s{i:02d}" for i in range(12)]
+        path.write_text(json.dumps({
+            "dimension": 1,
+            "states": states,
+            "transitions": [
+                {"from": a, "delta": ["0"], "to": b} for a in states for b in states if a != b
+            ],
+            "source": {"state": "s00", "vector": ["0"]},
+            "target": {"state": "s01", "vector": ["0"]},
+        }))
+        code, out, _ = run_cli(capsys, "flat", str(path), "--format", "json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["flat"] is False and obj["witness_state"] == "s00"
+        assert [len(cyc) for cyc in obj["witness_cycles"]] == [2, 2]
+
     def test_size_command(self, capsys, tmp_path):
         _, text, _ = run_cli(capsys, "gen", "2exp", "--k", "2")
         path = tmp_path / "v.cp"

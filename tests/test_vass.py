@@ -1,15 +1,39 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from vasskit.compiler import compile_counter_program
-from vasskit.errors import BudgetExceededError, NegativeCounterError, WrongStateError
-from vasskit.families import gen_double_exp, gen_exp, gen_weak
+from vasskit.errors import NegativeCounterError, WrongStateError
+from vasskit.families import gen_double_exp, gen_exp, gen_hp, gen_weak
 from vasskit.vass import (
-    Configuration, Run, Transition, Vass, is_flat, simple_cycles, step,
-    validate_run, vass_size,
+    Configuration, Run, Transition, Vass, is_flat, step, validate_run, vass_size,
 )
+
+
+def ref_simple_cycles(v: Vass) -> list[tuple[Transition, ...]]:
+    """Reference for `is_flat`: every simple cycle of the control graph by
+    brute force over simple paths (parallel transitions count as distinct
+    edges), each once, rotated to start at its earliest transition in
+    `v.transitions`, sorted by transition positions.  Exponential; small
+    graphs only."""
+    found: set[tuple[int, ...]] = set()
+
+    def walk(start, at, path, seen):
+        for tix, t in enumerate(v.transitions):
+            if t.src != at:
+                continue
+            if t.dst == start:
+                cyc = path + [tix]
+                i = cyc.index(min(cyc))
+                found.add(tuple(cyc[i:] + cyc[:i]))
+            elif t.dst not in seen:
+                walk(start, t.dst, path + [tix], seen | {t.dst})
+
+    for state in v.states:
+        walk(state, state, [], {state})
+    return [tuple(v.transitions[tix] for tix in cyc) for cyc in sorted(found)]
 
 
 def tiny_vass(transitions, dimension=2, source=("p", (0, 0)), target=("q", (0, 0))):
@@ -115,7 +139,7 @@ class TestFlatness:
     def test_rotations_do_not_double_count(self):
         # one 2-cycle p -> q -> p: flat, although both p and q are on it
         v = tiny_vass([Transition("p", (0, 0), "q"), Transition("q", (0, 0), "p")])
-        cycles = simple_cycles(v)
+        cycles = ref_simple_cycles(v)
         assert len(cycles) == 1
         assert is_flat(v).is_flat
 
@@ -159,15 +183,89 @@ class TestFlatness:
         compiled = compile_counter_program(parse("counters x\ninit\nx += 1\nx -= 1\nhalt x\n"))
         assert is_flat(compiled.vass).is_flat
 
-    def test_cycle_budget(self):
-        # complete digraph on 8 states has far more than 20 simple cycles
-        states = [f"s{i}" for i in range(8)]
+    def test_complete_digraph_not_flat_without_budget(self):
+        # K12 has billions of simple cycles; enumerating them cannot finish
+        states = [f"s{i:02d}" for i in range(12)]
         transitions = [
             Transition(a, (0, 0), b) for a in states for b in states if a != b
         ]
-        v = tiny_vass(transitions, source=("s0", (0, 0)), target=("s1", (0, 0)))
-        with pytest.raises(BudgetExceededError):
-            is_flat(v, max_cycles=20)
+        v = tiny_vass(transitions, source=("s00", (0, 0)), target=("s01", (0, 0)))
+        report = is_flat(v)
+        assert not report.is_flat
+        assert report.witness_state == "s00"
+        for cyc in report.witness_cycles:
+            assert_simple_cycle_through(v, cyc, "s00")
+
+    def test_many_branches_flat(self):
+        # 40 goto-diamonds in a row and one self-loop at the end: 2^40 simple
+        # paths, one simple cycle
+        transitions = []
+        for i in range(40):
+            for side in "ab":
+                transitions.append(Transition(f"d{i:02d}", (0, 0), f"{side}{i:02d}"))
+                transitions.append(Transition(f"{side}{i:02d}", (0, 0), f"d{i + 1:02d}"))
+        transitions.append(Transition("d40", (1, 0), "d40"))
+        v = tiny_vass(transitions, source=("d00", (0, 0)), target=("d40", (0, 0)))
+        assert is_flat(v).is_flat
+
+    def test_long_cycles_need_no_recursion(self):
+        # one simple cycle through 5,000 states, then a chord that closes a
+        # second cycle through s0000
+        ring = [Transition(f"s{i:04d}", (0, 0), f"s{(i + 1) % 5000:04d}") for i in range(5000)]
+        v = tiny_vass(ring, source=("s0000", (0, 0)), target=("s4999", (0, 0)))
+        assert is_flat(v).is_flat
+        chord = Transition("s0000", (0, 0), "s2500")
+        report = is_flat(tiny_vass(ring + [chord], source=("s0000", (0, 0)), target=("s4999", (0, 0))))
+        assert not report.is_flat and report.witness_state == "s0000"
+        assert sorted(len(c) for c in report.witness_cycles) == [2501, 5000]
+
+    def test_compiled_hp_witness_pinned(self):
+        report = is_flat(compile_counter_program(gen_hp(3, 2)).vass)
+        assert not report.is_flat and report.witness_state == "L2"
+        assert [[t.src for t in c] + [c[-1].dst] for c in report.witness_cycles] == [
+            ["L1", "L2", "L6", "L10", "L11", "L1"],
+            ["L2", "L3", "L4", "L5", "L2"],
+        ]
+
+
+def assert_simple_cycle_through(v: Vass, cyc, state):
+    assert all(t in v.transitions for t in cyc)
+    assert all(a.dst == b.src for a, b in zip(cyc, cyc[1:] + cyc[:1]))  # closed
+    assert len({t.src for t in cyc}) == len(cyc)  # simple
+    assert state in {t.src for t in cyc}
+
+
+class TestFlatnessAgainstReference:
+    def test_random_graphs(self):
+        # 1-7 states, 0-12 transitions; 1-dimensional deltas in {-1, 0, 1}
+        # give parallel transitions, and self-loops arise freely
+        rng = random.Random(4)
+        non_flat = 0
+        for _ in range(4000):
+            states = [f"s{i}" for i in range(rng.randint(1, 7))]
+            transitions = {
+                Transition(rng.choice(states), (rng.randint(-1, 1),), rng.choice(states))
+                for _ in range(rng.randint(0, 12))
+            }
+            v = Vass(1, tuple(states), tuple(transitions),
+                     Configuration(states[0], (0,)), Configuration(states[-1], (0,)))
+            cycles = ref_simple_cycles(v)
+            on = Counter(t.src for cyc in cycles for t in cyc)
+            report = is_flat(v)
+            assert report.is_flat == all(k < 2 for k in on.values())
+            if report.is_flat:
+                assert report.witness_state is None and report.witness_cycles is None
+                continue
+            non_flat += 1
+            assert on[report.witness_state] >= 2
+            c1, c2 = report.witness_cycles
+            assert c1 != c2
+            for cyc in (c1, c2):
+                assert_simple_cycle_through(v, cyc, report.witness_state)
+                assert cyc in cycles  # rotated as the reference rotates
+            position = {t: i for i, t in enumerate(v.transitions)}
+            assert [position[t] for t in c1] < [position[t] for t in c2]
+        assert 1000 < non_flat < 3000
 
 
 class TestVassSize:
