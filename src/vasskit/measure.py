@@ -23,7 +23,7 @@ from .search import (
     replay_canonical,
     shortest_halting,
 )
-from .vass import is_flat, vass_size
+from .vass import Vass, is_flat, vass_size
 
 
 @dataclass
@@ -64,6 +64,15 @@ def _label(family: str, p: int) -> str:
     return f"{_PARAMETER_NAMES[family]}={p}"
 
 
+def _shape(vass: Vass) -> dict:
+    """A row's size and flatness fields: linear in the VASS, no search."""
+    return {
+        "size_unary": vass_size(vass, "unary"),
+        "size_binary": vass_size(vass, "binary"),
+        "flat": is_flat(vass).is_flat,
+    }
+
+
 def _row(
     family: str,
     parameter: str,
@@ -73,13 +82,10 @@ def _row(
     extra: dict,
     t0: float,
 ) -> ExperimentReport:
-    vass = compiled.vass
     return ExperimentReport(
         family=family,
         parameter=parameter,
-        size_unary=vass_size(vass, "unary"),
-        size_binary=vass_size(vass, "binary"),
-        flat=is_flat(vass).is_flat,
+        **_shape(compiled.vass),
         shortest_verdict=result.verdict.value,
         shortest_length=len(result.run) if result.run is not None else None,
         canonical_length=canonical_length,
@@ -88,9 +94,25 @@ def _row(
     )
 
 
+def _member(family: str, p: int, c: int = 3, d: int = 2):
+    """The compiled member of `family` with parameter p, and the generator's
+    metadata (None for families without any).  The measurers and the
+    budget-exceeded fallback row both build members here."""
+    meta = None
+    if family == "exp":
+        program = families.gen_exp(p)
+    elif family == "weak":
+        program = families.gen_weak(p)
+    elif family == "hp":
+        program = families.with_initial_values(families.gen_hp(c, d), {"x": d**p, "z": p})
+    else:
+        program, meta = families.gen_double_exp(p)
+    return compile_counter_program(program), meta
+
+
 def measure_exp(n: int, max_configs: int) -> ExperimentReport:
     t0 = time.perf_counter()
-    compiled = compile_counter_program(families.gen_exp(n))
+    compiled, _ = _member("exp", n)
     pump = divisibility_threshold(n)
     out = replay_canonical(
         compiled, families.exp_canonical_policy(compiled.program, pump), materialize=False
@@ -103,7 +125,7 @@ def measure_exp(n: int, max_configs: int) -> ExperimentReport:
 
 def measure_weak(b: int, max_configs: int) -> ExperimentReport:
     t0 = time.perf_counter()
-    compiled = compile_counter_program(families.gen_weak(b))
+    compiled, _ = _member("weak", b)
     out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
     budget = SearchBudget(2 * b + 2, max_configs)
     finals = final_vectors(compiled.vass, budget, at_state=compiled.halt_state)
@@ -115,9 +137,7 @@ def measure_weak(b: int, max_configs: int) -> ExperimentReport:
 
 def measure_hp(z0: int, max_configs: int, c: int = 3, d: int = 2) -> ExperimentReport:
     t0 = time.perf_counter()
-    x0 = d**z0
-    prog = families.with_initial_values(families.gen_hp(c, d), {"x": x0, "z": z0})
-    compiled = compile_counter_program(prog)
+    compiled, _ = _member("hp", z0, c, d)
     out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
     result = shortest_halting(
         compiled.vass, SearchBudget(2 * max(out.probe.peak) + 2, max_configs)
@@ -125,14 +145,13 @@ def measure_hp(z0: int, max_configs: int, c: int = 3, d: int = 2) -> ExperimentR
     final_x = out.final.vector[compiled.program.counters.index("x")]
     return _row(
         "hp", _label("hp", z0), compiled, result, out.probe.length,
-        {"ratio": f"{c}/{d}", "x0": str(x0), "canonical_final_x": str(final_x)}, t0,
+        {"ratio": f"{c}/{d}", "x0": str(d**z0), "canonical_final_x": str(final_x)}, t0,
     )
 
 
 def measure_double_exp(k: int, max_configs: int) -> ExperimentReport:
     t0 = time.perf_counter()
-    program, meta = families.gen_double_exp(k)
-    compiled = compile_counter_program(program)
+    compiled, meta = _member("2exp", k)
     out = replay_canonical(
         compiled,
         families.double_exp_canonical_policy(compiled.program, meta.canonical_pump),
@@ -205,9 +224,7 @@ def measure_family(
                 ExperimentReport(
                     family=family,
                     parameter=_label(family, p),
-                    size_unary=0,
-                    size_binary=0,
-                    flat=False,
+                    **_shape(_member(family, p)[0].vass),
                     shortest_verdict=Verdict.BUDGET_EXCEEDED.value,
                     shortest_length=None,
                     canonical_length=None,

@@ -572,6 +572,10 @@ class _Replay:
         self.body_info: dict[int, tuple[bool, dict[int, int], int]] = {}
         for span in self.flat.loops:
             self.body_info[span.entry] = self._analyze_body(span)
+        self.zero = (0,) * len(self.counters)
+        # The VASS's own transitions, so that a materialized run shares them
+        # instead of holding a fresh object per step.
+        self.known = {(t.src, t.delta, t.dst): t for t in compiled.vass.transitions}
 
     def _analyze_body(self, span: LoopSpan):
         deltas: dict[int, int] = {}
@@ -594,9 +598,17 @@ class _Replay:
             return self.compiled.line_states[line - 1]
         return self.compiled.halt_state
 
+    def _transition(self, src: str, delta: tuple[int, ...], dst: str) -> Transition:
+        # A step the VASS lacks is still emitted, so validate_run rejects it.
+        t = self.known.get((src, delta, dst))
+        return t if t is not None else Transition(src, delta, dst)
+
+    def _line_step(self, src_line: int, delta: tuple[int, ...], dst_line: int) -> Transition:
+        return self._transition(self._state(src_line), delta, self._state(dst_line))
+
     def _emit(self, src_line: int, delta: tuple[int, ...], dst_line: int):
         if self.materialize:
-            self.steps.append(Transition(self._state(src_line), delta, self._state(dst_line)))
+            self.steps.append(self._line_step(src_line, delta, dst_line))
 
     def _apply(self, ci: int, amount: int, line: int):
         nv = self.vec[ci] + amount
@@ -612,9 +624,6 @@ class _Replay:
         iters, exits = self.observations.setdefault(entry, ([], []))
         iters.append(self.iter_count.pop(entry, 0))
         exits.append(tuple(self.vec))
-
-    def _zero_delta(self) -> tuple[int, ...]:
-        return (0,) * len(self.counters)
 
     def _unit_delta(self, ci: int, amount: int) -> tuple[int, ...]:
         d = [0] * len(self.counters)
@@ -633,15 +642,14 @@ class _Replay:
                         f"underflows after {n_iter} iterations"
                     )
             if self.materialize:
-                body_cmds = [self.flat.line(ln) for ln in range(span.body_start, span.back)]
-                for _ in range(n_iter):
-                    self._emit(span.entry, self._zero_delta(), span.body_start)
-                    for off, cmd in enumerate(body_cmds):
-                        amount = cmd.amount if isinstance(cmd, Add) else -cmd.amount
-                        ci = self.cix[cmd.counter]
-                        self._emit(span.body_start + off, self._unit_delta(ci, amount),
-                                   span.body_start + off + 1)
-                    self._emit(span.back, self._zero_delta(), span.entry)
+                one = [self._line_step(span.entry, self.zero, span.body_start)]
+                for ln in range(span.body_start, span.back):
+                    cmd = self.flat.line(ln)
+                    amount = cmd.amount if isinstance(cmd, Add) else -cmd.amount
+                    delta = self._unit_delta(self.cix[cmd.counter], amount)
+                    one.append(self._line_step(ln, delta, ln + 1))
+                one.append(self._line_step(span.back, self.zero, span.entry))
+                self.steps.extend(one * n_iter)
             for ci, d in deltas.items():
                 end = self.vec[ci] + n_iter * d
                 # each counter moves monotonically across iterations
@@ -650,7 +658,7 @@ class _Replay:
             self.length += n_iter * (body_len + 2)
         self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + n_iter
         self._record_exit(span.entry)
-        self._emit(span.entry, self._zero_delta(), span.exit)
+        self._emit(span.entry, self.zero, span.exit)
         self.length += 1
 
     def run(self) -> ReplayOutcome:
@@ -663,7 +671,7 @@ class _Replay:
                 raise PolicyStuckError("replay did not terminate (policy loops)")
             cmd = flat.line(pc)
             if isinstance(cmd, Init):
-                self._emit(pc, self._zero_delta(), pc + 1)
+                self._emit(pc, self.zero, pc + 1)
                 self.length += 1
                 pc += 1
             elif isinstance(cmd, (Add, Sub)):
@@ -680,7 +688,7 @@ class _Replay:
                 if span is not None:
                     pc = self._handle_loop_entry(span)
                 elif cmd.first == cmd.second:
-                    self._emit(pc, self._zero_delta(), cmd.first)
+                    self._emit(pc, self.zero, cmd.first)
                     self.length += 1
                     pc = cmd.first
                 else:
@@ -688,7 +696,7 @@ class _Replay:
                     if not isinstance(pol, TakeBranch):
                         raise PolicyStuckError(f"line {pc}: no branch policy for goto")
                     target = cmd.second if pol.second else cmd.first
-                    self._emit(pc, self._zero_delta(), target)
+                    self._emit(pc, self.zero, target)
                     self.length += 1
                     pc = target
             else:
@@ -738,11 +746,11 @@ class _Replay:
                 return span.exit
             if self.vec[ci] == 0:
                 self._record_exit(span.entry)
-                self._emit(span.entry, self._zero_delta(), span.exit)
+                self._emit(span.entry, self.zero, span.exit)
                 self.length += 1
                 return span.exit
             self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + 1
-            self._emit(span.entry, self._zero_delta(), span.body_start)
+            self._emit(span.entry, self.zero, span.body_start)
             self.length += 1
             return span.body_start
         if isinstance(pol, CountedLoop):
@@ -754,12 +762,12 @@ class _Replay:
             if left == 0:
                 self.counted_left.pop(span.entry, None)
                 self._record_exit(span.entry)
-                self._emit(span.entry, self._zero_delta(), span.exit)
+                self._emit(span.entry, self.zero, span.exit)
                 self.length += 1
                 return span.exit
             self.counted_left[span.entry] = left - 1
             self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + 1
-            self._emit(span.entry, self._zero_delta(), span.body_start)
+            self._emit(span.entry, self.zero, span.body_start)
             self.length += 1
             return span.body_start
         raise PolicyStuckError(f"line {span.entry}: policy {pol!r} does not fit a loop")
@@ -770,15 +778,14 @@ class _Replay:
             ci = self.cix[counter]
             count = self.vec[ci]
             if self.materialize:
-                delta = self._unit_delta(ci, -1)
-                for _ in range(count):
-                    self.steps.append(Transition(state, delta, state))
+                drain = self._transition(state, self._unit_delta(ci, -1), state)
+                self.steps.extend([drain] * count)
             self.vec[ci] = 0
             self.length += count
             nxt = self.compiled.drain_chain[ix + 1][0] if ix + 1 < len(self.compiled.drain_chain) else None
             if nxt is not None:
                 if self.materialize:
-                    self.steps.append(Transition(state, self._zero_delta(), nxt))
+                    self.steps.append(self._transition(state, self.zero, nxt))
                 self.length += 1
 
 
@@ -794,5 +801,11 @@ def replay_canonical(
     bodies are fast-forwarded arithmetically, so doubly-exponential canonical
     runs can be measured without materializing them (materialize=False).
     Raises PolicyStuckError if the schedule deadlocks.
+
+    A materialized run shares the `Transition` objects of `compiled.vass`
+    rather than holding a fresh one per step, and a fast-forwarded loop's
+    iterations are appended as whole blocks.  A step the VASS lacks is still
+    emitted, as a new `Transition`, so `validate_run` rejects it: replay
+    never vouches for its own steps.
     """
     return _Replay(compiled, policy, materialize).run()

@@ -120,10 +120,14 @@ class Run:
         return len(self.steps)
 
 
+def _wrong_state(t: Transition, state: str) -> WrongStateError:
+    return WrongStateError(f"transition leaves {t.src!r} but configuration is at {state!r}")
+
+
 def step(cfg: Configuration, t: Transition) -> Configuration:
     """Apply one transition; counters must stay nonnegative."""
     if t.src != cfg.state:
-        raise WrongStateError(f"transition leaves {t.src!r} but configuration is at {cfg.state!r}")
+        raise _wrong_state(t, cfg.state)
     vec = tuple(v + d for v, d in zip(cfg.vector, t.delta))
     for i, v in enumerate(vec):
         if v < 0:
@@ -142,19 +146,34 @@ class RunReport:
 def validate_run(v: Vass, r: Run) -> RunReport:
     """Check that r starts at v.source and every step is a legal transition
     of v; report separately whether the final configuration equals v.target.
+
+    One pass over a mutable vector: each step checks and moves only the
+    counters its transition touches.  Failures carry the reasons `step`
+    would raise, in the same order (membership, state, counters).
     """
     if r.initial != v.source:
         return RunReport(False, -1, False, "initial configuration differs from source")
-    known = set(v.transitions)
-    cfg = r.initial
+    touched = {t: tuple((ci, d) for ci, d in enumerate(t.delta) if d) for t in v.transitions}
+    # Runs repeat a few step objects many times; hash each one once.  The
+    # ids stay valid because r.steps keeps the objects alive.
+    by_id: dict[int, tuple[tuple[int, int], ...]] = {}
+    state, vec = r.initial.state, list(r.initial.vector)
     for i, t in enumerate(r.steps):
-        if t not in known:
-            return RunReport(False, i, False, f"step {i} uses a transition not in the VASS")
-        try:
-            cfg = step(cfg, t)
-        except (WrongStateError, NegativeCounterError) as e:
-            return RunReport(False, i, False, f"step {i}: {e}")
-    return RunReport(True, None, cfg == v.target)
+        moves = by_id.get(id(t))
+        if moves is None:
+            moves = touched.get(t)
+            if moves is None:
+                return RunReport(False, i, False, f"step {i} uses a transition not in the VASS")
+            by_id[id(t)] = moves
+        if t.src != state:
+            return RunReport(False, i, False, f"step {i}: {_wrong_state(t, state)}")
+        for ci, d in moves:
+            x = vec[ci] + d
+            if x < 0:
+                return RunReport(False, i, False, f"step {i}: {NegativeCounterError(ci)}")
+            vec[ci] = x
+        state = t.dst
+    return RunReport(True, None, Configuration(state, tuple(vec)) == v.target)
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,9 @@ def suite_weak_mult(
                     break
                 # Canonical replay reaches the exact product when d | total.
                 if total and total % d == 0:
-                    out = replay_canonical(compiled, families.maximal_policy(compiled.program))
+                    out = replay_canonical(
+                        compiled, families.maximal_policy(compiled.program), materialize=False
+                    )
                     fx = dict(zip(compiled.program.counters, out.final.vector))
                     want = total * c // d
                     if fx["x"] != want or fx["y"] != 0:
@@ -491,7 +493,9 @@ def suite_np(max_value: int = 3, max_k: int = 2, deep_n: int = 4) -> SuiteResult
     for n in range(1, deep_n + 1):
         for k in (1, 2):
             compiled = compile_counter_program(families.gen_np_init(n, k))
-            out = replay_canonical(compiled, families.maximal_policy(compiled.program))
+            out = replay_canonical(
+                compiled, families.maximal_policy(compiled.program), materialize=False
+            )
             if not out.halting:
                 bad = f"n={n}, k={k}: canonical initializer run does not halt"
                 break
@@ -670,7 +674,7 @@ def suite_double_exp(flow_max_k: int = 3, probe_max_k: int = 2, pump_sweep: int 
     if bad is None:
         fixed, _ = families.gen_double_exp_fixed(1, meta.canonical_pump)
         cf = compile_counter_program(fixed)
-        out = replay_canonical(cf, families.maximal_policy(cf.program))
+        out = replay_canonical(cf, families.maximal_policy(cf.program), materialize=False)
         res = shortest_halting(cf.vass, SearchBudget(2 * max(out.probe.peak), 8_000_000))
         if res.verdict != Verdict.FOUND or len(res.run) != out.probe.length:
             bad = f"k=1: shortest != canonical ({res.verdict.value} vs {out.probe.length})"

@@ -35,6 +35,10 @@ class TestMeasureFamily:
         assert row.shortest_verdict == Verdict.BUDGET_EXCEEDED.value
         assert row.extra == {"error": "node budget"}
         assert row.parameter == measured.parameter
+        # size and flatness need no search, so the fallback row reports them
+        assert (row.size_unary, row.size_binary, row.flat) == (
+            measured.size_unary, measured.size_binary, measured.flat
+        )
 
     def test_hp_budget_exceeded_row_is_labelled_z0(self, monkeypatch):
         def blow_budget(p, max_configs):

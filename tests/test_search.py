@@ -17,9 +17,10 @@ from vasskit.families import (
     gen_weak,
     gen_weak_mult,
     maximal_policy,
+    np_canonical_policy,
     with_initial_values,
 )
-from vasskit.lang import parse
+from vasskit.lang import Sub, parse
 from vasskit.search import (
     CountedLoop,
     SearchBudget,
@@ -32,8 +33,9 @@ from vasskit.search import (
     replay_canonical,
     run_from_indices,
     shortest_halting,
+    _Replay,
 )
-from vasskit.vass import Configuration, Run, Transition, Vass, validate_run
+from vasskit.vass import Configuration, Run, RunReport, Transition, Vass, validate_run
 
 
 # a depth budget no test search reaches: it only selects halting_reachable's
@@ -361,6 +363,98 @@ class TestReplay:
         with pytest.raises(BudgetExceededError):
             final_values(
                 compiled.vass, 0, SearchBudget(12, max_configs=5), at_state=compiled.halt_state
+            )
+
+
+class PerStepReplay(_Replay):
+    """Reference emitter for materialized replay: every step is a fresh
+    `Transition` appended on its own, with no shared objects and no
+    block appends."""
+
+    def _transition(self, src, delta, dst):
+        return Transition(src, delta, dst)
+
+    def _fast_forward(self, span, n_iter):
+        straight, deltas, body_len = self.body_info[span.entry]
+        assert straight
+        if n_iter > 0:
+            for ci, d in deltas.items():
+                if d < 0 and self.vec[ci] + n_iter * d < 0:
+                    raise PolicyStuckError("underflow")
+            for _ in range(n_iter):
+                self._emit(span.entry, self.zero, span.body_start)
+                for ln in range(span.body_start, span.back):
+                    cmd = self.flat.line(ln)
+                    amount = -cmd.amount if isinstance(cmd, Sub) else cmd.amount
+                    self._emit(ln, self._unit_delta(self.cix[cmd.counter], amount), ln + 1)
+                self._emit(span.back, self.zero, span.entry)
+            for ci, d in deltas.items():
+                end = self.vec[ci] + n_iter * d
+                self.peak[ci] = max(self.peak[ci], self.vec[ci], end)
+                self.vec[ci] = end
+            self.length += n_iter * (body_len + 2)
+        self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + n_iter
+        self._record_exit(span.entry)
+        self._emit(span.entry, self.zero, span.exit)
+        self.length += 1
+
+    def _drain_completion(self):
+        chain = self.compiled.drain_chain
+        for ix, (state, counter) in enumerate(chain):
+            ci = self.cix[counter]
+            while self.vec[ci] > 0:
+                self.steps.append(Transition(state, self._unit_delta(ci, -1), state))
+                self.vec[ci] -= 1
+                self.length += 1
+            if ix + 1 < len(chain):
+                self.steps.append(Transition(state, self.zero, chain[ix + 1][0]))
+                self.length += 1
+
+
+def _canonical(name):
+    if name == "exp(3)":
+        compiled = compile_counter_program(gen_exp(3))
+        return compiled, exp_canonical_policy(compiled.program, divisibility_threshold(3))
+    if name == "weak(3)":
+        compiled = compile_counter_program(gen_weak(3))
+    elif name == "hp(3,2)":
+        compiled = compile_counter_program(with_initial_values(gen_hp(3, 2), {"x": 4, "z": 2}))
+    else:  # NP(3;{1,2}), taking both values
+        compiled = compile_counter_program(gen_np(NpInstance(3, (1, 2)))[0])
+        return compiled, np_canonical_policy(compiled.program, {1, 2})
+    return compiled, maximal_policy(compiled.program)
+
+
+CANONICAL = ["exp(3)", "weak(3)", "hp(3,2)", "NP(3;{1,2})"]
+
+
+class TestReplaySharesTransitions:
+    @pytest.mark.parametrize("name", CANONICAL)
+    def test_steps_match_per_step_reference(self, name):
+        compiled, policy = _canonical(name)
+        out = replay_canonical(compiled, policy)
+        ref = PerStepReplay(compiled, policy, materialize=True).run()
+        assert out.run.steps == ref.run.steps
+        assert (out.probe, out.final, out.halting) == (ref.probe, ref.final, ref.halting)
+        own = {id(t) for t in compiled.vass.transitions}
+        assert all(id(t) in own for t in out.run.steps)
+        assert validate_run(compiled.vass, out.run) == validate_run(compiled.vass, ref.run)
+
+    @pytest.mark.parametrize("name", CANONICAL)
+    def test_step_missing_from_vass_is_emitted_and_rejected(self, name):
+        # mutation control: replay must not borrow validity from the VASS
+        compiled, policy = _canonical(name)
+        steps = replay_canonical(compiled, policy).run.steps
+        for gone in (steps[len(steps) // 2], steps[-1]):
+            v = compiled.vass
+            kept = tuple(t for t in v.transitions if t is not gone)
+            crippled = replace(compiled, vass=Vass(v.dimension, v.states, kept, v.source, v.target))
+            run = replay_canonical(crippled, policy).run
+            assert run.steps == steps
+            first = steps.index(gone)
+            assert run.steps[first] == gone and run.steps[first] is not gone
+            assert validate_run(crippled.vass, run) == RunReport(
+                False, first, False, f"step {first} uses a transition not in the VASS"
             )
 
 

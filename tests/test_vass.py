@@ -1,14 +1,20 @@
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from vasskit.compiler import compile_counter_program
 from vasskit.errors import NegativeCounterError, WrongStateError
-from vasskit.families import gen_double_exp, gen_exp, gen_hp, gen_weak
+from vasskit.arith import divisibility_threshold
+from vasskit.families import (
+    NpInstance, exp_canonical_policy, gen_double_exp, gen_exp, gen_hp, gen_np, gen_weak,
+    maximal_policy, np_canonical_policy, with_initial_values,
+)
+from vasskit.search import replay_canonical
 from vasskit.vass import (
-    Configuration, Run, Transition, Vass, is_flat, step, validate_run, vass_size,
+    Configuration, Run, RunReport, Transition, Vass, is_flat, step, validate_run, vass_size,
 )
 
 
@@ -117,6 +123,115 @@ class TestValidateRun:
                     ok = False
                     break
             assert validate_run(v, run).ok == ok
+
+
+def ref_validate_run(v: Vass, r: Run) -> RunReport:
+    """Reference for `validate_run`: replay each step with `step`, which
+    builds and checks a whole new configuration per step."""
+    if r.initial != v.source:
+        return RunReport(False, -1, False, "initial configuration differs from source")
+    known = set(v.transitions)
+    cfg = r.initial
+    for i, t in enumerate(r.steps):
+        if t not in known:
+            return RunReport(False, i, False, f"step {i} uses a transition not in the VASS")
+        try:
+            cfg = step(cfg, t)
+        except (WrongStateError, NegativeCounterError) as e:
+            return RunReport(False, i, False, f"step {i}: {e}")
+    return RunReport(True, None, cfg == v.target)
+
+
+def _family_run(name):
+    """A VASS and a canonical run of it.  The compiled family members use
+    their canonical replay: the runs of exp(2) and NP(3;{1,2}) halt, those
+    of weak(3) and hp(3,2) do not.  "loops(3)" is a hand-built VASS whose
+    decrements can underflow every counter, some two at once."""
+    if name == "loops(3)":
+        up, down, out = (1, 1, 1), (-1, -1, -1), Transition("p", (0, 0, 0), "q")
+        moves = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, -1, -1), (-2, 1, 0), up, down]
+        v = tiny_vass([Transition("p", d, "p") for d in moves] + [out], dimension=3,
+                      source=("p", (0, 0, 0)), target=("q", (0, 0, 0)))
+        return v, Run(v.source, (Transition("p", up, "p"), Transition("p", down, "p"), out))
+    if name == "exp(2)":
+        compiled = compile_counter_program(gen_exp(2))
+        policy = exp_canonical_policy(compiled.program, divisibility_threshold(2))
+    elif name == "NP(3;{1,2})":
+        compiled = compile_counter_program(gen_np(NpInstance(3, (1, 2)))[0])
+        policy = np_canonical_policy(compiled.program, {1, 2})
+    else:
+        prog = gen_weak(3) if name == "weak(3)" else with_initial_values(
+            gen_hp(3, 2), {"x": 4, "z": 2}
+        )
+        compiled = compile_counter_program(prog)
+        policy = maximal_policy(compiled.program)
+    return compiled.vass, replay_canonical(compiled, policy).run
+
+
+def random_runs(rng, v, canonical, count):
+    """Seeded runs of v: random walks whose steps come mostly from the
+    current state's transitions but also from all of v's transitions (wrong
+    state) and from transitions v lacks, plus prefixes of the canonical run
+    and copies with one step swapped.  Walks keep going after a bad step."""
+    outgoing = {}
+    for t in v.transitions:
+        outgoing.setdefault(t.src, []).append(t)
+    known = set(v.transitions)
+    foreign = [u for t in v.transitions
+               for u in (Transition(t.src, t.delta[:-1] + (t.delta[-1] + 1,), t.dst),
+                         Transition(t.src, t.delta, "nowhere"))
+               if u not in known]
+    yield Run(Configuration(v.source.state, (1,) * v.dimension), ())
+    yield canonical
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.2:
+            yield Run(v.source, canonical.steps[:rng.randint(0, len(canonical))])
+            continue
+        if kind < 0.4:
+            steps = list(canonical.steps)
+            steps[rng.randrange(len(steps))] = rng.choice(v.transitions + tuple(foreign))
+            yield Run(v.source, tuple(steps))
+            continue
+        cfg, steps = v.source, []
+        for _ in range(rng.randint(0, 40)):
+            pick = rng.random()
+            if pick < 0.8 and cfg.state in outgoing:
+                t = rng.choice(outgoing[cfg.state])
+            elif pick < 0.93:
+                t = rng.choice(v.transitions)
+            else:
+                t = rng.choice(foreign)
+            steps.append(t)
+            try:
+                cfg = step(cfg, t)
+            except (WrongStateError, NegativeCounterError):
+                pass
+        yield Run(v.source, tuple(steps))
+
+
+class TestValidateRunAgainstReference:
+    @pytest.mark.parametrize("name", ["loops(3)", "weak(3)", "exp(2)", "hp(3,2)", "NP(3;{1,2})"])
+    def test_random_runs(self, name):
+        v, canonical = _family_run(name)
+        reasons = Counter()
+        for r in random_runs(random.Random(name), v, canonical, 1500):
+            want = ref_validate_run(v, r)
+            assert validate_run(v, r) == want
+            if want.failure_index == -1:
+                reasons["initial"] += 1
+            elif not want.ok:
+                reasons[re.sub(r"^step \d+:? ", "", want.reason).split(" but ")[0]] += 1
+            reasons["off target" if want.ok and not want.halting else "other"] += 1
+        kinds = {"initial", "off target", "uses a transition not in the VASS"}
+        assert kinds <= set(reasons)
+        assert any(k.startswith("transition leaves") for k in reasons)
+        underflows = {k for k in reasons if k.endswith("would become negative")}
+        assert underflows
+        if name == "loops(3)":
+            # on compiled members some counters cannot underflow on any run
+            # from the source (in exp(2), x <= 3y whenever y is decremented)
+            assert underflows == {f"counter {ci} would become negative" for ci in range(3)}
 
 
 class TestFlatness:
