@@ -59,7 +59,6 @@ from .search import (
     Verdict,
     count_halting_runs,
     drain_policies,
-    final_values,
     final_vectors,
     halting_reachable,
     reachable_configs,

@@ -10,14 +10,18 @@ is a single int, and a successor is one integer addition plus a masked check
 per touched counter.  Runs, `(state, vector)` collections and counts are
 decoded from packed keys only when a result is returned.
 
-`halting_reachable` asks only whether the target is reachable, so it runs on
-chain adjacency: each successor step follows a maximal deterministic chain
-of transitions, split wherever a counter would change direction, and only
-the configurations where chains start or end are stored.  Its stats count
-those configurations and chain levels.  With `max_depth` set it falls back
-to one transition per level, since `max_depth` counts transitions.  The
-other searches need every configuration, per-step levels or exact node
-budgets, and step one transition at a time.
+`halting_reachable`, `final_vectors` and `count_halting_runs` run on chain
+adjacency: each successor step follows a maximal deterministic chain of
+transitions, split wherever a counter would change direction, and only the
+configurations where chains start or end are stored.  Their answers never
+lie inside a chain (the target state and the collected state are always
+cuts), so they are exact; their `max_configs` counts those chain-end
+configurations, and `halting_reachable`'s stats count them and chain
+levels.  With `max_depth` set, `halting_reachable` and `final_vectors` fall
+back to one transition per level, since `max_depth` counts transitions.
+`shortest_halting` and `reachable_configs` need per-step levels or every
+configuration, so they step one transition at a time and their
+`max_configs` counts every configuration stored.
 
 Search is deterministic: successors are expanded in the canonical transition
 order of the Vass and results (including shortest-run tie-breaking and stats)
@@ -369,6 +373,21 @@ def _trace_run(v: Vass, packed: _Packed, parent: dict[int, int]) -> Run:
     return Run(v.source, tuple(steps))
 
 
+def _reach_keys(
+    v: Vass, budget: SearchBudget, absorbing: frozenset[str], chains: bool
+) -> tuple[_Packed, set[int]]:
+    """The packed configurations a search from the source stores, within the
+    bound (none if the source is above it); raises BudgetExceededError if
+    the node or depth budget is hit before exhaustion."""
+    packed = _Packed(v, budget.counter_bound, absorbing, chains)
+    if max(v.source.vector, default=0) > budget.counter_bound:
+        return packed, set()
+    verdict, visited, _stats = _explore(packed, -1, budget.max_configs, budget.max_depth)
+    if verdict == Verdict.BUDGET_EXCEEDED:
+        raise BudgetExceededError(f"reachable-set exploration exceeded its budget: {budget}")
+    return packed, visited
+
+
 def reachable_configs(
     v: Vass, budget: SearchBudget, absorbing: frozenset[str] = frozenset()
 ) -> dict[str, set[tuple[int, ...]]]:
@@ -381,12 +400,7 @@ def reachable_configs(
     at depth `max_depth`.
     """
     out: dict[str, set[tuple[int, ...]]] = {}
-    if max(v.source.vector, default=0) > budget.counter_bound:
-        return out
-    packed = _Packed(v, budget.counter_bound, absorbing)
-    verdict, visited, _stats = _explore(packed, -1, budget.max_configs, budget.max_depth)
-    if verdict == Verdict.BUDGET_EXCEEDED:
-        raise BudgetExceededError(f"reachable-set exploration exceeded its budget: {budget}")
+    packed, visited = _reach_keys(v, budget, absorbing, chains=False)
     smask, cmask, shifts = packed.smask, packed.cmask, packed.shifts
     for key in visited:
         state = v.states[key & smask]
@@ -401,18 +415,25 @@ def reachable_configs(
 def final_vectors(
     v: Vass, budget: SearchBudget, at_state: str | None = None
 ) -> frozenset[tuple[int, ...]]:
-    """Counter vectors over all configurations arriving at the final state,
-    collected before any halt-completion drain fires."""
+    """Counter vectors over all configurations arriving at `at_state` (the
+    target state by default) within the bound, collected before any
+    halt-completion drain fires: that state is absorbing.
+
+    The search steps along maximal deterministic chains, as in
+    halting_reachable.  The absorbing state has no outgoing transitions, so
+    it is a cut and every configuration at it ends a chain.  `max_configs`
+    counts the chain-end configurations stored, a subset of what
+    reachable_configs stores, so it never needs a larger budget to finish.
+    With `max_depth` set, the search steps one transition per level.
+    Raises BudgetExceededError as reachable_configs does."""
     state = at_state if at_state is not None else v.target.state
-    reach = reachable_configs(v, budget, absorbing=frozenset({state}))
-    return frozenset(reach.get(state, set()))
-
-
-def final_values(
-    v: Vass, counter_index: int, budget: SearchBudget, at_state: str | None = None
-) -> frozenset[int]:
-    """Set of values one counter takes at the final state (pre-completion)."""
-    return frozenset(vec[counter_index] for vec in final_vectors(v, budget, at_state))
+    packed, visited = _reach_keys(
+        v, budget, frozenset({state}), chains=budget.max_depth is None
+    )
+    at, smask, cmask, shifts = packed.index[state], packed.smask, packed.cmask, packed.shifts
+    return frozenset(
+        tuple([(key >> sh) & cmask for sh in shifts]) for key in visited if key & smask == at
+    )
 
 
 def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -> int:
@@ -422,13 +443,21 @@ def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -
     counts infinite); a back edge raises ConfigCycleError.  This is a bounded
     check, not a proof about unbounded runs.  A depth budget would make the
     count silently partial, so `max_depth` must be None (ValueError).
+
+    The depth-first search steps along maximal deterministic chains, as in
+    halting_reachable.  Chains are deterministic and the target state is a
+    cut, so halting paths map one to one onto chain paths, and a cycle of
+    configurations shows up as a cycle among chain ends.  `max_configs`
+    counts the chain-end configurations stored, a subset of every reachable
+    configuration, so it never needs a larger budget to finish than a
+    per-transition search would.
     """
     if budget.max_depth is not None:
         raise ValueError("count_halting_runs counts whole runs; max_depth must be None")
     bound = budget.counter_bound
     if max(v.source.vector, default=0) > bound:
         return 0
-    packed = _Packed(v, bound)
+    packed = _Packed(v, bound, chains=True)
     successors = packed.successors
     src, tgt = packed.src, packed.tgt
     max_configs = budget.max_configs
@@ -737,12 +766,13 @@ class _Replay:
                         f"loop at line {span.entry} does not decrease {pol.counter!r}"
                     )
                 value = self.vec[ci]
-                if value % dec != 0:
+                n_iter, rest = divmod(value, dec)
+                if rest:
                     raise PolicyStuckError(
                         f"loop at line {span.entry}: {pol.counter!r}={value} not divisible "
                         f"by per-iteration decrement {dec}"
                     )
-                self._fast_forward(span, value // dec)
+                self._fast_forward(span, n_iter)
                 return span.exit
             if self.vec[ci] == 0:
                 self._record_exit(span.entry)

@@ -27,7 +27,7 @@ from vasskit.search import (
     SearchStats,
     Verdict,
     count_halting_runs,
-    final_values,
+    final_vectors,
     halting_reachable,
     reachable_configs,
     replay_canonical,
@@ -156,18 +156,24 @@ class TestFinalValues:
     def test_weak_values(self):
         for b, want_max in ((1, 1), (2, 2)):
             compiled = compile_counter_program(gen_weak(b))
-            values = final_values(
-                compiled.vass, 0, SearchBudget(2 * b + 2), at_state=compiled.halt_state
-            )
+            values = {
+                vec[0]
+                for vec in final_vectors(
+                    compiled.vass, SearchBudget(2 * b + 2), at_state=compiled.halt_state
+                )
+            }
             assert max(values) == want_max
             assert all(v <= want_max for v in values)
 
     def test_weak_range(self):
         for b in range(3, 11):
             compiled = compile_counter_program(gen_weak(b))
-            values = final_values(
-                compiled.vass, 0, SearchBudget(2 * b, 2_000_000), at_state=compiled.halt_state
-            )
+            values = {
+                vec[0]
+                for vec in final_vectors(
+                    compiled.vass, SearchBudget(2 * b, 2_000_000), at_state=compiled.halt_state
+                )
+            }
             assert max(values) == b
 
 
@@ -355,14 +361,11 @@ class TestReplay:
         assert policies[outer.entry] == DrainLoop("z")
 
     def test_final_values_budget_error(self):
-        import pytest
-
-        from vasskit.errors import BudgetExceededError
-
+        # on chains, weak(6) at bound 12 stores 41 configurations
         compiled = compile_counter_program(gen_weak(6))
         with pytest.raises(BudgetExceededError):
-            final_values(
-                compiled.vass, 0, SearchBudget(12, max_configs=5), at_state=compiled.halt_state
+            final_vectors(
+                compiled.vass, SearchBudget(12, max_configs=5), at_state=compiled.halt_state
             )
 
 
@@ -569,6 +572,11 @@ def ref_count(v, budget, cutoff):
     return count((v.source.state, v.source.vector))
 
 
+def ref_finals(v, budget, state):
+    """final_vectors on the reference: `state` is absorbing."""
+    return frozenset(ref_reachable(v, budget, frozenset({state})).get(state, set()))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -613,6 +621,19 @@ def random_budget(rng):
     )
 
 
+def _chains_finish(got, want, ref, v, budget, *args):
+    """The one way a chain kernel may differ from its per-transition
+    reference: it stores only chain-end configurations, so where the
+    reference runs out of `max_configs`, it can finish, and then it gives
+    the reference's answer under an ample budget."""
+    ample = replace(budget, max_configs=1_000_000)
+    return (
+        budget.max_configs < ample.max_configs
+        and want is BudgetExceededError
+        and got == _outcome(ref, v, ample, *args)
+    )
+
+
 class TestAgainstTupleReference:
     def test_random_vass(self):
         rng = random.Random(20200113)
@@ -634,12 +655,24 @@ class TestAgainstTupleReference:
                 assert _outcome(reachable_configs, v, budget, drop) == want
                 outcomes.add(want if isinstance(want, type) else "collected")
 
+            # final_vectors steps along chains unless max_depth is set
+            for state in v.states:
+                want = _outcome(ref_finals, v, budget, state)
+                got = _outcome(final_vectors, v, budget, state)
+                if got != want:
+                    assert budget.max_depth is None
+                    assert _chains_finish(got, want, ref_finals, v, budget, state)
+                    outcomes.add("chains finish")
+
             # counting takes no depth budget
             count_budget = replace(budget, max_depth=None)
             for w in (v, random_dag_vass(rng)):
                 cutoff = rng.choice((1, 2, 3, 1_000_000))
                 want = _outcome(ref_count, w, count_budget, cutoff)
-                assert _outcome(count_halting_runs, w, count_budget, cutoff) == want
+                got = _outcome(count_halting_runs, w, count_budget, cutoff)
+                if got != want:
+                    assert _chains_finish(got, want, ref_count, w, count_budget, cutoff)
+                    outcomes.add("chains finish")
                 if isinstance(want, type):
                     outcomes.add(want)
                 elif want > 1:
@@ -650,6 +683,7 @@ class TestAgainstTupleReference:
         assert outcomes >= {
             Verdict.FOUND, Verdict.EXHAUSTED, Verdict.BUDGET_EXCEEDED,
             BudgetExceededError, ConfigCycleError, "collected", "several runs", "saturated",
+            "chains finish",
         }
 
     def test_halting_reachable_agrees_with_shortest(self):
@@ -787,6 +821,10 @@ class TestChains:
         assert ref_shortest(v, budget)[0] == want
         assert halting_reachable(v, budget).verdict == want
         assert halting_reachable(v, replace(budget, max_depth=UNCUT_DEPTH)).verdict == want
+        # the other chain kernels on the same case
+        ref = _outcome(ref_count, v, budget, 1_000_000)
+        assert _outcome(count_halting_runs, v, budget) == ref
+        assert final_vectors(v, budget) == ref_finals(v, budget, v.target.state)
 
     def test_eight_decrements_do_not_borrow(self):
         # a field sized for one -1 step is 3 bits wide: the chain's -8 from
@@ -827,6 +865,30 @@ class TestChains:
         self.check(v, 3, Verdict.FOUND)
         self.check(v, 2, Verdict.FOUND)  # the rest of the line leaves the bound
         self.check(v, 1, Verdict.EXHAUSTED)
+
+    def test_count_cuts_zero_effect_cycle(self):
+        # p1 -> p2 -> p3 -> p1 has no effect and every state on it has
+        # out-degree 1: the chain from p0 must cut it, and the cut still
+        # leaves a cycle among chain ends
+        v = self.line([(0,), (0,), (0,)], (0,), "p0", (1,), extra=[("p3", (0,), "p1")])
+        budget = SearchBudget(3)
+        with pytest.raises(ConfigCycleError):
+            ref_count(v, budget, 1_000_000)
+        with pytest.raises(ConfigCycleError):
+            count_halting_runs(v, budget)
+
+    def test_final_vectors_mid_chain_state(self):
+        # p0 -> p1 -> p0 pumps x; p1 -> p2 -> p3 is a chain through p2,
+        # which is not the target: collecting at p2 makes it a cut
+        v = self.line([(1,), (0,), (1,)], (0,), "p3", (3,), extra=[("p1", (0,), "p0")])
+        budget = SearchBudget(5)
+        per_step = replace(budget, max_depth=UNCUT_DEPTH)
+        for state, low in (("p2", 1), ("p3", 2)):
+            want = {(x,) for x in range(low, 6)}
+            assert final_vectors(v, budget, at_state=state) == want
+            assert final_vectors(v, per_step, at_state=state) == want
+            assert ref_finals(v, budget, state) == want
+        assert final_vectors(v, budget) == final_vectors(v, budget, at_state="p3")
 
     def test_chains_agree_with_per_transition_on_families(self):
         members = [
