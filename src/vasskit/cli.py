@@ -56,7 +56,7 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _generate(args) -> tuple[int, str]:
+def _generate(args) -> str:
     family = args.family
     if family == "exp":
         program = families.gen_exp_fixed(args.n, args.x0) if args.x0 else families.gen_exp(args.n)
@@ -77,14 +77,13 @@ def _generate(args) -> tuple[int, str]:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {family!r}")
     if args.format == "json":
-        return EXIT_OK, compile_counter_program(program).vass.to_json()
-    return EXIT_OK, pretty_print(program)
+        return compile_counter_program(program).vass.to_json()
+    return pretty_print(program)
 
 
 def cmd_gen(args) -> int:
-    code, text = _generate(args)
-    _write_output(text, args.out)
-    return code
+    _write_output(_generate(args), args.out)
+    return EXIT_OK
 
 
 def cmd_expand(args) -> int:
@@ -121,8 +120,7 @@ def cmd_flat(args) -> int:
 
 def cmd_solve(args) -> int:
     vass = _load_vass(_read_input(args.input))
-    budget = SearchBudget(args.bound, args.max_configs, args.max_depth)
-    result = shortest_halting(vass, budget)
+    result = shortest_halting(vass, SearchBudget(args.bound, args.max_configs), args.max_depth)
     if args.format == "json":
         text = _json_dumps(result.to_json_obj(vass))
     else:
@@ -249,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(solve)
     solve.add_argument("--bound", type=int, required=True, help="per-counter value bound")
     solve.add_argument("--max-configs", type=int, default=2_000_000)
-    solve.add_argument("--max-depth", type=int, default=None)
+    solve.add_argument("--max-depth", type=int, default=None,
+                       help="cap on run length (exit 3 when it cuts the search)")
     solve.add_argument("--format", choices=["text", "json"], default="text")
     solve.set_defaults(func=cmd_solve)
 

@@ -346,7 +346,6 @@ class ComponentInfo:
     label: str
     amount: int
     active: bool  # whether this component updates u at all
-    sign: int  # +1 adds `amount` to u, -1 removes it
 
 
 @dataclass(frozen=True)
@@ -490,7 +489,7 @@ def gen_np(inst: NpInstance) -> tuple[CounterProgram, NpMeta]:
         cmds = _np_component(a, active, positive, m, threshold)
         body.append(Labeled(label, cmds[0]))
         body.extend(cmds[1:])
-        components.append(ComponentInfo(label, a, active, +1 if positive else -1))
+        components.append(ComponentInfo(label, a, active))
 
     emit_component("load", inst.target, True, True)
     body.append(Goto("skip1", "take1"))

@@ -39,8 +39,8 @@ class ExperimentReport:
     extra: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
 
-    def to_json_obj(self, with_wall_clock: bool = True) -> dict:
-        obj = {
+    def to_json_obj(self) -> dict:
+        return {
             "family": self.family,
             "parameter": self.parameter,
             "size_unary": self.size_unary,
@@ -50,10 +50,8 @@ class ExperimentReport:
             "shortest_length": self.shortest_length,
             "canonical_length": self.canonical_length,
             "extra": self.extra,
+            "wall_clock_s": round(self.wall_clock_s, 3),
         }
-        if with_wall_clock:
-            obj["wall_clock_s"] = round(self.wall_clock_s, 3)
-        return obj
 
 
 # family -> name of the parameter its rows are labelled with

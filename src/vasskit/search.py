@@ -17,11 +17,10 @@ configurations where chains start or end are stored.  Their answers never
 lie inside a chain (the target state and the collected state are always
 cuts), so they are exact; their `max_configs` counts those chain-end
 configurations, and `halting_reachable`'s stats count them and chain
-levels.  With `max_depth` set, `halting_reachable` and `final_vectors` fall
-back to one transition per level, since `max_depth` counts transitions.
-`shortest_halting` and `reachable_configs` need per-step levels or every
-configuration, so they step one transition at a time and their
-`max_configs` counts every configuration stored.
+levels.  `shortest_halting` and `reachable_configs` need per-step levels or
+every configuration, so they step one transition at a time and their
+`max_configs` counts every configuration stored.  Only `shortest_halting`
+takes a depth cap, `max_depth`, which caps the length of the runs it finds.
 
 Search is deterministic: successors are expanded in the canonical transition
 order of the Vass and results (including shortest-run tie-breaking and stats)
@@ -52,19 +51,16 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Per-counter value bound plus node/depth budgets."""
+    """Per-counter value bound plus a node budget."""
 
     counter_bound: int
     max_configs: int = 1_000_000
-    max_depth: int | None = None
 
     def __post_init__(self):
         if self.counter_bound < 0:
             raise ValueError("counter_bound must be >= 0")
         if self.max_configs < 1:
             raise ValueError("max_configs must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -238,9 +234,7 @@ def _chain_moves(
     return moves
 
 
-def _explore(
-    packed: _Packed, tgt: int, max_configs: int, max_depth: int | None
-) -> tuple[Verdict, set[int], SearchStats]:
+def _explore(packed: _Packed, tgt: int, max_configs: int) -> tuple[Verdict, set[int], SearchStats]:
     """Breadth-first search from the source for `tgt`, recording only the
     visited set.  Its stats count `expanded` as visited-set size."""
     adj = packed.adj
@@ -254,8 +248,6 @@ def _explore(
     peak = 1
     while frontier:
         depth += 1
-        if max_depth is not None and depth > max_depth:
-            return Verdict.BUDGET_EXCEEDED, visited, SearchStats(len(visited), peak, depth - 1)
         nxt: list[int] = []
         for key in frontier:
             for pd, checks, _tix in adj[key & smask]:
@@ -292,27 +284,30 @@ def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
     stores a subset of the configurations an exhaustive per-transition
     search stores, so it never needs a larger `max_configs` to exhaust the
     space; when `max_configs` cuts a search, the two may stop at different
-    points.  `max_depth` counts transitions: with it set, the search steps
-    one transition per level and its stats match shortest_halting's `depth`
-    and `frontier_peak`."""
+    points."""
     bound = budget.counter_bound
     if max(v.source.vector, default=0) > bound:
         return ReachResult(Verdict.EXHAUSTED, None, SearchStats(0, 0, 0))
-    packed = _Packed(v, bound, chains=budget.max_depth is None)
+    packed = _Packed(v, bound, chains=True)
     if packed.src == packed.tgt:
         return ReachResult(Verdict.FOUND, None, SearchStats(0, 1, 0))
-    verdict, _visited, stats = _explore(packed, packed.tgt, budget.max_configs, budget.max_depth)
+    verdict, _visited, stats = _explore(packed, packed.tgt, budget.max_configs)
     return ReachResult(verdict, None, stats)
 
 
-def shortest_halting(v: Vass, budget: SearchBudget) -> ReachResult:
+def shortest_halting(
+    v: Vass, budget: SearchBudget, max_depth: int | None = None
+) -> ReachResult:
     """BFS from the source over configurations within the counter bound.
 
     FOUND returns a minimum-length halting run (ties broken by canonical
     transition order); EXHAUSTED certifies that no halting run stays within
-    the bound; BUDGET_EXCEEDED means the node or depth budget cut search off.
-    `stats.expanded` counts the configurations whose successors were generated.
+    the bound; BUDGET_EXCEEDED means the node budget, or `max_depth` (a cap
+    on run length), cut search off.  `stats.expanded` counts the
+    configurations whose successors were generated.
     """
+    if max_depth is not None and max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
     bound = budget.counter_bound
     if max(v.source.vector, default=0) > bound:
         return ReachResult(Verdict.EXHAUSTED, None, SearchStats(0, 0, 0))
@@ -333,7 +328,7 @@ def shortest_halting(v: Vass, budget: SearchBudget) -> ReachResult:
     peak = 1
     while frontier:
         depth += 1
-        if budget.max_depth is not None and depth > budget.max_depth:
+        if max_depth is not None and depth > max_depth:
             return ReachResult(
                 Verdict.BUDGET_EXCEEDED, None, SearchStats(expanded, peak, depth - 1)
             )
@@ -378,11 +373,11 @@ def _reach_keys(
 ) -> tuple[_Packed, set[int]]:
     """The packed configurations a search from the source stores, within the
     bound (none if the source is above it); raises BudgetExceededError if
-    the node or depth budget is hit before exhaustion."""
+    the node budget is hit before exhaustion."""
     packed = _Packed(v, budget.counter_bound, absorbing, chains)
     if max(v.source.vector, default=0) > budget.counter_bound:
         return packed, set()
-    verdict, visited, _stats = _explore(packed, -1, budget.max_configs, budget.max_depth)
+    verdict, visited, _stats = _explore(packed, -1, budget.max_configs)
     if verdict == Verdict.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"reachable-set exploration exceeded its budget: {budget}")
     return packed, visited
@@ -396,8 +391,7 @@ def reachable_configs(
     States in `absorbing` are not expanded (their configurations are still
     collected), which is how halt-completion drains are kept out of
     "values on arrival" collections.  Raises BudgetExceededError if the node
-    budget is hit before exhaustion, or if configurations remain unexpanded
-    at depth `max_depth`.
+    budget is hit before exhaustion.
     """
     out: dict[str, set[tuple[int, ...]]] = {}
     packed, visited = _reach_keys(v, budget, absorbing, chains=False)
@@ -424,12 +418,9 @@ def final_vectors(
     it is a cut and every configuration at it ends a chain.  `max_configs`
     counts the chain-end configurations stored, a subset of what
     reachable_configs stores, so it never needs a larger budget to finish.
-    With `max_depth` set, the search steps one transition per level.
     Raises BudgetExceededError as reachable_configs does."""
     state = at_state if at_state is not None else v.target.state
-    packed, visited = _reach_keys(
-        v, budget, frozenset({state}), chains=budget.max_depth is None
-    )
+    packed, visited = _reach_keys(v, budget, frozenset({state}), chains=True)
     at, smask, cmask, shifts = packed.index[state], packed.smask, packed.cmask, packed.shifts
     return frozenset(
         tuple([(key >> sh) & cmask for sh in shifts]) for key in visited if key & smask == at
@@ -441,8 +432,7 @@ def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -
 
     The bounded configuration graph must be acyclic (a cycle would make some
     counts infinite); a back edge raises ConfigCycleError.  This is a bounded
-    check, not a proof about unbounded runs.  A depth budget would make the
-    count silently partial, so `max_depth` must be None (ValueError).
+    check, not a proof about unbounded runs.
 
     The depth-first search steps along maximal deterministic chains, as in
     halting_reachable.  Chains are deterministic and the target state is a
@@ -452,8 +442,6 @@ def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -
     configuration, so it never needs a larger budget to finish than a
     per-transition search would.
     """
-    if budget.max_depth is not None:
-        raise ValueError("count_halting_runs counts whole runs; max_depth must be None")
     bound = budget.counter_bound
     if max(v.source.vector, default=0) > bound:
         return 0
@@ -536,20 +524,6 @@ class RunProbe:
     final_vector: tuple[int, ...]
     peak: tuple[int, ...]
     length: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "loops": {
-                str(entry): {
-                    "iterations": list(obs.iterations),
-                    "exit_vectors": [[str(x) for x in vec] for vec in obs.exit_vectors],
-                }
-                for entry, obs in sorted(self.loops.items())
-            },
-            "final_vector": [str(x) for x in self.final_vector],
-            "peak": [str(x) for x in self.peak],
-            "length": self.length,
-        }
 
 
 @dataclass(frozen=True)
@@ -639,6 +613,11 @@ class _Replay:
         if self.materialize:
             self.steps.append(self._line_step(src_line, delta, dst_line))
 
+    def _step(self, src_line: int, delta: tuple[int, ...], dst_line: int):
+        """Emit one step and count it in the run length."""
+        self._emit(src_line, delta, dst_line)
+        self.length += 1
+
     def _apply(self, ci: int, amount: int, line: int):
         nv = self.vec[ci] + amount
         if nv < 0:
@@ -686,9 +665,7 @@ class _Replay:
                 self.vec[ci] = end
             self.length += n_iter * (body_len + 2)
         self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + n_iter
-        self._record_exit(span.entry)
-        self._emit(span.entry, self.zero, span.exit)
-        self.length += 1
+        self._enter_or_leave(span, enter=False)
 
     def run(self) -> ReplayOutcome:
         flat, policy = self.flat, self.policy
@@ -700,15 +677,13 @@ class _Replay:
                 raise PolicyStuckError("replay did not terminate (policy loops)")
             cmd = flat.line(pc)
             if isinstance(cmd, Init):
-                self._emit(pc, self.zero, pc + 1)
-                self.length += 1
+                self._step(pc, self.zero, pc + 1)
                 pc += 1
             elif isinstance(cmd, (Add, Sub)):
                 amount = cmd.amount if isinstance(cmd, Add) else -cmd.amount
                 ci = self.cix[cmd.counter]
                 self._apply(ci, amount, pc)
-                self._emit(pc, self._unit_delta(ci, amount), pc + 1)
-                self.length += 1
+                self._step(pc, self._unit_delta(ci, amount), pc + 1)
                 pc += 1
             elif isinstance(cmd, Halt):
                 break
@@ -717,16 +692,14 @@ class _Replay:
                 if span is not None:
                     pc = self._handle_loop_entry(span)
                 elif cmd.first == cmd.second:
-                    self._emit(pc, self.zero, cmd.first)
-                    self.length += 1
+                    self._step(pc, self.zero, cmd.first)
                     pc = cmd.first
                 else:
                     pol = policy.get(pc)
                     if not isinstance(pol, TakeBranch):
                         raise PolicyStuckError(f"line {pc}: no branch policy for goto")
                     target = cmd.second if pol.second else cmd.first
-                    self._emit(pc, self.zero, target)
-                    self.length += 1
+                    self._step(pc, self.zero, target)
                     pc = target
             else:
                 raise PolicyStuckError(f"line {pc}: cannot replay {cmd!r}")
@@ -774,33 +747,27 @@ class _Replay:
                     )
                 self._fast_forward(span, n_iter)
                 return span.exit
-            if self.vec[ci] == 0:
-                self._record_exit(span.entry)
-                self._emit(span.entry, self.zero, span.exit)
-                self.length += 1
-                return span.exit
-            self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + 1
-            self._emit(span.entry, self.zero, span.body_start)
-            self.length += 1
-            return span.body_start
+            return self._enter_or_leave(span, self.vec[ci] != 0)
         if isinstance(pol, CountedLoop):
+            left = self.counted_left.pop(span.entry, pol.iterations)
             if straight:
-                left = self.counted_left.pop(span.entry, pol.iterations)
                 self._fast_forward(span, left)
                 return span.exit
-            left = self.counted_left.get(span.entry, pol.iterations)
-            if left == 0:
-                self.counted_left.pop(span.entry, None)
-                self._record_exit(span.entry)
-                self._emit(span.entry, self.zero, span.exit)
-                self.length += 1
-                return span.exit
-            self.counted_left[span.entry] = left - 1
-            self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + 1
-            self._emit(span.entry, self.zero, span.body_start)
-            self.length += 1
-            return span.body_start
+            if left:
+                self.counted_left[span.entry] = left - 1
+            return self._enter_or_leave(span, left > 0)
         raise PolicyStuckError(f"line {span.entry}: policy {pol!r} does not fit a loop")
+
+    def _enter_or_leave(self, span: LoopSpan, enter: bool) -> int:
+        """One step from the entry of a loop walked stepwise: into its body
+        as a new iteration, or out of the loop.  Returns the next line."""
+        if enter:
+            self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + 1
+            self._step(span.entry, self.zero, span.body_start)
+            return span.body_start
+        self._record_exit(span.entry)
+        self._step(span.entry, self.zero, span.exit)
+        return span.exit
 
     def _drain_completion(self):
         # Walk the drain chain synthesized by the compiler for untested counters.

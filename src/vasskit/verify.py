@@ -57,9 +57,6 @@ class SuiteResult:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def first_failure(self) -> CheckResult | None:
-        return next((c for c in self.checks if not c.passed), None)
-
     def to_json_obj(self) -> dict:
         return {
             "suite": self.suite,

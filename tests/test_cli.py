@@ -67,6 +67,19 @@ class TestPipeline:
         code, _, _ = run_cli(capsys, "solve", str(path), "--bound", "20", "--max-configs", "5")
         assert code == 3  # budget exceeded
 
+        code, text, _ = run_cli(capsys, "gen", "exp", "--n", "1", "--x0", "2")
+        path.write_text(text)
+        solve = ("solve", str(path), "--bound", "12")
+        code, out, _ = run_cli(capsys, *solve, "--max-depth", "5")
+        assert code == 3  # the depth cap cuts the search
+        assert out == "verdict: budget-exceeded\nexpanded: 6  frontier peak: 3  depth: 5\n"
+        code, out, _ = run_cli(capsys, *solve, "--max-depth", "100")
+        assert code == 0
+        assert out == "verdict: found\nlength: 31\nexpanded: 93  frontier peak: 6  depth: 31\n"
+        assert run_cli(capsys, *solve) == (code, out, "")
+        code, out, err = run_cli(capsys, *solve, "--max-depth", "-1")
+        assert (code, out, err) == (2, "", "vasskit: max_depth must be >= 0\n")
+
     def test_flat_exit_codes(self, capsys, tmp_path):
         code, text, _ = run_cli(capsys, "gen", "weak", "--b", "2")
         path = tmp_path / "weak.cp"
@@ -153,6 +166,7 @@ class TestMeasure:
 
         _, out_a, _ = run_cli(capsys, "measure", "weak", "--from", "1", "--to", "3", "--format", "json")
         _, out_b, _ = run_cli(capsys, "measure", "weak", "--from", "1", "--to", "3", "--format", "json")
+        assert all("wall_clock_s" in r for r in json.loads(out_a))
         assert strip(json.loads(out_a)) == strip(json.loads(out_b))
 
 

@@ -61,11 +61,6 @@ class TestMeasureFamily:
         with pytest.raises(ValueError):
             measure_family("nope", [1])
 
-    def test_wall_clock_excluded_from_payload_on_request(self):
-        row = measure_family("weak", [2])[0]
-        assert "wall_clock_s" not in row.to_json_obj(with_wall_clock=False)
-        assert "wall_clock_s" in row.to_json_obj()
-
 
 class TestFormatTable:
     def test_aligned_text(self):

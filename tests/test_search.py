@@ -38,11 +38,6 @@ from vasskit.search import (
 from vasskit.vass import Configuration, Run, RunReport, Transition, Vass, validate_run
 
 
-# a depth budget no test search reaches: it only selects halting_reachable's
-# per-transition levels
-UNCUT_DEPTH = 10**9
-
-
 def iddfs_shortest(v, bound, max_len):
     """Iterative-deepening oracle for shortest halting run length."""
     index = {s: i for i, s in enumerate(v.states)}
@@ -108,10 +103,17 @@ class TestShortestHalting:
     def test_max_depth_cuts_off(self):
         compiled = compile_counter_program(gen_exp_fixed(2, 2))
         full = shortest_halting(compiled.vass, SearchBudget(20))
-        res = shortest_halting(
-            compiled.vass, SearchBudget(20, max_depth=len(full.run) // 2)
-        )
+        res = shortest_halting(compiled.vass, SearchBudget(20), max_depth=len(full.run) // 2)
         assert res.verdict == Verdict.BUDGET_EXCEEDED
+
+    def test_negative_max_depth_rejected(self):
+        compiled = compile_counter_program(gen_exp_fixed(1, 1))
+        with pytest.raises(ValueError, match="max_depth must be >= 0"):
+            shortest_halting(compiled.vass, SearchBudget(10), max_depth=-1)
+        # checked before the source-above-bound early return
+        v = Vass(1, ("p",), (), Configuration("p", (3,)), Configuration("p", (0,)))
+        with pytest.raises(ValueError, match="max_depth must be >= 0"):
+            shortest_halting(v, SearchBudget(2), max_depth=-1)
 
     def test_determinism_including_stats(self):
         compiled = compile_counter_program(gen_exp(2))
@@ -141,15 +143,9 @@ class TestShortestHalting:
             budget = SearchBudget(25)
             a, b = halting_reachable(v, budget), shortest_halting(v, budget)
             assert a.verdict == b.verdict
-            # a depth budget keeps halting_reachable on one transition per
-            # level, where both level-synchronous searches' levels agree
-            deep = replace(budget, max_depth=UNCUT_DEPTH)
-            c, d = halting_reachable(v, deep), shortest_halting(v, deep)
-            assert (c.verdict, d.verdict) == (a.verdict, a.verdict)
-            assert (c.stats.depth, c.stats.frontier_peak) == (d.stats.depth, d.stats.frontier_peak)
-            # without one it stores only the configurations at chain ends,
-            # which on these members are fewer
-            assert a.stats.expanded <= c.stats.expanded
+            if a.verdict != Verdict.FOUND:
+                # it stores only the configurations at chain ends
+                assert a.stats.expanded <= stored_configs(v, budget)
 
 
 class TestFinalValues:
@@ -313,15 +309,6 @@ class TestReplay:
                 explicit_peak[i] = max(explicit_peak[i], value)
         assert tuple(explicit_peak) == out.probe.peak
 
-    def test_probe_serializes_as_named_maps(self):
-        compiled = compile_counter_program(gen_exp_fixed(1, 1))
-        out = replay_canonical(compiled, maximal_policy(compiled.program))
-        obj = out.probe.to_json_obj()
-        assert set(obj) == {"loops", "final_vector", "peak", "length"}
-        entry = str(compiled.program.loops[0].entry)
-        assert obj["loops"][entry]["iterations"] == [1]
-        assert all(isinstance(x, str) for x in obj["final_vector"])
-
     def test_counted_outer_loop_with_nested_body(self):
         # counted loops with non-straight-line bodies walk stepwise
         text = (
@@ -483,7 +470,7 @@ def _ref_successors(v, bound, absorbing=frozenset()):
     return successors
 
 
-def ref_shortest(v, budget):
+def ref_shortest(v, budget, max_depth=None):
     """Deque BFS on tuple keys: (verdict, run, expanded).  `expanded` counts
     configurations whose successors were generated; the node budget is
     checked before the target test, as in shortest_halting."""
@@ -501,7 +488,7 @@ def ref_shortest(v, budget):
     suppressed = False
     while dq:
         cfg, depth = dq.popleft()
-        if budget.max_depth is not None and depth >= budget.max_depth:
+        if max_depth is not None and depth >= max_depth:
             suppressed = True
             continue
         expanded += 1
@@ -529,18 +516,16 @@ def ref_reachable(v, budget, absorbing=frozenset()):
     successors = _ref_successors(v, bound, absorbing)
     src = (v.source.state, v.source.vector)
     visited = {src}
-    dq = deque([(src, 0)])
+    dq = deque([src])
     while dq:
-        cfg, depth = dq.popleft()
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            raise BudgetExceededError("reference depth budget")
+        cfg = dq.popleft()
         out.setdefault(cfg[0], set()).add(cfg[1])
         for _tix, nxt in successors(cfg):
             if nxt not in visited:
                 if len(visited) >= budget.max_configs:
                     raise BudgetExceededError("reference budget")
                 visited.add(nxt)
-                dq.append((nxt, depth + 1))
+                dq.append(nxt)
     return out
 
 
@@ -575,6 +560,13 @@ def ref_count(v, budget, cutoff):
 def ref_finals(v, budget, state):
     """final_vectors on the reference: `state` is absorbing."""
     return frozenset(ref_reachable(v, budget, frozenset({state})).get(state, set()))
+
+
+def stored_configs(v, budget):
+    """How many configurations an exhaustive per-transition search stores:
+    reachable_configs under an ample node budget."""
+    ample = replace(budget, max_configs=max(budget.max_configs, 1_000_000))
+    return sum(len(vectors) for vectors in reachable_configs(v, ample).values())
 
 
 def _outcome(fn, *args):
@@ -614,11 +606,9 @@ def random_dag_vass(rng):
 
 
 def random_budget(rng):
-    return SearchBudget(
-        rng.randint(0, 5),
-        rng.choice((1, 2, 5, 20, 1_000_000)),
-        rng.choice((None, None, 0, 1, 3, 6)),
-    )
+    """A node budget, and a depth cap for shortest_halting alone."""
+    budget = SearchBudget(rng.randint(0, 5), rng.choice((1, 2, 5, 20, 1_000_000)))
+    return budget, rng.choice((None, None, 0, 1, 3, 6))
 
 
 def _chains_finish(got, want, ref, v, budget, *args):
@@ -640,10 +630,10 @@ class TestAgainstTupleReference:
         outcomes = set()
         for _ in range(600):
             v = random_vass(rng)
-            budget = random_budget(rng)
+            budget, depth = random_budget(rng)
 
-            verdict, run, expanded = ref_shortest(v, budget)
-            res = shortest_halting(v, budget)
+            verdict, run, expanded = ref_shortest(v, budget, depth)
+            res = shortest_halting(v, budget, depth)
             assert (res.verdict, res.run, res.stats.expanded) == (verdict, run, expanded)
             if run is not None:
                 assert validate_run(v, run).halting
@@ -655,29 +645,26 @@ class TestAgainstTupleReference:
                 assert _outcome(reachable_configs, v, budget, drop) == want
                 outcomes.add(want if isinstance(want, type) else "collected")
 
-            # final_vectors steps along chains unless max_depth is set
+            # final_vectors steps along chains
             for state in v.states:
                 want = _outcome(ref_finals, v, budget, state)
                 got = _outcome(final_vectors, v, budget, state)
                 if got != want:
-                    assert budget.max_depth is None
                     assert _chains_finish(got, want, ref_finals, v, budget, state)
                     outcomes.add("chains finish")
 
-            # counting takes no depth budget
-            count_budget = replace(budget, max_depth=None)
             for w in (v, random_dag_vass(rng)):
                 cutoff = rng.choice((1, 2, 3, 1_000_000))
-                want = _outcome(ref_count, w, count_budget, cutoff)
-                got = _outcome(count_halting_runs, w, count_budget, cutoff)
+                want = _outcome(ref_count, w, budget, cutoff)
+                got = _outcome(count_halting_runs, w, budget, cutoff)
                 if got != want:
-                    assert _chains_finish(got, want, ref_count, w, count_budget, cutoff)
+                    assert _chains_finish(got, want, ref_count, w, budget, cutoff)
                     outcomes.add("chains finish")
                 if isinstance(want, type):
                     outcomes.add(want)
                 elif want > 1:
                     outcomes.add("several runs")
-                elif want < _outcome(ref_count, w, count_budget, 1_000_000):
+                elif want < _outcome(ref_count, w, budget, 1_000_000):
                     outcomes.add("saturated")
         # the corpus reaches every outcome it is meant to pin
         assert outcomes >= {
@@ -690,19 +677,14 @@ class TestAgainstTupleReference:
         rng = random.Random(7)
         for _ in range(600):
             v = random_vass(rng)
-            budget = random_budget(rng)
+            budget, _depth = random_budget(rng)
             a = halting_reachable(v, budget)
             b = shortest_halting(v, budget)
             assert a.run is None
-            if budget.max_depth is not None:
-                # one transition per level, as in shortest_halting
-                assert (a.stats.depth, a.stats.frontier_peak) == (b.stats.depth, b.stats.frontier_peak)
-            else:
-                per_step = halting_reachable(v, replace(budget, max_depth=UNCUT_DEPTH))
-                if per_step.verdict != Verdict.FOUND:
-                    # chain ends are a subset of what the per-transition
-                    # search stores when it exhausts or fills max_configs
-                    assert a.stats.expanded <= per_step.stats.expanded
+            if a.verdict != Verdict.FOUND:
+                # chain ends are a subset of what a per-transition search
+                # stores
+                assert a.stats.expanded <= stored_configs(v, budget)
             if a.verdict != b.verdict:
                 # the target is tested before the node budget only here, and
                 # chains can exhaust a space on which the per-transition
@@ -711,27 +693,6 @@ class TestAgainstTupleReference:
                     (Verdict.FOUND, Verdict.BUDGET_EXCEEDED),
                     (Verdict.EXHAUSTED, Verdict.BUDGET_EXCEEDED),
                 }
-                if a.verdict == Verdict.EXHAUSTED:
-                    # only max_configs cut the per-transition search
-                    assert budget.max_depth is None
-                    assert per_step.verdict == Verdict.BUDGET_EXCEEDED
-
-    def test_reachable_configs_honours_max_depth(self):
-        # p -> q -> r, one step each
-        v = Vass(
-            0, ("p", "q", "r"), (Transition("p", (), "q"), Transition("q", (), "r")),
-            Configuration("p", ()), Configuration("r", ()),
-        )
-        assert reachable_configs(v, SearchBudget(0, max_depth=3)) == {
-            "p": {()}, "q": {()}, "r": {()},
-        }
-        with pytest.raises(BudgetExceededError):
-            reachable_configs(v, SearchBudget(0, max_depth=1))
-
-    def test_count_halting_runs_rejects_max_depth(self):
-        v = compile_counter_program(gen_exp_fixed(1, 1)).vass
-        with pytest.raises(ValueError, match="max_depth"):
-            count_halting_runs(v, SearchBudget(10, max_depth=100))
 
 
 class TestPacking:
@@ -820,7 +781,7 @@ class TestChains:
         budget = SearchBudget(bound)
         assert ref_shortest(v, budget)[0] == want
         assert halting_reachable(v, budget).verdict == want
-        assert halting_reachable(v, replace(budget, max_depth=UNCUT_DEPTH)).verdict == want
+        assert shortest_halting(v, budget).verdict == want
         # the other chain kernels on the same case
         ref = _outcome(ref_count, v, budget, 1_000_000)
         assert _outcome(count_halting_runs, v, budget) == ref
@@ -865,6 +826,10 @@ class TestChains:
         self.check(v, 3, Verdict.FOUND)
         self.check(v, 2, Verdict.FOUND)  # the rest of the line leaves the bound
         self.check(v, 1, Verdict.EXHAUSTED)
+        # with no counters at all, p1 is still a cut
+        v = self.line([(), ()], (), "p1", ())
+        self.check(v, 0, Verdict.FOUND)
+        assert reachable_configs(v, SearchBudget(0)) == {"p0": {()}, "p1": {()}, "p2": {()}}
 
     def test_count_cuts_zero_effect_cycle(self):
         # p1 -> p2 -> p3 -> p1 has no effect and every state on it has
@@ -882,11 +847,10 @@ class TestChains:
         # which is not the target: collecting at p2 makes it a cut
         v = self.line([(1,), (0,), (1,)], (0,), "p3", (3,), extra=[("p1", (0,), "p0")])
         budget = SearchBudget(5)
-        per_step = replace(budget, max_depth=UNCUT_DEPTH)
         for state, low in (("p2", 1), ("p3", 2)):
             want = {(x,) for x in range(low, 6)}
             assert final_vectors(v, budget, at_state=state) == want
-            assert final_vectors(v, per_step, at_state=state) == want
+            assert reachable_configs(v, budget, frozenset({state}))[state] == want
             assert ref_finals(v, budget, state) == want
         assert final_vectors(v, budget) == final_vectors(v, budget, at_state="p3")
 
@@ -913,9 +877,10 @@ class TestChains:
             for bound in bounds:
                 budget = SearchBudget(bound, 2_000_000)
                 chains = halting_reachable(v, budget)
-                per_step = halting_reachable(v, replace(budget, max_depth=UNCUT_DEPTH))
+                per_step = shortest_halting(v, budget)
                 assert chains.verdict == per_step.verdict != Verdict.BUDGET_EXCEEDED
-                assert chains.stats.expanded <= per_step.stats.expanded
+                if chains.verdict != Verdict.FOUND:
+                    assert chains.stats.expanded <= stored_configs(v, budget)
                 seen.add(chains.verdict)
         assert seen == {Verdict.FOUND, Verdict.EXHAUSTED}
 
