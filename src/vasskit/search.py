@@ -8,7 +8,8 @@ provably contain every halting run, which upgrades the certificate.
 Every search question runs on one representation, `_Packed`: a configuration
 is a single int, and a successor is one integer addition plus a masked check
 per touched counter.  Runs, `(state, vector)` collections and counts are
-decoded from packed keys only when a result is returned.
+decoded from packed keys only when a result is returned, and a collection
+decodes each distinct counter vector once, sharing its tuple between states.
 
 `halting_reachable`, `final_vectors` and `count_halting_runs` run on chain
 adjacency: each successor step follows a maximal deterministic chain of
@@ -372,11 +373,9 @@ def _reach_keys(
     v: Vass, budget: SearchBudget, absorbing: frozenset[str], chains: bool
 ) -> tuple[_Packed, set[int]]:
     """The packed configurations a search from the source stores, within the
-    bound (none if the source is above it); raises BudgetExceededError if
+    bound, which the source must be within; raises BudgetExceededError if
     the node budget is hit before exhaustion."""
     packed = _Packed(v, budget.counter_bound, absorbing, chains)
-    if max(v.source.vector, default=0) > budget.counter_bound:
-        return packed, set()
     verdict, visited, _stats = _explore(packed, -1, budget.max_configs)
     if verdict == Verdict.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"reachable-set exploration exceeded its budget: {budget}")
@@ -392,13 +391,25 @@ def reachable_configs(
     collected), which is how halt-completion drains are kept out of
     "values on arrival" collections.  Raises BudgetExceededError if the node
     budget is hit before exhaustion.
+
+    Each distinct counter vector is decoded once, and every state holding
+    it shares that one tuple: compiled programs have many goto and no-op
+    lines, whose configurations repeat their neighbours' vectors.
     """
     out: dict[str, set[tuple[int, ...]]] = {}
+    if max(v.source.vector, default=0) > budget.counter_bound:
+        return out
     packed, visited = _reach_keys(v, budget, absorbing, chains=False)
-    smask, cmask, shifts = packed.smask, packed.cmask, packed.shifts
+    states, sbits, smask, cmask = v.states, packed.sbits, packed.smask, packed.cmask
+    # field shifts within the counter part of a key, `key >> sbits`
+    shifts = [sh - sbits for sh in packed.shifts]
+    vectors: dict[int, tuple[int, ...]] = {}
     for key in visited:
-        state = v.states[key & smask]
-        vec = tuple([(key >> sh) & cmask for sh in shifts])
+        state = states[key & smask]
+        counters = key >> sbits
+        vec = vectors.get(counters)
+        if vec is None:
+            vec = vectors[counters] = tuple([(counters >> sh) & cmask for sh in shifts])
         if state in out:
             out[state].add(vec)
         else:
@@ -420,6 +431,8 @@ def final_vectors(
     reachable_configs stores, so it never needs a larger budget to finish.
     Raises BudgetExceededError as reachable_configs does."""
     state = at_state if at_state is not None else v.target.state
+    if max(v.source.vector, default=0) > budget.counter_bound:
+        return frozenset()
     packed, visited = _reach_keys(v, budget, frozenset({state}), chains=True)
     at, smask, cmask, shifts = packed.index[state], packed.smask, packed.cmask, packed.shifts
     return frozenset(
@@ -571,6 +584,8 @@ class _Replay:
         self.spans: dict[int, LoopSpan] = {s.entry: s for s in self.flat.loops}
         self.iter_count: dict[int, int] = {}
         self.counted_left: dict[int, int] = {}
+        # per stepwise loop entry: counters and counted-loop state at its last visit
+        self.last_visit: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
         self.observations: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
         self.body_info: dict[int, tuple[bool, dict[int, int], int]] = {}
         for span in self.flat.loops:
@@ -730,6 +745,8 @@ class _Replay:
         if pol is None:
             raise PolicyStuckError(f"line {span.entry}: no policy for loop")
         straight, deltas, _body_len = self.body_info[span.entry]
+        if not straight:
+            self._check_progress(span.entry)
         if isinstance(pol, DrainLoop):
             ci = self.cix[pol.counter]
             if straight:
@@ -757,6 +774,18 @@ class _Replay:
                 self.counted_left[span.entry] = left - 1
             return self._enter_or_leave(span, left > 0)
         raise PolicyStuckError(f"line {span.entry}: policy {pol!r} does not fit a loop")
+
+    def _check_progress(self, entry: int):
+        """Raise if a loop walked stepwise is at its entry with the same
+        counters and counted-loop state as at its last visit: the replay is
+        a function of those and the line, so it would repeat forever."""
+        state = (tuple(self.vec), dict(self.counted_left))
+        if self.last_visit.get(entry) == state:
+            raise PolicyStuckError(
+                f"loop at line {entry}: replay does not terminate "
+                "(entry reached again with the same counters)"
+            )
+        self.last_visit[entry] = state
 
     def _enter_or_leave(self, span: LoopSpan, enter: bool) -> int:
         """One step from the entry of a loop walked stepwise: into its body
@@ -797,7 +826,9 @@ def replay_canonical(
     length) are recomputed from the walk itself.  Loops with straight-line
     bodies are fast-forwarded arithmetically, so doubly-exponential canonical
     runs can be measured without materializing them (materialize=False).
-    Raises PolicyStuckError if the schedule deadlocks.
+    Raises PolicyStuckError if the schedule deadlocks, or as soon as a loop
+    walked stepwise reaches its entry again with nothing changed, since the
+    replay would then repeat forever.
 
     A materialized run shares the `Transition` objects of `compiled.vass`
     rather than holding a fresh one per step, and a fast-forwarded loop's

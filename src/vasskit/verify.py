@@ -23,7 +23,7 @@ from .arith import (
     divisibility_threshold,
     lcm_range,
 )
-from .compiler import CompiledProgram, compile_counter_program
+from .compiler import CompiledProgram, compile_counter_program, compile_program
 from .expand import expand
 from .interp import reachable_line_configs
 from .lang import CounterProgram, Sub
@@ -735,7 +735,7 @@ def _semantics_corpus() -> list[tuple[str, CounterProgram]]:
 def check_compiler_semantics(program: CounterProgram, bound: int) -> str | None:
     """Interpreter reachable set == compiled-VASS reachable set on line states."""
     flat = expand(program)
-    compiled = compile_counter_program(program)
+    compiled = compile_program(flat)
     want = reachable_line_configs(flat, bound)
     reach = reachable_configs(
         compiled.vass,

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import deque
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from vasskit.families import (
 from vasskit.lang import Sub, parse
 from vasskit.search import (
     CountedLoop,
+    DrainLoop,
     SearchBudget,
     SearchStats,
     Verdict,
@@ -336,6 +338,25 @@ class TestReplay:
         assert out.probe.loops[outer.entry].iterations == (1,)
         assert out.probe.loops[inner.entry].iterations == (2,)
 
+    def test_stuck_stepwise_loop_raises_at_once(self):
+        # the body leaves x unchanged, so draining x never ends
+        text = "counters x y\ninit\nx += 1\nloop\n  y += 1\n  y -= 1\nendloop\nhalt x\n"
+        compiled = compile_counter_program(parse(text))
+        entry = compiled.program.loops[0].entry
+        start = time.perf_counter()
+        with pytest.raises(PolicyStuckError, match=f"loop at line {entry}: replay does not terminate"):
+            replay_canonical(compiled, {entry: DrainLoop("x")})
+        assert time.perf_counter() - start < 5
+
+    def test_counted_loop_with_unchanged_counters_is_not_stuck(self):
+        # same counters at every entry, but the iterations left differ
+        text = "counters y\ninit\nloop\n  y += 1\n  y -= 1\nendloop\nhalt y\n"
+        compiled = compile_counter_program(parse(text))
+        entry = compiled.program.loops[0].entry
+        out = replay_canonical(compiled, {entry: CountedLoop(3)})
+        assert out.halting
+        assert out.probe.loops[entry].iterations == (3,)
+
     def test_drain_policy_inference_skips_nested_loops(self):
         from vasskit.search import DrainLoop, drain_policies
 
@@ -527,6 +548,37 @@ def ref_reachable(v, budget, absorbing=frozenset()):
                 visited.add(nxt)
                 dq.append(nxt)
     return out
+
+
+class TestReachableConfigsDecode:
+    """`reachable_configs` decodes each counter vector once and shares it
+    between states; compiled gadgets, whose goto and no-op lines repeat
+    their neighbours' vectors, at the benchmark's gadget-grid bounds."""
+
+    @staticmethod
+    def members():
+        for x0, y0, z0 in ((1, 0, 1), (2, 1, 1), (0, 3, 2), (4, 0, 2), (3, 2, 3)):
+            program = with_initial_values(gen_hp(3, 2), {"x": x0, "y": y0, "z": z0})
+            bound = max((x0 + y0) * 3**z0 // 2**z0 + 3 + 2 + 1, z0)
+            yield program, SearchBudget(bound, 4_000_000)
+        for c, d, x0, y0 in ((2, 1, 3, 1), (2, 1, 0, 2), (5, 3, 4, 2), (5, 3, 2, 5)):
+            program = with_initial_values(gen_weak_mult(c, d), {"x": x0, "y": y0})
+            yield program, SearchBudget((x0 + y0) * c // d + c + d + 1, 2_000_000)
+        yield gen_weak(3), SearchBudget(20, 4_000_000)
+
+    def test_matches_tuple_reference(self):
+        for program, budget in self.members():
+            compiled = compile_counter_program(program)
+            v = compiled.vass
+            for absorbing in (frozenset(), frozenset({compiled.halt_state})):
+                got = reachable_configs(v, budget, absorbing)
+                assert got == ref_reachable(v, budget, absorbing)
+                shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+                for vectors in got.values():
+                    for vec in vectors:
+                        assert shared.setdefault(vec, vec) is vec
+                # many states hold the same vector
+                assert sum(map(len, got.values())) > 2 * len(shared)
 
 
 def ref_count(v, budget, cutoff):
