@@ -17,6 +17,7 @@ import json
 import sys
 
 from . import families, measure, verify
+from .arith import description_size
 from .compiler import compile_counter_program, compile_program
 from .errors import BudgetExceededError, ParseError, VasskitError
 from .expand import expand, pretty_print_flat
@@ -189,8 +190,8 @@ def cmd_fractions(args) -> int:
             "factors": [str(f) for f in seq.factors],
             "product": str(seq.product),
             "factor_size_bound": str(4 ** (seq.k**2 + seq.k)),
-            "max_factor_size": str(max(families.description_size(f) for f in seq.factors)),
-            "product_size": str(families.description_size(seq.product)),
+            "max_factor_size": str(max(description_size(f) for f in seq.factors)),
+            "product_size": str(description_size(seq.product)),
         }
         text = _json_dumps(obj)
     else:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import bits_msb_first, description_size, divisibility_threshold, threshold_index
+from .arith import bits_msb_first, divisibility_threshold, threshold_index
 from .expand import FlatProgram
 from .lang import (
     Add, BinOp, BitTest, Command, CounterProgram, For, Goto, Halt, If, Init,
@@ -22,13 +22,9 @@ from .lang import (
 from .search import CountedLoop, LoopPolicy, TakeBranch, drain_policies
 
 
-def with_initial_values(
-    fragment: CounterProgram,
-    values: dict[str, int],
-    halt_tested: tuple[str, ...] | None = None,
-) -> CounterProgram:
+def with_initial_values(fragment: CounterProgram, values: dict[str, int]) -> CounterProgram:
     """Close a fragment into a runnable program: init, load the given
-    initial counter values, then the fragment body (plus an optional halt)."""
+    initial counter values, then the fragment body."""
     body: list[Command] = [Init()]
     for c in fragment.counters:
         v = values.get(c, 0)
@@ -37,8 +33,6 @@ def with_initial_values(
         if v:
             body.append(Add(c, Lit(v)))
     body.extend(fragment.body)
-    if halt_tested is not None:
-        body.append(Halt(tuple(halt_tested)))
     return CounterProgram(fragment.counters, tuple(body))
 
 
@@ -177,9 +171,11 @@ class FractionSequence:
 
 
 def fraction_sequence(k: int) -> FractionSequence:
-    """Construct and verify the sequence: strict monotonicity, the closed
-    form of the last factor, the exact tower-product identity, and the
-    description-size bounds.  All checks are exact."""
+    """Construct the sequence from its ratios r_i = (4^k + 2^(k-i)) / 4^k:
+    f_i = r_i / (r_{i+1} ... r_k), and the product is (r_1 ... r_k)^2.
+    `verify.suite_fractions` checks its invariants: strict monotonicity
+    above 1, the closed form of the last factor, the description-size
+    bounds and the exact tower-product identity."""
     if k < 1:
         raise ValueError(f"fraction_sequence needs k >= 1, got {k}")
     base = 4**k
@@ -191,18 +187,6 @@ def fraction_sequence(k: int) -> FractionSequence:
         suffix *= r
     factors = tuple(reversed(factors_rev))
     product = (math.prod(ratios)) ** 2
-
-    assert all(f > 1 for f in factors)
-    assert all(a < b for a, b in zip(factors, factors[1:]))
-    assert factors[-1] == 1 + Fraction(1, base)
-    size_bound = 4 ** (k * k + k)
-    assert all(description_size(f) <= size_bound for f in factors)
-    assert description_size(product) <= size_bound**2
-    # Tower identity, cross-multiplied to avoid normalizing huge fractions.
-    lhs_num = math.prod(f.numerator ** (2**i) for i, f in enumerate(factors, start=1))
-    lhs_den = math.prod(f.denominator ** (2**i) for i, f in enumerate(factors, start=1))
-    assert lhs_num * product.denominator == product.numerator * lhs_den
-
     return FractionSequence(k=k, ratios=ratios, factors=factors, product=product)
 
 
@@ -355,6 +339,13 @@ class NpMeta:
     threshold: int
     bit_width: int
     components: tuple[ComponentInfo, ...]  # in program order
+
+    @property
+    def search_bound(self) -> int:
+        """Per-counter bound for searching the reduction: eight times the
+        work budget f = (k+1) * threshold that the initializer loads, for k
+        values, with headroom above the peaks of the canonical runs."""
+        return 8 * self.threshold * (len(self.instance.values) + 1)
 
 
 def _np_init_commands(n: int, k: int, threshold: int) -> list[Command]:

@@ -180,7 +180,7 @@ def measure_np(target: int, values: tuple[int, ...], max_configs: int) -> Experi
         canonical_length = out.probe.length
     # existence only: reduction spaces run to millions of configurations,
     # too many for run reconstruction at the default budget
-    budget = SearchBudget(8 * meta.threshold * (len(values) + 1), max_configs)
+    budget = SearchBudget(meta.search_bound, max_configs)
     result = halting_reachable(compiled.vass, budget)
     extra = {
         "target": str(target),

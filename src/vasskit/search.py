@@ -534,7 +534,6 @@ class LoopObservation:
 @dataclass(frozen=True)
 class RunProbe:
     loops: dict[int, LoopObservation]
-    final_vector: tuple[int, ...]
     peak: tuple[int, ...]
     length: int
 
@@ -733,7 +732,6 @@ class _Replay:
                 entry: LoopObservation(entry, tuple(it), tuple(ex))
                 for entry, (it, ex) in sorted(self.observations.items())
             },
-            final_vector=tuple(self.vec),
             peak=tuple(self.peak),
             length=self.length,
         )

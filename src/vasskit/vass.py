@@ -78,20 +78,63 @@ class Vass:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Vass":
+        """Inverse of to_json_obj.  A missing or ill-typed field raises
+        ValueError naming it."""
+        states = _json_field(obj, "states", list)
+        if not all(isinstance(s, str) for s in states):
+            raise ValueError("VASS JSON: field 'states' must list strings")
+        transitions = _json_field(obj, "transitions", list)
+
+        def transition(i: int, t) -> Transition:
+            where = f"transitions[{i}]"
+            return Transition(
+                _json_field(t, "from", str, where),
+                _json_ints(t, "delta", where),
+                _json_field(t, "to", str, where),
+            )
+
+        def configuration(key: str) -> Configuration:
+            cfg = _json_field(obj, key, dict)
+            return Configuration(_json_field(cfg, "state", str, key), _json_ints(cfg, "vector", key))
+
         return Vass(
-            dimension=obj["dimension"],
-            states=tuple(obj["states"]),
-            transitions=tuple(
-                Transition(t["from"], tuple(int(d) for d in t["delta"]), t["to"])
-                for t in obj["transitions"]
-            ),
-            source=Configuration(obj["source"]["state"], tuple(int(v) for v in obj["source"]["vector"])),
-            target=Configuration(obj["target"]["state"], tuple(int(v) for v in obj["target"]["vector"])),
+            dimension=_json_field(obj, "dimension", int),
+            states=tuple(states),
+            transitions=tuple(transition(i, t) for i, t in enumerate(transitions)),
+            source=configuration("source"),
+            target=configuration("target"),
         )
 
     @staticmethod
     def from_json(text: str) -> "Vass":
         return Vass.from_json_obj(json.loads(text))
+
+
+def _json_field(obj, key: str, kind: type, where: str = ""):
+    """obj[key], which must exist and be a `kind`; `where` is obj's own path."""
+    path = f"{where}.{key}" if where else key
+    if not isinstance(obj, dict):
+        raise ValueError(f"VASS JSON: {where or 'the document'} must be an object")
+    if key not in obj:
+        raise ValueError(f"VASS JSON: missing field {path!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(
+            f"VASS JSON: field {path!r} must be {kind.__name__}, not {type(obj[key]).__name__}"
+        )
+    return obj[key]
+
+
+def _json_ints(obj, key: str, where: str) -> tuple[int, ...]:
+    """The list obj[key] read as integers, given as numbers or, as to_json_obj
+    writes them, as strings; a float is refused, not truncated."""
+    items = _json_field(obj, key, list, where)
+    try:
+        values = tuple(map(int, items))
+    except (TypeError, ValueError):
+        values = None
+    if values is None or float in map(type, items):
+        raise ValueError(f"VASS JSON: field '{where}.{key}' must list integers")
+    return values
 
 
 @dataclass(frozen=True)

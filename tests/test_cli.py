@@ -111,6 +111,28 @@ class TestPipeline:
         assert obj["flat"] is False and obj["witness_state"] == "s00"
         assert [len(cyc) for cyc in obj["witness_cycles"]] == [2, 2]
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"dimension": 2}, "missing field 'states'"),
+            ({"dimension": 2, "states": ["a"], "transitions": 5},
+             "field 'transitions' must be list, not int"),
+            ({"dimension": 1, "states": ["a"], "transitions": [{"from": "a", "to": "a"}]},
+             "missing field 'transitions[0].delta'"),
+            ({"dimension": 1, "states": ["a"], "transitions": [],
+              "source": {"state": "a", "vector": [None]}},
+             "field 'source.vector' must list integers"),
+            ({"dimension": 1, "states": ["a"], "transitions": [],
+              "source": {"state": "a", "vector": ["1"]}, "target": {"state": "a", "vector": [1.5]}},
+             "field 'target.vector' must list integers"),
+        ],
+    )
+    def test_malformed_vass_json_is_a_usage_error(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", str(path), "--bound", "3")
+        assert (code, out, err) == (2, "", f"vasskit: VASS JSON: {message}\n")
+
     def test_size_command(self, capsys, tmp_path):
         _, text, _ = run_cli(capsys, "gen", "2exp", "--k", "2")
         path = tmp_path / "v.cp"

@@ -1,7 +1,11 @@
 """The verify suites at reduced scale (the acceptance module runs them at
-full scale)."""
+full scale), and mutation controls showing that suites can fail."""
 
-from vasskit import verify
+import dataclasses
+from fractions import Fraction
+
+from vasskit import families, verify
+from vasskit.lang import Add, BinOp, For, Halt, Lit, Loop, Sub, Var
 
 
 def assert_suite_passes(result):
@@ -58,3 +62,50 @@ def test_suite_result_json_shape():
     assert obj["suite"] == "weak"
     assert obj["passed"] is True
     assert obj["checks"] and {"name", "passed", "detail"} <= set(obj["checks"][0])
+
+
+def failures(result):
+    return {c.name: c.detail for c in result.checks if not c.passed}
+
+
+def mutated_exp_tail(n):
+    """_exp_tail with the cascade multiplier (i+1)/i raised to (i+2)/i."""
+    return (
+        For(
+            "i", Lit(n), Lit(1), True,
+            (
+                Loop((Sub("x", Lit(1)), Add("z", Lit(1)))),
+                Loop((Add("x", BinOp("+", Var("i"), Lit(2))), Sub("z", Var("i")))),
+            ),
+        ),
+        Loop((Sub("x", Lit(n + 1)), Sub("y", Lit(1)))),
+        Halt(("y",)),
+    )
+
+
+def test_exp_suite_fails_on_a_mutated_cascade(monkeypatch):
+    monkeypatch.setattr(families, "_exp_tail", mutated_exp_tail)
+    failed = failures(verify.suite_exp(max_n=2, trend_ns=(1, 2)))
+    assert failed["halting iff threshold divides the pump, at most one run (n <= 2)"] == (
+        "n=1, x0=2: 2 halting runs"
+    )
+    # the canonical policy cannot drain the mutated cascade: the replay
+    # raises, which fails the trend check instead of aborting the suite
+    trend = failed["shortest = canonical length and strictly increasing for n in (1, 2)"]
+    assert trend.startswith("raised PolicyStuckError: ")
+
+
+def test_fractions_suite_fails_on_a_perturbed_factor(monkeypatch):
+    original = families.fraction_sequence
+
+    def perturbed(k):
+        seq = original(k)
+        if k != 3:
+            return seq
+        f1 = seq.factors[0] + Fraction(1, 10**9)
+        return dataclasses.replace(seq, factors=(f1,) + seq.factors[1:])
+
+    monkeypatch.setattr(families, "fraction_sequence", perturbed)
+    failed = failures(verify.suite_fractions(max_k=4))
+    assert list(failed) == ["sequence invariants for k <= 4"]
+    assert failed["sequence invariants for k <= 4"].startswith("k=3:")
