@@ -106,10 +106,7 @@ def cmd_flat(args) -> int:
         obj = {"flat": report.is_flat}
         if not report.is_flat:
             obj["witness_state"] = report.witness_state
-            obj["witness_cycles"] = [
-                [{"from": t.src, "delta": [str(d) for d in t.delta], "to": t.dst} for t in cyc]
-                for cyc in report.witness_cycles
-            ]
+            obj["witness_cycles"] = [[t.to_json_obj() for t in cyc] for cyc in report.witness_cycles]
         text = _json_dumps(obj)
     elif report.is_flat:
         text = "flat\n"
@@ -266,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     meas.add_argument("--set", default=None, help="np: comma-separated values")
     meas.add_argument("--max-configs", type=int, default=10_000_000)
     meas.add_argument("--format", choices=["text", "json"], default="text")
-    meas.add_argument("--out", help="write output to this file instead of stdout")
+    add_io(meas, with_input=False)
     meas.set_defaults(func=cmd_measure)
 
     ver = sub.add_parser("verify", help="run property suites")
@@ -274,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=sorted(verify.SUITES) + ["all"],
                      help="suite names, or 'all'")
     ver.add_argument("--format", choices=["text", "json"], default="text")
-    ver.add_argument("--out", help="write output to this file instead of stdout")
+    add_io(ver, with_input=False)
     ver.set_defaults(func=cmd_verify)
 
     frac = sub.add_parser("fractions", help="the tower fraction sequence")
     frac.add_argument("--k", type=int, required=True)
     frac.add_argument("--format", choices=["text", "json"], default="text")
-    frac.add_argument("--out", help="write output to this file instead of stdout")
+    add_io(frac, with_input=False)
     frac.set_defaults(func=cmd_fractions)
 
     return parser

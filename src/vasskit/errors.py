@@ -40,7 +40,8 @@ class BudgetExceededError(VasskitError):
 
 
 class PolicyStuckError(VasskitError):
-    """Canonical replay deadlocked: a scheduled step cannot fire."""
+    """A canonical schedule cannot be built or replayed: the program does
+    not have the loops the schedule expects, or a scheduled step cannot fire."""
 
 
 class ConfigCycleError(VasskitError):

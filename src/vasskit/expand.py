@@ -11,7 +11,8 @@ desugars to the four-line goto skeleton
 
 so that structure-sensitive checks (flatness in particular) see exactly that
 control graph.  Lines are renumbered densely and labels resolve to final line
-numbers.
+numbers.  `pretty_print_flat` prints each numbered line with
+`lang.format_command`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from .errors import ExpansionError
 from .lang import (
     Add, Command, CounterProgram, For, Goto, Halt, If, Init, Labeled, Loop,
-    Sub, eval_cond, eval_expr,
+    Sub, eval_cond, eval_expr, format_command,
 )
 
 DEFAULT_MAX_LINES = 500_000
@@ -190,18 +191,5 @@ def expand(program: CounterProgram, max_lines: int = DEFAULT_MAX_LINES) -> FlatP
 def pretty_print_flat(flat: FlatProgram) -> str:
     """Numbered-line text form; parsing and re-expanding it reproduces `flat`."""
     out = [f"counters {' '.join(flat.counters)}"] if flat.counters else []
-    for ln, cmd in enumerate(flat.lines, start=1):
-        if isinstance(cmd, Init):
-            text = "init"
-        elif isinstance(cmd, Halt):
-            text = "halt " + " ".join(cmd.tested) if cmd.tested else "halt"
-        elif isinstance(cmd, Add):
-            text = f"{cmd.counter} += {cmd.amount}"
-        elif isinstance(cmd, Sub):
-            text = f"{cmd.counter} -= {cmd.amount}"
-        elif isinstance(cmd, Goto):
-            text = f"goto {cmd.first} or {cmd.second}"
-        else:
-            raise TypeError(f"non-ground command in flat program: {cmd!r}")
-        out.append(f"{ln}: {text}")
+    out += [f"{ln}: {format_command(cmd)}" for ln, cmd in enumerate(flat.lines, start=1)]
     return "\n".join(out) + "\n"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import bits_msb_first, divisibility_threshold, threshold_index
+from .errors import PolicyStuckError
 from .expand import FlatProgram
 from .lang import (
     Add, BinOp, BitTest, Command, CounterProgram, For, Goto, Halt, If, Init,
@@ -502,34 +503,34 @@ def gen_np(inst: NpInstance) -> tuple[CounterProgram, NpMeta]:
 # Canonical (maximal-iteration) schedules
 
 
-def _policy_with_pump(flat: FlatProgram, pump_iterations: int) -> dict[int, LoopPolicy]:
-    # Every loop drains its decremented counter except the single pump loop,
-    # which has an increment-only body and iterates a prescribed number of times.
+def _drain_policy(flat: FlatProgram) -> tuple[dict[int, LoopPolicy], list[int]]:
+    """drain_policies(flat), and the entries of the loops it leaves out
+    because their bodies drain no counter."""
     policy = drain_policies(flat)
-    missing = [s.entry for s in flat.loops if s.entry not in policy]
-    if len(missing) != 1:
-        raise ValueError(f"expected exactly one pump loop, found entries {missing}")
-    policy[missing[0]] = CountedLoop(pump_iterations)
-    return policy
+    return policy, [s.entry for s in flat.loops if s.entry not in policy]
 
 
 def exp_canonical_policy(flat: FlatProgram, pump_value: int) -> dict[int, LoopPolicy]:
-    """Maximal iteration for gen_exp: pump to x = y = pump_value, then drain."""
-    return _policy_with_pump(flat, pump_value - 1)
+    """Maximal iteration for gen_exp (pump to x = y = pump_value) and
+    gen_double_exp (pump to t = x = pump_value), then drain: every loop
+    drains its decremented counter except the single pump loop, which has
+    an increment-only body and iterates pump_value - 1 times."""
+    policy, undrained = _drain_policy(flat)
+    if len(undrained) != 1:
+        raise PolicyStuckError(f"expected exactly one pump loop, found entries {undrained}")
+    policy[undrained[0]] = CountedLoop(pump_value - 1)
+    return policy
 
 
-def double_exp_canonical_policy(flat: FlatProgram, pump_value: int) -> dict[int, LoopPolicy]:
-    """Maximal iteration for gen_double_exp: pump to t = x = pump_value."""
-    return _policy_with_pump(flat, pump_value - 1)
+double_exp_canonical_policy = exp_canonical_policy
 
 
 def maximal_policy(flat: FlatProgram) -> dict[int, LoopPolicy]:
     """Maximal iteration for programs whose loops all drain some counter
     (weak, weak_mult, hp, gen_exp_fixed, gen_np_init)."""
-    policy = drain_policies(flat)
-    missing = [s.entry for s in flat.loops if s.entry not in policy]
-    if missing:
-        raise ValueError(f"loops at lines {missing} have no draining counter")
+    policy, undrained = _drain_policy(flat)
+    if undrained:
+        raise PolicyStuckError(f"loops at lines {undrained} have no draining counter")
     return policy
 
 
@@ -546,6 +547,6 @@ def np_canonical_policy(flat: FlatProgram, chosen: set[int]) -> dict[int, LoopPo
             continue
         take_label = line_label.get(cmd.second, "")
         if not take_label.startswith("take"):
-            raise ValueError(f"line {ln}: choice goto does not target a take label")
+            raise PolicyStuckError(f"line {ln}: choice goto does not target a take label")
         policy[ln] = TakeBranch(second=(int(take_label[4:]) in chosen))
     return policy

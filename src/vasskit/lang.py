@@ -29,6 +29,11 @@ Concrete syntax is line oriented, one command per line:
 `counters` may be omitted, in which case counters are collected in order of
 first use.  `init`/`halt` may be omitted for program fragments.  Labels are
 identifiers or line numbers; `# ...` comments run to end of line.
+
+`format_command` prints a ground command (init, halt, increment, decrement,
+goto); `pretty_print` and `expand.pretty_print_flat` both use it.  The block
+commands `loop`, `for` and `if` share one rule for parsing a body with its
+end line and one for printing it, keyed by their end keyword in `_END`.
 """
 
 from __future__ import annotations
@@ -194,6 +199,9 @@ class If:
 
 
 Command = Init | Halt | Add | Sub | Goto | Labeled | Loop | For | If
+
+# the keyword that closes each block command's body
+_END = {Loop: "endloop", For: "endfor", If: "endif"}
 
 
 @dataclass(frozen=True)
@@ -397,19 +405,20 @@ def _starts_with_kw(cur: _LineCursor, kw: str) -> bool:
     return t is not None and t.kind == "kw" and t.text == kw
 
 
-def _parse_block(lines: _Lines, terminators: tuple[str, ...], ctx: "_ParseCtx") -> tuple[Command, ...]:
+def _parse_block(lines: _Lines, end: str | None, ctx: "_ParseCtx") -> tuple[Command, ...]:
+    """The commands up to the line that starts with keyword `end`, which is
+    consumed and must hold nothing else; with `end` None, up to end of input."""
     body: list[Command] = []
-    while True:
-        cur = lines.peek()
-        if cur is None:
-            if terminators:
-                raise ParseError(f"missing {' or '.join(terminators)}")
-            return tuple(body)
-        if cur.peek().kind == "kw" and cur.peek().text in terminators:
-            return tuple(body)
+    while (cur := lines.peek()) is not None:
         lines.next()
+        if end is not None and _starts_with_kw(cur, end):
+            cur.next()
+            cur.require_done()
+            return tuple(body)
         body.append(_parse_command(cur, lines, ctx))
-    # unreachable
+    if end is not None:
+        raise ParseError(f"missing {end}")
+    return tuple(body)
 
 
 class _ParseCtx:
@@ -490,10 +499,7 @@ def _parse_bare_command(cur: _LineCursor, lines: _Lines, ctx: _ParseCtx, lineno:
         if t.text == "loop":
             cur.next()
             cur.require_done()
-            body = _parse_block(lines, ("endloop",), ctx)
-            end = lines.next()
-            end.expect("kw", "endloop")
-            end.require_done()
+            body = _parse_block(lines, _END[Loop], ctx)
             if any(isinstance(c, Halt) for c in body):
                 raise ParseError("halt inside loop body", lineno)
             return Loop(body)
@@ -509,21 +515,13 @@ def _parse_bare_command(cur: _LineCursor, lines: _Lines, ctx: _ParseCtx, lineno:
                 downward = False
             stop = _parse_expr(cur)
             cur.require_done()
-            body = _parse_block(lines, ("endfor",), ctx)
-            end = lines.next()
-            end.expect("kw", "endfor")
-            end.require_done()
-            return For(var, start, stop, downward, body)
+            return For(var, start, stop, downward, _parse_block(lines, _END[For], ctx))
         if t.text == "if":
             cur.next()
             cond = _parse_cond(cur)
             cur.expect("kw", "then")
             cur.require_done()
-            body = _parse_block(lines, ("endif",), ctx)
-            end = lines.next()
-            end.expect("kw", "endif")
-            end.require_done()
-            return If(cond, body)
+            return If(cond, _parse_block(lines, _END[If], ctx))
         raise ParseError(f"unexpected keyword {t.text!r}", lineno, t.col)
 
     if t.kind == "ident":
@@ -572,7 +570,7 @@ def parse(text: str) -> CounterProgram:
             raise ParseError("counters header lists no counters", head.lineno)
         ctx.declared = tuple(names)
 
-    body = _parse_block(lines, (), ctx)
+    body = _parse_block(lines, None, ctx)
 
     # Numeric targets may also name the line just past the last command
     # (where control falls off the end of a halt-less fragment).
@@ -629,45 +627,42 @@ def format_cond(c: MetaCond) -> str:
     raise TypeError(f"not a meta-condition: {c!r}")
 
 
-def _format_command(cmd: Command, indent: int, out: list[str]):
+def format_command(cmd: Command) -> str:
+    """The text of a ground command: init, halt, an increment, a decrement
+    or a goto."""
+    if isinstance(cmd, Init):
+        return "init"
+    if isinstance(cmd, Halt):
+        return " ".join(("halt", *cmd.tested))
+    if isinstance(cmd, (Add, Sub)):
+        op = "+=" if isinstance(cmd, Add) else "-="
+        return f"{cmd.counter} {op} {format_expr(cmd.amount)}"
+    if isinstance(cmd, Goto):
+        return f"goto {cmd.first} or {cmd.second}"
+    raise TypeError(f"not a ground command: {cmd!r}")
+
+
+def _block_head(cmd: Loop | For | If) -> str:
+    if isinstance(cmd, Loop):
+        return "loop"
+    if isinstance(cmd, For):
+        word = "downto" if cmd.downward else "to"
+        return f"for {cmd.var} := {format_expr(cmd.start)} {word} {format_expr(cmd.stop)}"
+    return f"if {format_cond(cmd.condition)} then"
+
+
+def _format_command(cmd: Command, indent: int, out: list[str], labels: str = ""):
+    # `labels` holds the "label: " prefixes to print inline on the head line
     pad = "  " * indent
     if isinstance(cmd, Labeled):
-        # Render the label inline with the head line of the command.
-        sub: list[str] = []
-        _format_command(cmd.command, indent, sub)
-        head = sub[0]
-        stripped = head.lstrip()
-        out.append(head[: len(head) - len(stripped)] + f"{cmd.label}: {stripped}")
-        out.extend(sub[1:])
-        return
-    if isinstance(cmd, Init):
-        out.append(pad + "init")
-    elif isinstance(cmd, Halt):
-        out.append(pad + ("halt " + " ".join(cmd.tested) if cmd.tested else "halt").rstrip())
-    elif isinstance(cmd, Add):
-        out.append(pad + f"{cmd.counter} += {format_expr(cmd.amount)}")
-    elif isinstance(cmd, Sub):
-        out.append(pad + f"{cmd.counter} -= {format_expr(cmd.amount)}")
-    elif isinstance(cmd, Goto):
-        out.append(pad + f"goto {cmd.first} or {cmd.second}")
-    elif isinstance(cmd, Loop):
-        out.append(pad + "loop")
+        _format_command(cmd.command, indent, out, f"{labels}{cmd.label}: ")
+    elif type(cmd) in _END:
+        out.append(pad + labels + _block_head(cmd))
         for c in cmd.body:
             _format_command(c, indent + 1, out)
-        out.append(pad + "endloop")
-    elif isinstance(cmd, For):
-        word = "downto" if cmd.downward else "to"
-        out.append(pad + f"for {cmd.var} := {format_expr(cmd.start)} {word} {format_expr(cmd.stop)}")
-        for c in cmd.body:
-            _format_command(c, indent + 1, out)
-        out.append(pad + "endfor")
-    elif isinstance(cmd, If):
-        out.append(pad + f"if {format_cond(cmd.condition)} then")
-        for c in cmd.body:
-            _format_command(c, indent + 1, out)
-        out.append(pad + "endif")
+        out.append(pad + _END[type(cmd)])
     else:
-        raise TypeError(f"cannot print command {cmd!r}")
+        out.append(pad + labels + format_command(cmd))
 
 
 def pretty_print(program: CounterProgram) -> str:

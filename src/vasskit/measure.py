@@ -8,7 +8,7 @@ marked field and is excluded from golden comparisons.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import families
 from .arith import divisibility_threshold
@@ -40,19 +40,12 @@ class ExperimentReport:
     wall_clock_s: float = 0.0
 
     def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "parameter": self.parameter,
-            "size_unary": self.size_unary,
-            "size_binary": self.size_binary,
-            "flat": self.flat,
-            "shortest_verdict": self.shortest_verdict,
-            "shortest_length": self.shortest_length,
-            "canonical_length": self.canonical_length,
-            "extra": self.extra,
-            "wall_clock_s": round(self.wall_clock_s, 3),
-        }
+        return {**asdict(self), "wall_clock_s": round(self.wall_clock_s, 3)}
 
+
+# hp rows run the Hopcroft-Pansiot gadget with ratio c/d = 3/2; row z0
+# starts it from x = d^z0
+_HP_C, _HP_D = 3, 2
 
 # family -> name of the parameter its rows are labelled with
 _PARAMETER_NAMES = {"exp": "n", "weak": "b", "hp": "z0", "2exp": "k"}
@@ -92,7 +85,7 @@ def _row(
     )
 
 
-def _member(family: str, p: int, c: int = 3, d: int = 2):
+def _member(family: str, p: int):
     """The compiled member of `family` with parameter p, and the generator's
     metadata (None for families without any).  The measurers and the
     budget-exceeded fallback row both build members here."""
@@ -102,7 +95,7 @@ def _member(family: str, p: int, c: int = 3, d: int = 2):
     elif family == "weak":
         program = families.gen_weak(p)
     elif family == "hp":
-        program = families.with_initial_values(families.gen_hp(c, d), {"x": d**p, "z": p})
+        program = families.with_initial_values(families.gen_hp(_HP_C, _HP_D), {"x": _HP_D**p, "z": p})
     else:
         program, meta = families.gen_double_exp(p)
     return compile_counter_program(program), meta
@@ -133,9 +126,9 @@ def measure_weak(b: int, max_configs: int) -> ExperimentReport:
     )
 
 
-def measure_hp(z0: int, max_configs: int, c: int = 3, d: int = 2) -> ExperimentReport:
+def measure_hp(z0: int, max_configs: int) -> ExperimentReport:
     t0 = time.perf_counter()
-    compiled, _ = _member("hp", z0, c, d)
+    compiled, _ = _member("hp", z0)
     out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
     result = shortest_halting(
         compiled.vass, SearchBudget(2 * max(out.probe.peak) + 2, max_configs)
@@ -143,7 +136,8 @@ def measure_hp(z0: int, max_configs: int, c: int = 3, d: int = 2) -> ExperimentR
     final_x = out.final.vector[compiled.program.counters.index("x")]
     return _row(
         "hp", _label("hp", z0), compiled, result, out.probe.length,
-        {"ratio": f"{c}/{d}", "x0": str(d**z0), "canonical_final_x": str(final_x)}, t0,
+        {"ratio": f"{_HP_C}/{_HP_D}", "x0": str(_HP_D**z0), "canonical_final_x": str(final_x)},
+        t0,
     )
 
 

@@ -34,7 +34,7 @@ chain adjacency, one chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .compiler import CompiledProgram
@@ -78,25 +78,14 @@ class ReachResult:
     stats: SearchStats
 
     def to_json_obj(self, v: Vass) -> dict:
-        obj: dict = {
-            "verdict": self.verdict.value,
-            "stats": {
-                "expanded": self.stats.expanded,
-                "frontier_peak": self.stats.frontier_peak,
-                "depth": self.stats.depth,
-            },
-            "run": None,
-        }
+        run = None
         if self.run is not None:
             tindex = {t: i for i, t in enumerate(v.transitions)}
-            obj["run"] = {
-                "initial": {
-                    "state": self.run.initial.state,
-                    "vector": [str(x) for x in self.run.initial.vector],
-                },
+            run = {
+                "initial": self.run.initial.to_json_obj(),
                 "steps": [tindex[t] for t in self.run.steps],
             }
-        return obj
+        return {"verdict": self.verdict.value, "stats": asdict(self.stats), "run": run}
 
 
 def run_from_indices(v: Vass, indices: list[int]) -> Run:

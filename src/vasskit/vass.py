@@ -4,6 +4,10 @@ runs, flatness, and size metrics.
 A `Vass` is a whole reachability instance: control graph plus a source and a
 target configuration.  Runs from source to target are called halting runs.
 All values here are immutable after construction and all operations are pure.
+
+`Transition.to_json_obj` and `Configuration.to_json_obj` are the only writers
+of those two JSON forms; the VASS JSON, the run of a search result and the
+CLI's flatness witness are built from them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ class Transition:
     delta: tuple[int, ...]
     dst: str
 
+    def to_json_obj(self) -> dict:
+        return {"from": self.src, "delta": [str(d) for d in self.delta], "to": self.dst}
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -29,6 +36,9 @@ class Configuration:
     def __post_init__(self):
         if any(v < 0 for v in self.vector):
             raise NegativeCounterError(next(i for i, v in enumerate(self.vector) if v < 0))
+
+    def to_json_obj(self) -> dict:
+        return {"state": self.state, "vector": [str(v) for v in self.vector]}
 
 
 @dataclass(frozen=True)
@@ -65,12 +75,9 @@ class Vass:
         return {
             "dimension": self.dimension,
             "states": list(self.states),
-            "transitions": [
-                {"from": t.src, "delta": [str(d) for d in t.delta], "to": t.dst}
-                for t in self.transitions
-            ],
-            "source": {"state": self.source.state, "vector": [str(v) for v in self.source.vector]},
-            "target": {"state": self.target.state, "vector": [str(v) for v in self.target.vector]},
+            "transitions": [t.to_json_obj() for t in self.transitions],
+            "source": self.source.to_json_obj(),
+            "target": self.target.to_json_obj(),
         }
 
     def to_json(self) -> str:

@@ -20,7 +20,7 @@ import math
 import random
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import families
@@ -67,14 +67,7 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
     def to_json_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks
-            ],
-            "elapsed_s": round(self.elapsed_s, 3),
-        }
+        return {**asdict(self), "passed": self.passed, "elapsed_s": round(self.elapsed_s, 3)}
 
 
 def _suite(name: str, t0: float, checks: list[CheckResult]) -> SuiteResult:

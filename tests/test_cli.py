@@ -1,14 +1,24 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from vasskit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+TIMING = re.compile(r'"(wall_clock_s|elapsed_s)": [0-9.e-]+')
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def masked(text: str) -> str:
+    """JSON output with its wall-clock fields blanked."""
+    return TIMING.sub(r'"\1": "<masked>"', text)
 
 
 class TestGenerate:
@@ -223,3 +233,53 @@ class TestFractionsCommand:
         code, out, _ = run_cli(capsys, "fractions", "--k", "1", "--format", "json", "--out", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["product"] == "25/16"
+
+
+SMALL = "counters x y\ninit\nx += 2\nloop\n  x -= 1\n  y += 1\nendloop\nhalt x\n"
+GOTO_HALT = (
+    "counters x y\ninit\nx += 1\ntop: goto body or done\nbody: x += 1\ny += 2\n"
+    "goto top or top\ndone: halt y\n"
+)
+
+
+# (golden file, input: .cp text, the `gen` argv that makes it, or None,
+#  command argv, exit code)
+GOLDEN_CASES = [
+    ("compile_small.json", SMALL, ["compile"], 0),
+    ("expand_goto_halt.txt", GOTO_HALT, ["expand"], 0),
+    ("solve_found.json", ["exp", "--n", "1", "--x0", "2"],
+     ["solve", "--bound", "12", "--format", "json"], 0),
+    ("solve_node_budget.json", ["exp", "--n", "2", "--x0", "3"],
+     ["solve", "--bound", "20", "--max-configs", "5", "--format", "json"], 3),
+    ("flat_hp.json", ["hp", "--c", "3", "--d", "2"], ["flat", "--format", "json"], 1),
+    ("measure_weak.json", None, ["measure", "weak", "--to", "2", "--format", "json"], 0),
+    ("verify_weak.json", None, ["verify", "weak", "--format", "json"], 0),
+]
+
+
+class TestGoldenOutput:
+    """Whole outputs, byte for byte, against the files in tests/golden."""
+
+    @pytest.mark.parametrize(
+        "golden, source, argv, exit_code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES]
+    )
+    def test_output_matches_golden(self, capsys, tmp_path, golden, source, argv, exit_code):
+        if source is not None:
+            if isinstance(source, list):
+                _, source, _ = run_cli(capsys, "gen", *source)
+            path = tmp_path / "input.cp"
+            path.write_text(source)
+            argv = [argv[0], str(path), *argv[1:]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (exit_code, "")
+        assert masked(out) == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["measure", "weak", "--to", "2", "--format", "json"], ["verify", "arith", "--format", "json"]],
+    )
+    def test_out_file_gets_what_stdout_gets(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv)
+        path = tmp_path / "out.json"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", err)
+        assert masked(path.read_text()) == masked(out)

@@ -95,6 +95,21 @@ def test_exp_suite_fails_on_a_mutated_cascade(monkeypatch):
     assert trend.startswith("raised PolicyStuckError: ")
 
 
+def test_exp_suite_fails_on_a_second_pump_loop(monkeypatch):
+    original = families._exp_tail
+    monkeypatch.setattr(
+        families, "_exp_tail", lambda n: (Loop((Add("z", Lit(1)),)),) + original(n)
+    )
+    failed = failures(verify.suite_exp(max_n=1, trend_ns=(1,)))
+    assert failed["halting iff threshold divides the pump, at most one run (n <= 1)"] == (
+        "n=1, x0=1: 6 halting runs"
+    )
+    # building the canonical schedule fails the trend check, not the suite
+    assert failed["shortest = canonical length and strictly increasing for n in (1,)"] == (
+        "raised PolicyStuckError: expected exactly one pump loop, found entries [4, 8]"
+    )
+
+
 def test_fractions_suite_fails_on_a_perturbed_factor(monkeypatch):
     original = families.fraction_sequence
 
