@@ -405,19 +405,25 @@ def _starts_with_kw(cur: _LineCursor, kw: str) -> bool:
     return t is not None and t.kind == "kw" and t.text == kw
 
 
-def _parse_block(lines: _Lines, end: str | None, ctx: "_ParseCtx") -> tuple[Command, ...]:
+def _parse_block(
+    lines: _Lines, end: str | None, ctx: "_ParseCtx", opened: int | None = None
+) -> tuple[Command, ...]:
     """The commands up to the line that starts with keyword `end`, which is
-    consumed and must hold nothing else; with `end` None, up to end of input."""
+    consumed and must hold nothing else; with `end` None, up to end of input.
+    `opened` is the line of the block's head, which a missing `end` names.
+    While the body is parsed, `ctx.block` is `end`."""
+    outer, ctx.block = ctx.block, end
     body: list[Command] = []
     while (cur := lines.peek()) is not None:
         lines.next()
         if end is not None and _starts_with_kw(cur, end):
             cur.next()
             cur.require_done()
+            ctx.block = outer
             return tuple(body)
         body.append(_parse_command(cur, lines, ctx))
     if end is not None:
-        raise ParseError(f"missing {end}")
+        raise ParseError(f"missing {end}", opened)
     return tuple(body)
 
 
@@ -429,6 +435,7 @@ class _ParseCtx:
         self.goto_targets: list[tuple[str, int]] = []
         self.saw_halt = False
         self.command_count = 0
+        self.block: str | None = None  # end keyword of the innermost open block
 
     def use_counter(self, name: str, lineno: int):
         if self.declared is not None:
@@ -478,6 +485,8 @@ def _parse_bare_command(cur: _LineCursor, lines: _Lines, ctx: _ParseCtx, lineno:
             cur.require_done()
             return Init()
         if t.text == "halt":
+            if ctx.block is not None:
+                raise ParseError(f"halt inside {ctx.block.removeprefix('end')} body", lineno)
             cur.next()
             tested = []
             while not cur.done():
@@ -499,10 +508,7 @@ def _parse_bare_command(cur: _LineCursor, lines: _Lines, ctx: _ParseCtx, lineno:
         if t.text == "loop":
             cur.next()
             cur.require_done()
-            body = _parse_block(lines, _END[Loop], ctx)
-            if any(isinstance(c, Halt) for c in body):
-                raise ParseError("halt inside loop body", lineno)
-            return Loop(body)
+            return Loop(_parse_block(lines, _END[Loop], ctx, lineno))
         if t.text == "for":
             cur.next()
             var = cur.expect("ident").text
@@ -515,13 +521,13 @@ def _parse_bare_command(cur: _LineCursor, lines: _Lines, ctx: _ParseCtx, lineno:
                 downward = False
             stop = _parse_expr(cur)
             cur.require_done()
-            return For(var, start, stop, downward, _parse_block(lines, _END[For], ctx))
+            return For(var, start, stop, downward, _parse_block(lines, _END[For], ctx, lineno))
         if t.text == "if":
             cur.next()
             cond = _parse_cond(cur)
             cur.expect("kw", "then")
             cur.require_done()
-            return If(cond, _parse_block(lines, _END[If], ctx))
+            return If(cond, _parse_block(lines, _END[If], ctx, lineno))
         raise ParseError(f"unexpected keyword {t.text!r}", lineno, t.col)
 
     if t.kind == "ident":
@@ -553,7 +559,8 @@ def parse(text: str) -> CounterProgram:
 
     Raises ParseError with source position for syntax errors, undeclared
     counters (when a `counters` header is present), duplicate or unresolved
-    labels, and a `halt` that is not the final command.
+    labels, a `halt` that is not the final command or sits inside a block,
+    and a block with no end line (named by the line that opens it).
     """
     lines = _Lines(text)
     ctx = _ParseCtx()

@@ -23,6 +23,19 @@ every configuration, so they step one transition at a time and their
 `max_configs` counts every configuration stored.  Only `shortest_halting`
 takes a depth cap, `max_depth`, which caps the length of the runs it finds.
 
+Each move checks the counter fields it must against a cap per field.  In
+every search but `halting_reachable` the cap is the bound.
+`halting_reachable` tightens it with a rule that depends on the target
+(`_target_caps`): it drops configurations at states with no path to the
+target state, and configurations holding more than the target value in a
+counter that no transition on such a path decreases, since along any run
+from there that counter only grows.  No configuration that can reach the
+target is dropped, so its verdicts stay exact; its stats count only the
+configurations that pass the rule, and a drop is not a bound rejection.
+The other searches keep the plain bound: `shortest_halting` prints its
+stats, `count_halting_runs` must still see cycles among configurations that
+cannot halt, and the collections have no target.
+
 Search is deterministic: successors are expanded in the canonical transition
 order of the Vass and results (including shortest-run tie-breaking and stats)
 are reproducible.  The breadth-first searches are level-synchronous and
@@ -98,7 +111,15 @@ class _Packed:
     bits, then one fixed-width field per counter.  Fields are wide enough
     that any over/underflow lands above the bound and is rejected, so a
     successor is one integer addition plus one masked check per touched
-    counter.  States in `absorbing` get no outgoing transitions.
+    counter, against that counter's cap at the move's end state.  States in
+    `absorbing` get no outgoing transitions.
+
+    Caps are the bound, unless `prune` tightens them for the target (see
+    `_target_caps`).  Then moves into states that cannot reach the target
+    state are left out, and a move also checks each untouched counter whose
+    cap is tighter at its end state than at its start.  Caps only tighten
+    along a move into a live state, so every stored configuration is within
+    its own state's caps as long as the source is.
 
     With `chains`, each adjacency entry is a maximal deterministic chain of
     transitions (see `_chain_moves`) rather than one transition, and only
@@ -112,8 +133,8 @@ class _Packed:
         bound: int,
         absorbing: frozenset[str] = frozenset(),
         chains: bool = False,
+        prune: bool = False,
     ):
-        self.bound = bound
         index = self.index = {s: i for i, s in enumerate(v.states)}
         max_amount = max((abs(d) for t in v.transitions for d in t.delta), default=0)
         if chains:
@@ -122,38 +143,46 @@ class _Packed:
             max_amount = max(
                 [max_amount] + [abs(d) for ms in moves for delta, _dst, _tix in ms for d in delta]
             )
+        caps = self.caps = (
+            _target_caps(v, index, bound) if prune else [(bound,) * v.dimension] * len(v.states)
+        )
         self.sbits = max(1, (len(v.states) - 1).bit_length())
         self.wbits = max(1, (2 * (bound + max_amount) + 1).bit_length())
         self.smask = (1 << self.sbits) - 1
         self.cmask = (1 << self.wbits) - 1
         self.shifts = tuple(self.sbits + self.wbits * i for i in range(v.dimension))
-        # per transition index: packed delta; per state: (packed delta,
-        # shifts of touched counter fields, first transition index)
-        self.deltas: list[int] = []
-        self.adj: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in v.states]
-        for tix, t in enumerate(v.transitions):
-            entry = self._pack(t.delta, index[t.dst] - index[t.src], tix)
-            self.deltas.append(entry[0])
-            if not chains and t.src not in absorbing:
-                self.adj[index[t.src]].append(entry)
+        # per state: one (packed delta, checks, first transition index) per
+        # move into a state that can reach the target state
         if chains:
             self.adj = [
-                [self._pack(delta, dst - s, tix) for delta, dst, tix in ms]
+                [self._move(delta, s, dst, tix) for delta, dst, tix in ms if caps[dst] is not None]
                 for s, ms in enumerate(moves)
             ]
+        else:
+            self.adj = [[] for _ in v.states]
+            for tix, t in enumerate(v.transitions):
+                s, dst = index[t.src], index[t.dst]
+                if t.src not in absorbing and caps[dst] is not None:
+                    self.adj[s].append(self._move(t.delta, s, dst, tix))
         self.src = self.encode(v.source)
         # a target above the bound is unreachable, and its fields could alias
         self.tgt = self.encode(v.target) if max(v.target.vector, default=0) <= bound else -1
 
-    def _pack(
-        self, delta: tuple[int, ...], state_step: int, tix: int
-    ) -> tuple[int, tuple[int, ...], int]:
-        pd = state_step
+    def _move(
+        self, delta: tuple[int, ...], src: int, dst: int, tix: int
+    ) -> tuple[int, tuple[tuple[int, int], ...], int]:
+        """The adjacency entry of a move from state index `src` to `dst`:
+        its packed delta; the `(shift, cap)` checks at its end, with caps at
+        `dst`, of every field it touches and every field whose cap is tighter
+        at `dst` than at `src`; and its first transition index."""
+        pd = dst - src
         checks = []
-        for d, shift in zip(delta, self.shifts):
+        for d, shift, cap, was in zip(delta, self.shifts, self.caps[dst], self.caps[src]):
             if d:
                 pd += d << shift
-                checks.append(shift)
+            elif cap >= was:
+                continue
+            checks.append((shift, cap))
         return pd, tuple(checks), tix
 
     def encode(self, cfg: Configuration) -> int:
@@ -165,12 +194,11 @@ class _Packed:
     def successors(self, key: int):
         """Yield the packed successors of `key` within the bound, in
         canonical transition order."""
-        bound = self.bound
         cmask = self.cmask
         for pd, checks, _tix in self.adj[key & self.smask]:
             nk = key + pd
-            for sh in checks:
-                if ((nk >> sh) & cmask) > bound:
+            for sh, cap in checks:
+                if ((nk >> sh) & cmask) > cap:
                     break
             else:
                 yield nk
@@ -224,11 +252,47 @@ def _chain_moves(
     return moves
 
 
+def _target_caps(v: Vass, index: dict[str, int], bound: int) -> list[tuple[int, ...] | None]:
+    """Per state index, None if the state cannot reach the target state;
+    otherwise one cap per counter: `bound` if some transition on a path from
+    the state to the target state decreases the counter, else
+    `min(bound, target value)`.  Along every run from a state, a counter
+    nothing later decreases only grows, so a configuration holding more than
+    its target value there cannot reach the target.
+
+    One backward worklist pass from the target state: a state's counters
+    are those its transitions into live states decrease, plus those of
+    their end states.  A state is queued again only when its set grows, so
+    at most `dimension + 1` times."""
+    into: list[list[tuple[int, int]]] = [[] for _ in v.states]
+    for t in v.transitions:
+        into[index[t.dst]].append(
+            (index[t.src], sum(1 << i for i, d in enumerate(t.delta) if d < 0))
+        )
+    tgt = index[v.target.state]
+    # per state: bitmask of the counters a path to the target can decrease
+    dec: list[int | None] = [None] * len(v.states)
+    dec[tgt] = 0
+    todo = [tgt]
+    while todo:
+        d = todo.pop()
+        for s, neg in into[d]:
+            old = dec[s]
+            new = dec[d] | neg | (old or 0)
+            if new != old:
+                dec[s] = new
+                todo.append(s)
+    tight = [min(bound, x) for x in v.target.vector]
+    return [
+        None if m is None else tuple(bound if m >> i & 1 else c for i, c in enumerate(tight))
+        for m in dec
+    ]
+
+
 def _explore(packed: _Packed, tgt: int, max_configs: int) -> tuple[Verdict, set[int], SearchStats]:
     """Breadth-first search from the source for `tgt`, recording only the
     visited set.  Its stats count `expanded` as visited-set size."""
     adj = packed.adj
-    bound = packed.bound
     smask = packed.smask
     cmask = packed.cmask
     src = packed.src
@@ -242,8 +306,8 @@ def _explore(packed: _Packed, tgt: int, max_configs: int) -> tuple[Verdict, set[
         for key in frontier:
             for pd, checks, _tix in adj[key & smask]:
                 nk = key + pd
-                for sh in checks:
-                    if ((nk >> sh) & cmask) > bound:
+                for sh, cap in checks:
+                    if ((nk >> sh) & cmask) > cap:
                         break
                 else:
                     if nk in visited:
@@ -269,16 +333,22 @@ def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
 
     The search steps along maximal deterministic chains of transitions and
     stores only the configurations where chains start or end, which include
-    every place where runs can branch.  `stats.expanded` counts those
-    configurations, and `depth` and `frontier_peak` count chain levels.  It
-    stores a subset of the configurations an exhaustive per-transition
-    search stores, so it never needs a larger `max_configs` to exhaust the
-    space; when `max_configs` cuts a search, the two may stop at different
-    points."""
-    bound = budget.counter_bound
-    if max(v.source.vector, default=0) > bound:
+    every place where runs can branch.  It also drops every configuration
+    that provably cannot reach the target (see `_target_caps`): one at a
+    state with no path to the target state, or one holding more than its
+    target value in a counter that no transition on a path from its state to
+    the target state decreases; that counter can only grow from there.  The
+    rule rejects no configuration that can reach the target, so verdicts stay
+    exact, and it is not a bound rejection.  `stats.expanded` counts the
+    stored configurations, which pass the rule, and `depth` and
+    `frontier_peak` count chain levels.  It stores a subset of the
+    configurations an exhaustive per-transition search stores, so it never
+    needs a larger `max_configs` to exhaust the space; when `max_configs`
+    cuts a search, the two may stop at different points."""
+    packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
+    caps = packed.caps[packed.index[v.source.state]]
+    if caps is None or any(x > c for x, c in zip(v.source.vector, caps)):
         return ReachResult(Verdict.EXHAUSTED, None, SearchStats(0, 0, 0))
-    packed = _Packed(v, bound, chains=True)
     if packed.src == packed.tgt:
         return ReachResult(Verdict.FOUND, None, SearchStats(0, 1, 0))
     verdict, _visited, stats = _explore(packed, packed.tgt, budget.max_configs)
@@ -326,8 +396,8 @@ def shortest_halting(
         for key in frontier:
             for pd, checks, tix in adj[key & smask]:
                 nk = key + pd
-                for sh in checks:
-                    if ((nk >> sh) & cmask) > bound:
+                for sh, cap in checks:
+                    if ((nk >> sh) & cmask) > cap:
                         break
                 else:
                     if nk in parent:
@@ -349,11 +419,13 @@ def shortest_halting(
 
 def _trace_run(v: Vass, packed: _Packed, parent: dict[int, int]) -> Run:
     steps: list[Transition] = []
+    index = packed.index
     key = packed.tgt
     while key != packed.src:
         tix = parent[key]
-        steps.append(v.transitions[tix])
-        key -= packed.deltas[tix]
+        t = v.transitions[tix]
+        steps.append(t)
+        key -= packed._move(t.delta, index[t.src], index[t.dst], tix)[0]
     steps.reverse()
     return Run(v.source, tuple(steps))
 

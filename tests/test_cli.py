@@ -45,6 +45,12 @@ class TestGenerate:
         assert code == 2
         assert "weak" in err
 
+    def test_halt_inside_for_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "p.cp"
+        path.write_text("counters x\ninit\nfor i := 1 to 2\n  x += 1\n  halt x\nendfor\n")
+        code, out, err = run_cli(capsys, "expand", str(path))
+        assert (code, out, err) == (2, "", "vasskit: line 5: halt inside for body\n")
+
 
 class TestPipeline:
     def test_gen_compile_expand_solve(self, capsys, tmp_path, monkeypatch):

@@ -57,6 +57,30 @@ class TestParse:
         with pytest.raises(ParseError, match="halt"):
             parse("counters x\ninit\nhalt x\nx += 1\n")
 
+    @pytest.mark.parametrize("head, end", [
+        ("loop", "endloop"), ("for i := 1 to 2", "endfor"), ("if bit(6, 1) = 1 then", "endif"),
+    ])
+    def test_halt_inside_block_names_its_own_line(self, head, end):
+        kind = head.split()[0]
+        with pytest.raises(ParseError, match=rf"^line 5: halt inside {kind} body$") as err:
+            parse(f"counters x\ninit\n{head}\n  x += 1\n  halt x\n{end}\n")
+        assert err.value.line == 5
+        # a labelled halt, and one inside a nested block, name the halt too
+        with pytest.raises(ParseError, match=rf"^line 4: halt inside {kind} body$"):
+            parse(f"counters x\ninit\n{head}\n  stop: halt x\n{end}\n")
+        with pytest.raises(ParseError, match=r"^line 5: halt inside loop body$"):
+            parse(f"counters x\ninit\n{head}\n  loop\n    halt x\n  endloop\n{end}\n")
+
+    @pytest.mark.parametrize("head, end", [
+        ("loop", "endloop"), ("for i := 1 to 2", "endfor"), ("if bit(6, 1) = 1 then", "endif"),
+    ])
+    def test_unclosed_block_names_its_head(self, head, end):
+        # the first block is closed; the one opened on line 7 is not
+        text = f"counters x\ninit\nx += 1\nloop\n  x -= 1\nendloop\n{head}\n  x += 1\n"
+        with pytest.raises(ParseError, match=rf"^line 7: missing {end}$") as err:
+            parse(text)
+        assert err.value.line == 7
+
     def test_syntax_error_has_position(self):
         with pytest.raises(ParseError) as err:
             parse("counters x\nx ?= 1\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from collections import deque
@@ -27,6 +28,7 @@ from vasskit.search import (
     DrainLoop,
     SearchBudget,
     SearchStats,
+    ReachResult,
     Verdict,
     count_halting_runs,
     final_vectors,
@@ -35,7 +37,10 @@ from vasskit.search import (
     replay_canonical,
     run_from_indices,
     shortest_halting,
+    _explore,
+    _Packed,
     _Replay,
+    _target_caps,
 )
 from vasskit.vass import Configuration, Run, RunReport, Transition, Vass, validate_run
 
@@ -935,6 +940,122 @@ class TestChains:
                     assert chains.stats.expanded <= stored_configs(v, budget)
                 seen.add(chains.verdict)
         assert seen == {Verdict.FOUND, Verdict.EXHAUSTED}
+
+
+def ref_coreachable(v, bound):
+    """Every configuration within the bound from which the target can be
+    reached within the bound: a brute-force backward search from the target
+    over the reference successors of every configuration in the box."""
+    tgt = (v.target.state, v.target.vector)
+    if max(v.target.vector, default=0) > bound:
+        return set()
+    successors = _ref_successors(v, bound)
+    preds = {}
+    for state in v.states:
+        for vec in itertools.product(range(bound + 1), repeat=v.dimension):
+            for _tix, nxt in successors((state, vec)):
+                preds.setdefault(nxt, []).append((state, vec))
+    seen = {tgt}
+    todo = [tgt]
+    while todo:
+        for cfg in preds.get(todo.pop(), ()):
+            if cfg not in seen:
+                seen.add(cfg)
+                todo.append(cfg)
+    return seen
+
+
+def cap_rejects(caps, index, cfg):
+    state, vec = cfg
+    cap = caps[index[state]]
+    return cap is None or any(x > c for x, c in zip(vec, cap))
+
+
+class TestTargetCaps:
+    """halting_reachable drops configurations that cannot reach the target:
+    those at states with no path to the target state, and those holding more
+    than the target value in a counter nothing on such a path decreases."""
+
+    @staticmethod
+    def check_sound(v, bound):
+        """The cap rule rejects no configuration that can reach the target,
+        every configuration the pruned search stores passes it, and the
+        verdict is the reference's.  Returns the caps by state."""
+        index = {s: i for i, s in enumerate(v.states)}
+        caps = _target_caps(v, index, bound)
+        for cfg in ref_coreachable(v, bound):
+            assert not cap_rejects(caps, index, cfg), cfg
+        budget = SearchBudget(bound, 1_000_000)
+        assert halting_reachable(v, budget).verdict == ref_shortest(v, budget)[0]
+        source = (v.source.state, v.source.vector)
+        if not cap_rejects(caps, index, source):
+            # exhaust the pruned chain search (no configuration is the target)
+            packed = _Packed(v, bound, chains=True, prune=True)
+            _verdict, stored, _stats = _explore(packed, -1, budget.max_configs)
+            for key in stored:
+                vec = tuple((key >> sh) & packed.cmask for sh in packed.shifts)
+                assert not cap_rejects(caps, index, (v.states[key & packed.smask], vec))
+        return dict(zip(v.states, caps))
+
+    def test_random_vass(self):
+        rng = random.Random(20260118)
+        rejected = {"dead": 0, "capped": 0}
+        for _ in range(300):
+            for v in (random_vass(rng), random_dag_vass(rng)):
+                bound = rng.randint(0, 4)
+                caps = self.check_sound(v, bound).values()
+                rejected["dead"] += sum(cap is None for cap in caps)
+                rejected["capped"] += sum(c < bound for cap in caps if cap for c in cap)
+        # the corpus exercises both halves of the rule
+        assert min(rejected.values()) > 50
+
+    def test_state_that_cannot_reach_the_target_state(self):
+        # r pumps x forever but never leads to q
+        v = Vass(1, ("p", "q", "r"), (
+            Transition("p", (1,), "r"), Transition("r", (1,), "r"),
+            Transition("p", (1,), "q"), Transition("q", (-1,), "q"),
+        ), Configuration("p", (0,)), Configuration("q", (0,)))
+        for bound in (1, 3):
+            assert self.check_sound(v, bound) == {"p": (bound,), "q": (bound,), "r": None}
+        # r's configurations are never stored
+        assert halting_reachable(v, SearchBudget(3)).stats == SearchStats(2, 1, 2)
+        # a source at a state that cannot reach the target is rejected at once
+        dead = replace(v, source=Configuration("r", (0,)))
+        assert halting_reachable(dead, SearchBudget(3)) == ReachResult(
+            Verdict.EXHAUSTED, None, SearchStats(0, 0, 0)
+        )
+
+    def test_self_loop_at_the_target_state(self):
+        # only the target state's own self-loop brings x back down to 0
+        v = Vass(1, ("p", "q"), (Transition("p", (3,), "q"), Transition("q", (-1,), "q")),
+                 Configuration("p", (0,)), Configuration("q", (0,)))
+        assert self.check_sound(v, 3) == {"p": (3,), "q": (3,)}
+        assert halting_reachable(v, SearchBudget(3)).verdict == Verdict.FOUND
+
+    def test_counter_that_only_increments_after_a_branch(self):
+        # p pumps x; through a, x comes back down, through b it never does
+        v = Vass(2, ("p", "a", "b", "t"), (
+            Transition("p", (1, 0), "p"),
+            Transition("p", (0, 0), "a"), Transition("a", (-1, 1), "t"),
+            Transition("p", (0, 1), "b"),
+            Transition("b", (1, 0), "t"), Transition("b", (0, 0), "t"),
+        ), Configuration("p", (0, 0)), Configuration("t", (2, 1)))
+        bound = 4
+        caps = {"p": (4, 1), "a": (4, 1), "b": (2, 1), "t": (2, 1)}
+        assert self.check_sound(v, bound) == caps
+        # the move p -> b leaves x alone but must still check it: b is
+        # entered with x <= 2 only, so (b, (3, 1)) is never stored
+        assert halting_reachable(v, SearchBudget(bound)) == ReachResult(
+            Verdict.FOUND, None, SearchStats(7, 4, 3)
+        )
+
+    def test_np_search_keeps_only_live_configurations(self):
+        # a per-chain search without the rule stores 458,748 configurations
+        program, meta = gen_np(NpInstance(3, (3,)))
+        v = compile_counter_program(program).vass
+        res = halting_reachable(v, SearchBudget(meta.search_bound, 1_000_000))
+        assert res.verdict == Verdict.FOUND
+        assert res.stats.expanded <= 1_000
 
 
 def test_halting_reachable_source_is_target_has_no_run():
