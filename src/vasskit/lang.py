@@ -223,7 +223,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<num>\d+)
-  | (?P<op>:=|\+=|-=|!=|<=|>=|[-+*^():=,])
+  | (?P<op>:=|\+=|-=|!=|<=|>=|<|>|[-+*^():=,])
   | (?P<ws>\s+)
   | (?P<bad>.)
     """,

@@ -24,17 +24,18 @@ every configuration, so they step one transition at a time and their
 takes a depth cap, `max_depth`, which caps the length of the runs it finds.
 
 Each move checks the counter fields it must against a cap per field.  In
-every search but `halting_reachable` the cap is the bound.
-`halting_reachable` tightens it with a rule that depends on the target
-(`_target_caps`): it drops configurations at states with no path to the
-target state, and configurations holding more than the target value in a
-counter that no transition on such a path decreases, since along any run
-from there that counter only grows.  No configuration that can reach the
-target is dropped, so its verdicts stay exact; its stats count only the
-configurations that pass the rule, and a drop is not a bound rejection.
-The other searches keep the plain bound: `shortest_halting` prints its
-stats, `count_halting_runs` must still see cycles among configurations that
-cannot halt, and the collections have no target.
+most searches the cap is the bound.  `halting_reachable` tightens it with a
+rule that depends on the target (`_target_caps`): it drops configurations
+at states with no path to the target state, and configurations holding more
+than the target value in a counter that no transition on such a path
+decreases, since along any run from there that counter only grows.  No
+configuration that can reach the target is dropped, so its verdicts stay
+exact; its stats count only the configurations that pass the rule, and a
+drop is not a bound rejection.  `count_halting_runs` applies the same rule
+when `acyclic_configurations` proves that no run repeats a configuration;
+on any other VASS it must still see cycles among configurations that
+cannot halt, so it keeps the plain bound.  `shortest_halting` keeps it too,
+because it prints its stats, and the collections have no target.
 
 Search is deterministic: successors are expanded in the canonical transition
 order of the Vass and results (including shortest-run tie-breaking and stats)
@@ -54,7 +55,7 @@ from .compiler import CompiledProgram
 from .errors import BudgetExceededError, ConfigCycleError, PolicyStuckError
 from .expand import FlatProgram, LoopSpan
 from .lang import Add, Goto, Halt, Init, Sub
-from .vass import Configuration, Run, Transition, Vass
+from .vass import Configuration, Run, Transition, Vass, acyclic_configurations
 
 
 class Verdict(str, Enum):
@@ -184,6 +185,11 @@ class _Packed:
                 continue
             checks.append((shift, cap))
         return pd, tuple(checks), tix
+
+    def admits(self, cfg: Configuration) -> bool:
+        """Whether cfg is within the caps of its state."""
+        caps = self.caps[self.index[cfg.state]]
+        return caps is not None and all(x <= c for x, c in zip(cfg.vector, caps))
 
     def encode(self, cfg: Configuration) -> int:
         key = self.index[cfg.state]
@@ -346,8 +352,7 @@ def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
     needs a larger `max_configs` to exhaust the space; when `max_configs`
     cuts a search, the two may stop at different points."""
     packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
-    caps = packed.caps[packed.index[v.source.state]]
-    if caps is None or any(x > c for x, c in zip(v.source.vector, caps)):
+    if not packed.admits(v.source):
         return ReachResult(Verdict.EXHAUSTED, None, SearchStats(0, 0, 0))
     if packed.src == packed.tgt:
         return ReachResult(Verdict.FOUND, None, SearchStats(0, 1, 0))
@@ -490,8 +495,11 @@ def final_vectors(
     it is a cut and every configuration at it ends a chain.  `max_configs`
     counts the chain-end configurations stored, a subset of what
     reachable_configs stores, so it never needs a larger budget to finish.
-    Raises BudgetExceededError as reachable_configs does."""
+    Raises BudgetExceededError as reachable_configs does, and ValueError
+    if `at_state` is not a state of v."""
     state = at_state if at_state is not None else v.target.state
+    if state not in v.states:
+        raise ValueError(f"at_state {state!r} is not a state of the VASS")
     if max(v.source.vector, default=0) > budget.counter_bound:
         return frozenset()
     packed, visited = _reach_keys(v, budget, frozenset({state}), chains=True)
@@ -502,7 +510,8 @@ def final_vectors(
 
 
 def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -> int:
-    """Number of distinct halting paths within the bound, saturated at `cutoff`.
+    """Number of distinct halting paths within the bound, saturated at
+    `cutoff`, which must be at least 1.
 
     The bounded configuration graph must be acyclic (a cycle would make some
     counts infinite); a back edge raises ConfigCycleError.  This is a bounded
@@ -511,15 +520,25 @@ def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -
     The depth-first search steps along maximal deterministic chains, as in
     halting_reachable.  Chains are deterministic and the target state is a
     cut, so halting paths map one to one onto chain paths, and a cycle of
-    configurations shows up as a cycle among chain ends.  `max_configs`
-    counts the chain-end configurations stored, a subset of every reachable
-    configuration, so it never needs a larger budget to finish than a
-    per-transition search would.
+    configurations shows up as a cycle among chain ends.
+
+    When `acyclic_configurations` certifies that no run of v repeats a
+    configuration, no search could meet a cycle, so the count also drops
+    every configuration that cannot reach the target, as halting_reachable
+    does (see `_target_caps`).  Such a configuration lies on no halting
+    path, so counts stay exact.  Every other VASS is searched in full, so
+    that any cycle within the bound, even among configurations that cannot
+    halt, raises ConfigCycleError.
+
+    `max_configs` counts the chain-end configurations stored, a subset of
+    every reachable configuration, so it never needs a larger budget to
+    finish than a per-transition search would.
     """
-    bound = budget.counter_bound
-    if max(v.source.vector, default=0) > bound:
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    packed = _Packed(v, budget.counter_bound, chains=True, prune=acyclic_configurations(v))
+    if not packed.admits(v.source):
         return 0
-    packed = _Packed(v, bound, chains=True)
     successors = packed.successors
     src, tgt = packed.src, packed.tgt
     max_configs = budget.max_configs

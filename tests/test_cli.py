@@ -52,6 +52,14 @@ class TestGenerate:
         assert (code, out, err) == (2, "", "vasskit: line 5: halt inside for body\n")
 
 
+    @pytest.mark.parametrize("cond", ["1 < 2", "2 > 1"])
+    def test_strict_comparison_expands(self, capsys, tmp_path, cond):
+        path = tmp_path / "p.cp"
+        path.write_text(f"counters x\ninit\nif {cond} then\n  x += 1\nendif\nhalt x\n")
+        code, out, err = run_cli(capsys, "expand", str(path))
+        assert (code, out, err) == (0, "counters x\n1: init\n2: x += 1\n3: halt x\n", "")
+
+
 class TestPipeline:
     def test_gen_compile_expand_solve(self, capsys, tmp_path, monkeypatch):
         import io

@@ -3,7 +3,7 @@ import pytest
 from vasskit.errors import ExpansionError, ParseError
 from vasskit.expand import LoopSpan, expand, pretty_print_flat
 from vasskit.lang import (
-    Add, BinOp, BitTest, Compare, CounterProgram, For, Goto, Halt, Init,
+    Add, BinOp, BitTest, Compare, CounterProgram, For, Goto, Halt, If, Init,
     Labeled, Lit, Loop, Pow, Sub, Var, eval_cond, eval_expr, parse, pretty_print,
 )
 
@@ -156,6 +156,17 @@ class TestPrettyPrint:
         p = parse(text)
         assert pretty_print(p) == text
         assert parse(pretty_print(p)) == p
+
+    @pytest.mark.parametrize("left, op, right, taken", [
+        (1, "<", 2, True), (2, ">", 1, True), (2, "<", 1, False), (1, ">", 2, False),
+    ])
+    def test_strict_comparisons(self, left, op, right, taken):
+        text = f"counters x\ninit\nif {left} {op} {right} then\n  x += 1\nendif\nhalt x\n"
+        p = parse(text)
+        assert p.body[1] == If(Compare(op, Lit(left), Lit(right)), (Add("x", Lit(1)),))
+        assert pretty_print(p) == text
+        assert parse(pretty_print(p)) == p
+        assert expand(p).lines == (Init(), *[Add("x", 1)] * taken, Halt(("x",)))
 
     def test_expression_parenthesization_survives(self):
         p = parse("counters x\nx += 2 * (3 + 4)\nx += 2 - (3 - 4)\nx += 2^(1+1)\n")

@@ -1,7 +1,7 @@
 import itertools
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -42,7 +42,9 @@ from vasskit.search import (
     _Replay,
     _target_caps,
 )
-from vasskit.vass import Configuration, Run, RunReport, Transition, Vass, validate_run
+from vasskit.vass import (
+    Configuration, Run, RunReport, Transition, Vass, acyclic_configurations, is_flat, validate_run,
+)
 
 
 def iddfs_shortest(v, bound, max_len):
@@ -156,6 +158,11 @@ class TestShortestHalting:
 
 
 class TestFinalValues:
+    def test_unknown_state_is_named(self):
+        v = compile_counter_program(gen_exp_fixed(1, 1)).vass
+        with pytest.raises(ValueError, match="'nowhere' is not a state"):
+            final_vectors(v, SearchBudget(3), at_state="nowhere")
+
     def test_weak_values(self):
         for b, want_max in ((1, 1), (2, 2)):
             compiled = compile_counter_program(gen_weak(b))
@@ -222,6 +229,10 @@ class TestCountHaltingRuns:
         v = compile_counter_program(parse(diamond)).vass
         assert count_halting_runs(v, SearchBudget(3)) == 4
         assert count_halting_runs(v, SearchBudget(3), cutoff=3) == 3
+        # a count saturated at cutoff < 1 could read as the on-stack marker
+        for cutoff in (0, -1):
+            with pytest.raises(ValueError, match="cutoff"):
+                count_halting_runs(v, SearchBudget(3), cutoff=cutoff)
 
     def test_cycle_detected(self):
         # a zero-effect control cycle that can still reach the target
@@ -662,6 +673,35 @@ def random_dag_vass(rng):
     return Vass(dim, states, tuple(transitions), source, target)
 
 
+def random_flat_vass(rng):
+    """A flat VASS: components in a row, each one state or one simple cycle,
+    a cycle with zero net effect about a third of the time, and transitions
+    between components only from earlier ones to later ones."""
+    dim = rng.randint(0, 2)
+    comps = [
+        [f"c{c}s{i}" for i in range(rng.randint(1, 3))] for c in range(rng.randint(1, 4))
+    ]
+    transitions = []
+    for comp in comps:
+        if len(comp) == 1 and rng.random() < 0.3:
+            continue  # a trivial component
+        deltas = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in comp]
+        if rng.random() < 0.35:
+            deltas[-1] = tuple(-sum(d[i] for d in deltas[:-1]) for i in range(dim))
+        for a, b, d in zip(comp, comp[1:] + comp[:1], deltas):
+            transitions.append(Transition(a, d, b))
+    for _ in range(rng.randint(0, 6)):
+        i = rng.randrange(len(comps))
+        j = rng.randrange(i, len(comps))
+        if i < j:
+            delta = tuple(rng.randint(-2, 2) for _ in range(dim))
+            transitions.append(Transition(rng.choice(comps[i]), delta, rng.choice(comps[j])))
+    states = tuple(s for comp in comps for s in comp)
+    source = Configuration(rng.choice(states), tuple(rng.randint(0, 3) for _ in range(dim)))
+    target = Configuration(rng.choice(states), tuple(rng.randint(0, 3) for _ in range(dim)))
+    return Vass(dim, states, tuple(transitions), source, target)
+
+
 def random_budget(rng):
     """A node budget, and a depth cap for shortest_halting alone."""
     budget = SearchBudget(rng.randint(0, 5), rng.choice((1, 2, 5, 20, 1_000_000)))
@@ -1064,3 +1104,109 @@ def test_halting_reachable_source_is_target_has_no_run():
     assert res.verdict == Verdict.FOUND
     assert res.run is None
     assert res.stats == SearchStats(0, 1, 0)
+
+
+def ref_has_cycle(v, bound):
+    """Whether a configuration cycle within the bound is reachable from the
+    source vector at any state: the reference count meets a back edge."""
+    for state in v.states:
+        try:
+            ref_count(replace(v, source=replace(v.source, state=state)),
+                      SearchBudget(bound), 1_000_000)
+        except ConfigCycleError:
+            return True
+    return False
+
+
+class TestAcyclicConfigurations:
+    """`acyclic_configurations` certifies that no run repeats a
+    configuration, and count_halting_runs then drops the configurations
+    that cannot reach the target."""
+
+    @staticmethod
+    def corpus(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            for make in (random_vass, random_dag_vass, random_flat_vass):
+                yield make, make(rng)
+
+    def test_sound_against_brute_force(self):
+        seen = Counter()
+        for make, v in self.corpus(20261018):
+            if make is random_flat_vass:
+                assert is_flat(v).is_flat
+            certified = acyclic_configurations(v)
+            cycle = any(ref_has_cycle(v, bound) for bound in range(6))
+            assert not (certified and cycle), v
+            seen[make.__name__, certified, cycle] += 1
+        # flat members with and without zero-effect cycles, and the other
+        # generators both ways
+        for name in ("random_vass", "random_flat_vass"):
+            assert seen[name, True, False] and seen[name, False, True]
+        assert seen["random_dag_vass", True, False]
+
+    def test_count_equals_reference_when_certified(self):
+        rng = random.Random(11)
+        counts = Counter()
+        for _make, v in self.corpus(20261019):
+            if not acyclic_configurations(v):
+                continue
+            for bound in range(6):
+                budget = SearchBudget(bound)
+                cutoff = rng.choice((1, 2, 1_000_000))
+                want = ref_count(v, budget, cutoff)
+                assert count_halting_runs(v, budget, cutoff) == want
+                counts[min(want, 2)] += 1
+        assert min(counts.values()) > 20  # no runs, one run, several runs
+
+    def test_count_equals_reference_on_exp_family(self):
+        for n, x0 in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)):
+            v = compile_counter_program(gen_exp_fixed(n, x0)).vass
+            assert acyclic_configurations(v)
+            budget = SearchBudget((n + 2) * x0, 1_000_000)
+            want = ref_count(v, budget, 1_000_000)
+            assert want == (x0 % divisibility_threshold(n) == 0)
+            assert count_halting_runs(v, budget) == want
+
+    def test_pruned_count_fits_a_smaller_budget(self):
+        # the full chain search stores 102,979 configurations here
+        v = compile_counter_program(gen_exp_fixed(4, 24)).vass
+        assert count_halting_runs(v, SearchBudget(144, 50_000)) == 1
+
+    def test_zero_effect_self_loop(self):
+        v = Vass(1, ("p", "q"), (Transition("p", (0,), "p"), Transition("p", (0,), "q")),
+                 Configuration("p", (0,)), Configuration("q", (0,)))
+        assert not acyclic_configurations(v)
+        with pytest.raises(ConfigCycleError):
+            count_halting_runs(v, SearchBudget(3))
+
+    def test_non_flat_is_not_certified(self):
+        # every cycle through p moves x, but p lies on two of them
+        v = Vass(1, ("p", "q"), (
+            Transition("p", (1,), "p"), Transition("p", (1,), "q"), Transition("q", (1,), "p"),
+        ), Configuration("p", (0,)), Configuration("q", (3,)))
+        assert not is_flat(v).is_flat
+        assert not acyclic_configurations(v)
+        assert count_halting_runs(v, SearchBudget(3)) == ref_count(v, SearchBudget(3), 9) == 2
+
+    def test_cycle_without_counters_is_not_certified(self):
+        v = Vass(0, ("p", "q"), (Transition("p", (), "q"), Transition("q", (), "p")),
+                 Configuration("p", ()), Configuration("q", ()))
+        assert is_flat(v).is_flat
+        assert not acyclic_configurations(v)
+        with pytest.raises(ConfigCycleError):
+            count_halting_runs(v, SearchBudget(0))
+        # without the cycle there is nothing to repeat
+        assert acyclic_configurations(replace(v, transitions=v.transitions[:1]))
+
+    def test_nonzero_self_loop_is_certified(self):
+        # r can never reach q: its configurations are dropped, not counted
+        v = Vass(1, ("p", "q", "r"), (
+            Transition("p", (1,), "p"), Transition("p", (-2,), "q"), Transition("p", (0,), "r"),
+        ), Configuration("p", (0,)), Configuration("q", (1,)))
+        assert acyclic_configurations(v)
+        for bound in range(5):
+            budget = SearchBudget(bound)
+            assert count_halting_runs(v, budget) == ref_count(v, budget, 9) == (bound >= 3)
+        # a source outside its caps counts no runs
+        assert count_halting_runs(replace(v, source=Configuration("r", (0,))), budget) == 0
