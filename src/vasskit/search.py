@@ -11,17 +11,20 @@ per touched counter.  Runs, `(state, vector)` collections and counts are
 decoded from packed keys only when a result is returned, and a collection
 decodes each distinct counter vector once, sharing its tuple between states.
 
-`halting_reachable`, `final_vectors` and `count_halting_runs` run on chain
-adjacency: each successor step follows a maximal deterministic chain of
-transitions, split wherever a counter would change direction, and only the
-configurations where chains start or end are stored.  Their answers never
-lie inside a chain (the target state and the collected state are always
-cuts), so they are exact; their `max_configs` counts those chain-end
-configurations, and `halting_reachable`'s stats count them and chain
-levels.  `shortest_halting` and `reachable_configs` need per-step levels or
-every configuration, so they step one transition at a time and their
-`max_configs` counts every configuration stored.  Only `shortest_halting`
-takes a depth cap, `max_depth`, which caps the length of the runs it finds.
+`shortest_halting`, `halting_reachable`, `reachable_configs` and
+`final_vectors` each run the one breadth-first search, `_explore`, and
+decode what it stored; `count_halting_runs` is a depth-first search.  Only
+the kernel handles the source checks, the depth cap of `shortest_halting`
+and the node budget, by one rule: a new configuration is checked against
+`max_configs`, then stored, then tested against the target.
+
+`halting_reachable`, `final_vectors` and `count_halting_runs` step along
+maximal deterministic chains of transitions, split wherever a counter would
+change direction, and store (and count in `max_configs`) only the
+configurations where chains start or end; the target state and the
+collected state are always cuts, so their answers are exact.  The other
+two need per-step levels or every configuration, so they step one
+transition at a time.
 
 Each move checks the counter fields it must against a cap per field.  In
 most searches the cap is the bound.  `halting_reachable` tightens it with a
@@ -39,16 +42,14 @@ because it prints its stats, and the collections have no target.
 
 Search is deterministic: successors are expanded in the canonical transition
 order of the Vass and results (including shortest-run tie-breaking and stats)
-are reproducible.  The breadth-first searches are level-synchronous and
-report stats with one meaning: `depth` is the number of levels expanded
-(a level cut off part-way counts) and `frontier_peak` the size of the
-largest level generated in full, where a level is one transition or, for
-chain adjacency, one chain.
+are reproducible.  Stats are the kernel's (see `_explore`), except that
+`halting_reachable` reports as `expanded` the configurations it stored,
+less a target just found.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .compiler import CompiledProgram
@@ -165,9 +166,10 @@ class _Packed:
                 s, dst = index[t.src], index[t.dst]
                 if t.src not in absorbing and caps[dst] is not None:
                     self.adj[s].append(self._move(t.delta, s, dst, tix))
-        self.src = self.encode(v.source)
-        # a target above the bound is unreachable, and its fields could alias
-        self.tgt = self.encode(v.target) if max(v.target.vector, default=0) <= bound else -1
+        # a configuration outside its state's caps could overflow its fields:
+        # such a source is never searched, and such a target never reached
+        self.src = self.encode(v.source) if self.admits(v.source) else None
+        self.tgt = self.encode(v.target) if self.admits(v.target) else -1
 
     def _move(
         self, delta: tuple[int, ...], src: int, dst: int, tix: int
@@ -295,40 +297,63 @@ def _target_caps(v: Vass, index: dict[str, int], bound: int) -> list[tuple[int, 
     ]
 
 
-def _explore(packed: _Packed, tgt: int, max_configs: int) -> tuple[Verdict, set[int], SearchStats]:
-    """Breadth-first search from the source for `tgt`, recording only the
-    visited set.  Its stats count `expanded` as visited-set size."""
+def _explore(
+    packed: _Packed, tgt: int, max_configs: int, max_depth: int | None = None
+) -> tuple[Verdict, dict[int, int], SearchStats]:
+    """The breadth-first search, level by level from the source, for the
+    packed key `tgt` (-1 to exhaust the space).  Returns the verdict, each
+    stored key mapped to the index of the first transition of the move that
+    first reached it (-1 for the source), and stats.
+
+    A source outside its state's caps stores nothing: EXHAUSTED, stats
+    (0, 0, 0).  A source that is the target is FOUND, stats (0, 1, 0).  A
+    new key is checked against the node budget, then stored, then tested
+    against the target.  `max_depth` caps the levels expanded.  `expanded`
+    counts the keys whose successors were generated, `depth` the levels
+    expanded (a level cut off part-way counts) and `frontier_peak` the
+    largest level generated in full, a level being one move."""
+    src = packed.src
+    if src is None:
+        return Verdict.EXHAUSTED, {}, SearchStats(0, 0, 0)
+    stored = {src: -1}
+    if src == tgt:
+        return Verdict.FOUND, stored, SearchStats(0, 1, 0)
     adj = packed.adj
     smask = packed.smask
     cmask = packed.cmask
-    src = packed.src
-    visited = {src}
     frontier = [src]
+    expanded = 0  # over completed levels
     depth = 0
     peak = 1
     while frontier:
+        if depth == max_depth:
+            return Verdict.BUDGET_EXCEEDED, stored, SearchStats(expanded, peak, depth)
         depth += 1
         nxt: list[int] = []
         for key in frontier:
-            for pd, checks, _tix in adj[key & smask]:
+            for pd, checks, tix in adj[key & smask]:
                 nk = key + pd
                 for sh, cap in checks:
                     if ((nk >> sh) & cmask) > cap:
                         break
                 else:
-                    if nk in visited:
+                    if nk in stored:
                         continue
-                    if nk == tgt:
-                        return Verdict.FOUND, visited, SearchStats(len(visited), peak, depth)
-                    if len(visited) >= max_configs:
-                        stats = SearchStats(len(visited), peak, depth)
-                        return Verdict.BUDGET_EXCEEDED, visited, stats
-                    visited.add(nk)
-                    nxt.append(nk)
+                    if len(stored) >= max_configs:
+                        verdict = Verdict.BUDGET_EXCEEDED
+                    else:
+                        stored[nk] = tix
+                        if nk != tgt:
+                            nxt.append(nk)
+                            continue
+                        verdict = Verdict.FOUND
+                    stats = SearchStats(expanded + frontier.index(key) + 1, peak, depth)
+                    return verdict, stored, stats
+        expanded += len(frontier)
         frontier = nxt
         if len(frontier) > peak:
             peak = len(frontier)
-    return Verdict.EXHAUSTED, visited, SearchStats(len(visited), peak, depth)
+    return Verdict.EXHAUSTED, stored, SearchStats(expanded, peak, depth)
 
 
 def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
@@ -346,18 +371,15 @@ def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
     the target state decreases; that counter can only grow from there.  The
     rule rejects no configuration that can reach the target, so verdicts stay
     exact, and it is not a bound rejection.  `stats.expanded` counts the
-    stored configurations, which pass the rule, and `depth` and
-    `frontier_peak` count chain levels.  It stores a subset of the
-    configurations an exhaustive per-transition search stores, so it never
-    needs a larger `max_configs` to exhaust the space; when `max_configs`
-    cuts a search, the two may stop at different points."""
+    stored configurations, which pass the rule, not counting a target just
+    found, and `depth` and `frontier_peak` count chain levels.  It stores a
+    subset of the configurations an exhaustive per-transition search
+    stores, so it never needs a larger `max_configs` to exhaust the space;
+    when `max_configs` cuts a search, the two may stop at different points."""
     packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
-    if not packed.admits(v.source):
-        return ReachResult(Verdict.EXHAUSTED, None, SearchStats(0, 0, 0))
-    if packed.src == packed.tgt:
-        return ReachResult(Verdict.FOUND, None, SearchStats(0, 1, 0))
-    verdict, _visited, stats = _explore(packed, packed.tgt, budget.max_configs)
-    return ReachResult(verdict, None, stats)
+    verdict, stored, stats = _explore(packed, packed.tgt, budget.max_configs)
+    found = verdict == Verdict.FOUND
+    return ReachResult(verdict, None, replace(stats, expanded=len(stored) - found))
 
 
 def shortest_halting(
@@ -373,56 +395,15 @@ def shortest_halting(
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    bound = budget.counter_bound
-    if max(v.source.vector, default=0) > bound:
-        return ReachResult(Verdict.EXHAUSTED, None, SearchStats(0, 0, 0))
-    packed = _Packed(v, bound)
-    src, tgt = packed.src, packed.tgt
-    if src == tgt:
-        return ReachResult(Verdict.FOUND, Run(v.source, ()), SearchStats(0, 1, 0))
-    adj = packed.adj
-    smask = packed.smask
-    cmask = packed.cmask
-    max_configs = budget.max_configs
-    # configuration -> index of the transition that first reached it; the
-    # parent configuration is the key minus that transition's packed delta
-    parent = {src: -1}
-    frontier = [src]
-    expanded = 0  # over completed levels
-    depth = 0
-    peak = 1
-    while frontier:
-        depth += 1
-        if max_depth is not None and depth > max_depth:
-            return ReachResult(
-                Verdict.BUDGET_EXCEEDED, None, SearchStats(expanded, peak, depth - 1)
-            )
-        nxt: list[int] = []
-        for key in frontier:
-            for pd, checks, tix in adj[key & smask]:
-                nk = key + pd
-                for sh, cap in checks:
-                    if ((nk >> sh) & cmask) > cap:
-                        break
-                else:
-                    if nk in parent:
-                        continue
-                    if len(parent) >= max_configs:
-                        stats = SearchStats(expanded + frontier.index(key) + 1, peak, depth)
-                        return ReachResult(Verdict.BUDGET_EXCEEDED, None, stats)
-                    parent[nk] = tix
-                    if nk == tgt:
-                        stats = SearchStats(expanded + frontier.index(key) + 1, peak, depth)
-                        return ReachResult(Verdict.FOUND, _trace_run(v, packed, parent), stats)
-                    nxt.append(nk)
-        expanded += len(frontier)
-        frontier = nxt
-        if len(frontier) > peak:
-            peak = len(frontier)
-    return ReachResult(Verdict.EXHAUSTED, None, SearchStats(expanded, peak, depth))
+    packed = _Packed(v, budget.counter_bound)
+    verdict, parent, stats = _explore(packed, packed.tgt, budget.max_configs, max_depth)
+    run = _trace_run(v, packed, parent) if verdict == Verdict.FOUND else None
+    return ReachResult(verdict, run, stats)
 
 
 def _trace_run(v: Vass, packed: _Packed, parent: dict[int, int]) -> Run:
+    """The run to the target that `_explore`'s parent map records: each key
+    less the packed delta of the transition that reached it is its parent."""
     steps: list[Transition] = []
     index = packed.index
     key = packed.tgt
@@ -437,15 +418,19 @@ def _trace_run(v: Vass, packed: _Packed, parent: dict[int, int]) -> Run:
 
 def _reach_keys(
     v: Vass, budget: SearchBudget, absorbing: frozenset[str], chains: bool
-) -> tuple[_Packed, set[int]]:
-    """The packed configurations a search from the source stores, within the
-    bound, which the source must be within; raises BudgetExceededError if
-    the node budget is hit before exhaustion."""
+) -> tuple[_Packed, dict[int, int]]:
+    """The packed configurations a search from the source stores within the
+    bound (none if the source is above it).  Raises ValueError naming a
+    state in `absorbing` that v lacks, and BudgetExceededError if the node
+    budget is hit before exhaustion."""
+    unknown = absorbing.difference(v.states)
+    if unknown:
+        raise ValueError(f"absorbing state {min(unknown)!r} is not a state of the VASS")
     packed = _Packed(v, budget.counter_bound, absorbing, chains)
-    verdict, visited, _stats = _explore(packed, -1, budget.max_configs)
+    verdict, stored, _stats = _explore(packed, -1, budget.max_configs)
     if verdict == Verdict.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"reachable-set exploration exceeded its budget: {budget}")
-    return packed, visited
+    return packed, stored
 
 
 def reachable_configs(
@@ -456,21 +441,20 @@ def reachable_configs(
     States in `absorbing` are not expanded (their configurations are still
     collected), which is how halt-completion drains are kept out of
     "values on arrival" collections.  Raises BudgetExceededError if the node
-    budget is hit before exhaustion.
+    budget is hit before exhaustion, and ValueError if a state in
+    `absorbing` is not a state of v.
 
     Each distinct counter vector is decoded once, and every state holding
     it shares that one tuple: compiled programs have many goto and no-op
     lines, whose configurations repeat their neighbours' vectors.
     """
-    out: dict[str, set[tuple[int, ...]]] = {}
-    if max(v.source.vector, default=0) > budget.counter_bound:
-        return out
-    packed, visited = _reach_keys(v, budget, absorbing, chains=False)
+    packed, stored = _reach_keys(v, budget, absorbing, chains=False)
     states, sbits, smask, cmask = v.states, packed.sbits, packed.smask, packed.cmask
     # field shifts within the counter part of a key, `key >> sbits`
     shifts = [sh - sbits for sh in packed.shifts]
     vectors: dict[int, tuple[int, ...]] = {}
-    for key in visited:
+    out: dict[str, set[tuple[int, ...]]] = {}
+    for key in stored:
         state = states[key & smask]
         counters = key >> sbits
         vec = vectors.get(counters)
@@ -498,14 +482,10 @@ def final_vectors(
     Raises BudgetExceededError as reachable_configs does, and ValueError
     if `at_state` is not a state of v."""
     state = at_state if at_state is not None else v.target.state
-    if state not in v.states:
-        raise ValueError(f"at_state {state!r} is not a state of the VASS")
-    if max(v.source.vector, default=0) > budget.counter_bound:
-        return frozenset()
-    packed, visited = _reach_keys(v, budget, frozenset({state}), chains=True)
+    packed, stored = _reach_keys(v, budget, frozenset({state}), chains=True)
     at, smask, cmask, shifts = packed.index[state], packed.smask, packed.cmask, packed.shifts
     return frozenset(
-        tuple([(key >> sh) & cmask for sh in shifts]) for key in visited if key & smask == at
+        tuple([(key >> sh) & cmask for sh in shifts]) for key in stored if key & smask == at
     )
 
 
@@ -537,7 +517,7 @@ def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     packed = _Packed(v, budget.counter_bound, chains=True, prune=acyclic_configurations(v))
-    if not packed.admits(v.source):
+    if packed.src is None:
         return 0
     successors = packed.successors
     src, tgt = packed.src, packed.tgt

@@ -124,7 +124,8 @@ def _json_field(obj, key: str, kind: type, where: str = ""):
         raise ValueError(f"VASS JSON: {where or 'the document'} must be an object")
     if key not in obj:
         raise ValueError(f"VASS JSON: missing field {path!r}")
-    if not isinstance(obj[key], kind):
+    # no field is boolean, and a JSON boolean would pass for an int
+    if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
         raise ValueError(
             f"VASS JSON: field {path!r} must be {kind.__name__}, not {type(obj[key]).__name__}"
         )
@@ -133,13 +134,13 @@ def _json_field(obj, key: str, kind: type, where: str = ""):
 
 def _json_ints(obj, key: str, where: str) -> tuple[int, ...]:
     """The list obj[key] read as integers, given as numbers or, as to_json_obj
-    writes them, as strings; a float is refused, not truncated."""
+    writes them, as strings; a float or a boolean is refused, not converted."""
     items = _json_field(obj, key, list, where)
     try:
         values = tuple(map(int, items))
     except (TypeError, ValueError):
         values = None
-    if values is None or float in map(type, items):
+    if values is None or not {float, bool}.isdisjoint(map(type, items)):
         raise ValueError(f"VASS JSON: field '{where}.{key}' must list integers")
     return values
 

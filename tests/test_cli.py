@@ -149,6 +149,10 @@ class TestPipeline:
             ({"dimension": 1, "states": ["a"], "transitions": [],
               "source": {"state": "a", "vector": ["1"]}, "target": {"state": "a", "vector": [1.5]}},
              "field 'target.vector' must list integers"),
+            ({"dimension": True, "states": ["a"],
+              "transitions": [{"from": "a", "delta": [True], "to": "a"}],
+              "source": {"state": "a", "vector": [False]}},
+             "field 'dimension' must be int, not bool"),
         ],
     )
     def test_malformed_vass_json_is_a_usage_error(self, capsys, tmp_path, doc, message):

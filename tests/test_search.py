@@ -163,6 +163,18 @@ class TestFinalValues:
         with pytest.raises(ValueError, match="'nowhere' is not a state"):
             final_vectors(v, SearchBudget(3), at_state="nowhere")
 
+    def test_unknown_absorbing_state_is_named(self):
+        # a misspelt halt state must not silently let its drains be collected
+        v = Vass(1, ("p", "q"), (Transition("p", (1,), "q"),),
+                 Configuration("p", (0,)), Configuration("q", (1,)))
+        assert reachable_configs(v, SearchBudget(3), frozenset({"q"})) == {
+            "p": {(0,)}, "q": {(1,)}
+        }
+        for source in ((0,), (4,)):  # named even when the source is above the bound
+            w = replace(v, source=Configuration("p", source))
+            with pytest.raises(ValueError, match="'nowhere' is not a state"):
+                reachable_configs(w, SearchBudget(3), frozenset({"q", "nowhere"}))
+
     def test_weak_values(self):
         for b, want_max in ((1, 1), (2, 2)):
             compiled = compile_counter_program(gen_weak(b))
@@ -783,13 +795,27 @@ class TestAgainstTupleReference:
                 # stores
                 assert a.stats.expanded <= stored_configs(v, budget)
             if a.verdict != b.verdict:
-                # the target is tested before the node budget only here, and
-                # chains can exhaust a space on which the per-transition
-                # search runs out of max_configs
+                # both test the node budget before the target, but chains can
+                # reach the target or exhaust a space on which the
+                # per-transition search runs out of max_configs
                 assert (a.verdict, b.verdict) in {
                     (Verdict.FOUND, Verdict.BUDGET_EXCEEDED),
                     (Verdict.EXHAUSTED, Verdict.BUDGET_EXCEEDED),
                 }
+
+
+def test_target_after_a_full_node_budget_is_not_found():
+    # the counter turns at every state, so every state ends a chain and both
+    # searches store the same configurations: p0, p1, p2, then the target
+    states = ("p0", "p1", "p2", "p3")
+    v = Vass(1, states, tuple(
+        Transition(a, (d,), b) for a, d, b in zip(states, (1, -1, 1), states[1:])
+    ), Configuration("p0", (0,)), Configuration("p3", (1,)))
+    full, ample = SearchBudget(1, 3), SearchBudget(1, 4)
+    assert ref_shortest(v, full) == (Verdict.BUDGET_EXCEEDED, None, 3)
+    for search in (halting_reachable, shortest_halting):
+        assert search(v, full) == ReachResult(Verdict.BUDGET_EXCEEDED, None, SearchStats(3, 1, 3))
+        assert search(v, ample).verdict == Verdict.FOUND
 
 
 class TestPacking:

@@ -418,6 +418,26 @@ class TestJson:
         deltas = {tuple(t["delta"]) for t in obj["transitions"]}
         assert ("2", "-1") in deltas
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(dimension=True), "field 'dimension' must be int, not bool"),
+        (lambda doc: doc["transitions"][0].update(delta=[True]),
+         "field 'transitions[0].delta' must list integers"),
+        (lambda doc: doc["source"].update(vector=[False]),
+         "field 'source.vector' must list integers"),
+    ])
+    def test_booleans_are_not_integers(self, edit, message):
+        doc = {
+            "dimension": 1,
+            "states": ["p"],
+            "transitions": [{"from": "p", "delta": ["1"], "to": "p"}],
+            "source": {"state": "p", "vector": [0]},
+            "target": {"state": "p", "vector": [0]},
+        }
+        Vass.from_json_obj(doc)
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Vass.from_json_obj(doc)
+
     def test_validation_on_construction(self):
         with pytest.raises(ValueError):
             Vass(1, ("p",), (Transition("p", (1,), "nowhere"),),
