@@ -4,6 +4,14 @@ All generators are pure: they return counter-program ASTs (plus metadata
 where useful) and never touch global state.  Fragments (weak multiplication,
 the Hopcroft-Pansiot gadget) omit init/halt; close them with
 `with_initial_values` before compiling.
+
+Each gadget is written once and the families are assembled from them:
+`gen_weak_mult` (flash x into y, rebuild x at c per d) is the doubling step
+of `gen_weak` and the inner stage of `gen_hp`; `gen_hp` is one stage of the
+doubly exponential tower (`gen_double_exp*`); the (i+1)/i cascade with its
+joint x/y drain (`_cascade`) checks the pump of `gen_exp*` and the threshold
+built by the NP initializer (`gen_np_init`, `gen_np`); `_pump` is the free
+or fixed pump of `gen_exp*` and `gen_double_exp*`.
 """
 
 from __future__ import annotations
@@ -63,17 +71,14 @@ def gen_weak(b: int) -> CounterProgram:
     if b < 1:
         raise ValueError(f"weak computation needs b >= 1, got {b}")
     m = b.bit_length() - 1
+    double = gen_weak_mult(2, 1).body
     return CounterProgram(
         ("x", "y"),
         (
             Init(),
             For(
                 "i", Lit(m), Lit(0), True,
-                (
-                    Loop((Sub("x", Lit(1)), Add("y", Lit(1)))),
-                    Loop((Add("x", Lit(2)), Sub("y", Lit(1)))),
-                    If(BitTest(Lit(b), Var("i"), 1), (Add("x", Lit(1)),)),
-                ),
+                (*double, If(BitTest(Lit(b), Var("i"), 1), (Add("x", Lit(1)),))),
             ),
         ),
     )
@@ -83,9 +88,16 @@ def gen_weak(b: int) -> CounterProgram:
 # Exponential-run three-counter family
 
 
-def _exp_tail(n: int) -> tuple[Command, ...]:
+def _pump(a: str, b: str, value: int | None) -> tuple[Command, ...]:
+    # Load a = b = value, or with value None pump a = b = N for any N >= 1.
+    if value is None:
+        return (Add(a, Lit(1)), Add(b, Lit(1)), Loop((Add(a, Lit(1)), Add(b, Lit(1)))))
+    return (Add(a, Lit(value)), Add(b, Lit(value)))
+
+
+def _cascade(n: int) -> tuple[Command, ...]:
     # Multiply x by (i+1)/i for i = n .. 1 (so by n+1 overall when exact),
-    # then require x = (n+1) * y via the joint drain; halt tests y.
+    # then require x = (n+1) * y via the joint drain.
     return (
         For(
             "i", Lit(n), Lit(1), True,
@@ -95,7 +107,12 @@ def _exp_tail(n: int) -> tuple[Command, ...]:
             ),
         ),
         Loop((Sub("x", Lit(n + 1)), Sub("y", Lit(1)))),
-        Halt(("y",)),
+    )
+
+
+def _exp(n: int, x0: int | None) -> CounterProgram:
+    return CounterProgram(
+        ("x", "y", "z"), (Init(), *_pump("x", "y", x0), *_cascade(n), Halt(("y",)))
     )
 
 
@@ -104,16 +121,7 @@ def gen_exp(n: int) -> CounterProgram:
     divisibility_threshold(n), which grows exponentially in n."""
     if n < 1:
         raise ValueError(f"gen_exp needs n >= 1, got {n}")
-    return CounterProgram(
-        ("x", "y", "z"),
-        (
-            Init(),
-            Add("x", Lit(1)),
-            Add("y", Lit(1)),
-            Loop((Add("x", Lit(1)), Add("y", Lit(1)))),
-        )
-        + _exp_tail(n),
-    )
+    return _exp(n, None)
 
 
 def gen_exp_fixed(n: int, x0: int) -> CounterProgram:
@@ -123,10 +131,7 @@ def gen_exp_fixed(n: int, x0: int) -> CounterProgram:
         raise ValueError(f"gen_exp_fixed needs n >= 1, got {n}")
     if x0 < 1:
         raise ValueError(f"gen_exp_fixed needs x0 >= 1, got {x0}")
-    return CounterProgram(
-        ("x", "y", "z"),
-        (Init(), Add("x", Lit(x0)), Add("y", Lit(x0))) + _exp_tail(n),
-    )
+    return _exp(n, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +146,7 @@ def gen_hp(c: int, d: int) -> CounterProgram:
         raise ValueError(f"gen_hp needs c > d >= 1, got c={c}, d={d}")
     if math.gcd(c, d) != 1:
         raise ValueError(f"gen_hp needs an irreducible ratio, got {c}/{d}")
-    return CounterProgram(
-        ("x", "y", "z"),
-        (
-            Loop(
-                (
-                    Loop((Sub("x", Lit(1)), Add("y", Lit(1)))),
-                    Loop((Add("x", Lit(c)), Sub("y", Lit(d)))),
-                    Sub("z", Lit(1)),
-                )
-            ),
-        ),
-    )
+    return CounterProgram(("x", "y", "z"), (Loop((*gen_weak_mult(c, d).body, Sub("z", Lit(1)))),))
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +207,19 @@ def _double_exp_meta(k: int) -> DoubleExpMeta:
     return DoubleExpMeta(k=k, fractions=seq, canonical_pump=pump, forced_divisor=divisor)
 
 
-def _double_exp_body(meta: DoubleExpMeta, pump: tuple[Command, ...]) -> CounterProgram:
+def _double_exp(k: int, pump_value: int | None) -> tuple[CounterProgram, DoubleExpMeta]:
+    # Stage i loads z = 2^i and runs gen_hp for f_i; every f_i is reduced
+    # and above 1, so gen_hp's checks pass.
+    meta = _double_exp_meta(k)
     seq = meta.fractions
-    cmds: list[Command] = [Init(), *pump]
-    for i in range(meta.k, 0, -1):
+    cmds: list[Command] = [Init(), *_pump("t", "x", pump_value)]
+    for i in range(k, 0, -1):
         f = seq.factors[i - 1]
         cmds.append(Add("z", Lit(2**i)))
-        cmds.append(
-            Loop(
-                (
-                    Loop((Sub("x", Lit(1)), Add("y", Lit(1)))),
-                    Loop((Add("x", Lit(f.numerator)), Sub("y", Lit(f.denominator)))),
-                    Sub("z", Lit(1)),
-                )
-            )
-        )
+        cmds.extend(gen_hp(f.numerator, f.denominator).body)
     cmds.append(Loop((Sub("t", Lit(seq.product.denominator)), Sub("x", Lit(seq.product.numerator)))))
     cmds.append(Halt(("t",)))
-    return CounterProgram(("t", "x", "y", "z"), tuple(cmds))
+    return CounterProgram(("t", "x", "y", "z"), tuple(cmds)), meta
 
 
 def gen_double_exp(k: int) -> tuple[CounterProgram, DoubleExpMeta]:
@@ -241,13 +230,7 @@ def gen_double_exp(k: int) -> tuple[CounterProgram, DoubleExpMeta]:
     binary (vass_size(..., "binary"))."""
     if k < 1:
         raise ValueError(f"gen_double_exp needs k >= 1, got {k}")
-    meta = _double_exp_meta(k)
-    pump = (
-        Add("t", Lit(1)),
-        Add("x", Lit(1)),
-        Loop((Add("t", Lit(1)), Add("x", Lit(1)))),
-    )
-    return _double_exp_body(meta, pump), meta
+    return _double_exp(k, None)
 
 
 def gen_double_exp_fixed(k: int, pump_value: int) -> tuple[CounterProgram, DoubleExpMeta]:
@@ -257,9 +240,7 @@ def gen_double_exp_fixed(k: int, pump_value: int) -> tuple[CounterProgram, Doubl
         raise ValueError(f"gen_double_exp_fixed needs k >= 1, got {k}")
     if pump_value < 1:
         raise ValueError(f"gen_double_exp_fixed needs pump_value >= 1, got {pump_value}")
-    meta = _double_exp_meta(k)
-    pump = (Add("t", Lit(pump_value)), Add("x", Lit(pump_value)))
-    return _double_exp_body(meta, pump), meta
+    return _double_exp(k, pump_value)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +380,7 @@ def _np_init_commands(n: int, k: int, threshold: int) -> list[Command]:
     # positive multiple of the threshold, hence exactly the threshold.
     cmds.append(Sub("y", Lit(1)))
     cmds.append(Add("y", Lit(1)))
-    cmds.append(
-        For(
-            "i", Lit(n), Lit(1), True,
-            (
-                Loop((Sub("x", Lit(1)), Add("z", Lit(1)))),
-                Loop((Add("x", BinOp("+", Var("i"), Lit(1))), Sub("z", Var("i")))),
-            ),
-        )
-    )
-    cmds.append(Loop((Sub("x", Lit(n + 1)), Sub("y", Lit(1)))))
+    cmds.extend(_cascade(n))
     return cmds
 
 

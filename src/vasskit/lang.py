@@ -508,7 +508,10 @@ def _parse_bare_command(cur: _LineCursor, lines: _Lines, ctx: _ParseCtx, lineno:
         if t.text == "loop":
             cur.next()
             cur.require_done()
-            return Loop(_parse_block(lines, _END[Loop], ctx, lineno))
+            body = _parse_block(lines, _END[Loop], ctx, lineno)
+            if not body:
+                raise ParseError("loop body is empty", lineno)
+            return Loop(body)
         if t.text == "for":
             cur.next()
             var = cur.expect("ident").text
@@ -558,9 +561,10 @@ def parse(text: str) -> CounterProgram:
     """Parse counter-program text into an AST.
 
     Raises ParseError with source position for syntax errors, undeclared
-    counters (when a `counters` header is present), duplicate or unresolved
-    labels, a `halt` that is not the final command or sits inside a block,
-    and a block with no end line (named by the line that opens it).
+    or duplicate counters (when a `counters` header is present), duplicate
+    or unresolved labels, a `halt` that is not the final command or sits
+    inside a block, a loop with no commands, and a block with no end line
+    (named by the line that opens it).
     """
     lines = _Lines(text)
     ctx = _ParseCtx()
@@ -572,7 +576,10 @@ def parse(text: str) -> CounterProgram:
         names = []
         while not head.done():
             head.accept("op", ",")
-            names.append(head.expect("ident").text)
+            name = head.expect("ident").text
+            if name in names:
+                raise ParseError(f"duplicate counter {name!r}", head.lineno)
+            names.append(name)
         if not names:
             raise ParseError("counters header lists no counters", head.lineno)
         ctx.declared = tuple(names)

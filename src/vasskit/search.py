@@ -123,11 +123,12 @@ class _Packed:
     along a move into a live state, so every stored configuration is within
     its own state's caps as long as the source is.
 
-    With `chains`, each adjacency entry is a maximal deterministic chain of
-    transitions (see `_chain_moves`) rather than one transition, and only
-    the states where chains start get entries.  Every chain is monotone in
-    every counter, so checking its end configuration checks every
-    configuration along it."""
+    Adjacency entries are the moves of `_chain_moves`, so only states
+    reachable from the source state get entries.  With `chains`, each entry
+    is a maximal deterministic chain of transitions rather than one
+    transition, and only the states where chains start get entries.  Every
+    chain is monotone in every counter, so checking its end configuration
+    checks every configuration along it."""
 
     def __init__(
         self,
@@ -138,13 +139,11 @@ class _Packed:
         prune: bool = False,
     ):
         index = self.index = {s: i for i, s in enumerate(v.states)}
-        max_amount = max((abs(d) for t in v.transitions for d in t.delta), default=0)
-        if chains:
-            moves = _chain_moves(v, index, absorbing)
-            # a chain's net amount can exceed every single transition's
-            max_amount = max(
-                [max_amount] + [abs(d) for ms in moves for delta, _dst, _tix in ms for d in delta]
-            )
+        moves = _chain_moves(v, index, absorbing, chains)
+        # a chain's net amount can exceed every single transition's
+        max_amount = max(
+            (abs(d) for ms in moves for delta, _dst, _tix in ms for d in delta), default=0
+        )
         caps = self.caps = (
             _target_caps(v, index, bound) if prune else [(bound,) * v.dimension] * len(v.states)
         )
@@ -155,17 +154,10 @@ class _Packed:
         self.shifts = tuple(self.sbits + self.wbits * i for i in range(v.dimension))
         # per state: one (packed delta, checks, first transition index) per
         # move into a state that can reach the target state
-        if chains:
-            self.adj = [
-                [self._move(delta, s, dst, tix) for delta, dst, tix in ms if caps[dst] is not None]
-                for s, ms in enumerate(moves)
-            ]
-        else:
-            self.adj = [[] for _ in v.states]
-            for tix, t in enumerate(v.transitions):
-                s, dst = index[t.src], index[t.dst]
-                if t.src not in absorbing and caps[dst] is not None:
-                    self.adj[s].append(self._move(t.delta, s, dst, tix))
+        self.adj = [
+            [self._move(delta, s, dst, tix) for delta, dst, tix in ms if caps[dst] is not None]
+            for s, ms in enumerate(moves)
+        ]
         # a configuration outside its state's caps could overflow its fields:
         # such a source is never searched, and such a target never reached
         self.src = self.encode(v.source) if self.admits(v.source) else None
@@ -213,12 +205,13 @@ class _Packed:
 
 
 def _chain_moves(
-    v: Vass, index: dict[str, int], absorbing: frozenset[str]
+    v: Vass, index: dict[str, int], absorbing: frozenset[str], chains: bool
 ) -> list[list[tuple[tuple[int, ...], int, int]]]:
     """Per state index, one `(net delta, end state index, first transition
     index)` per outgoing transition of a cut state reachable from the source
     state: the maximal deterministic chain that starts with that transition.
-    States in `absorbing` have no outgoing transitions.
+    States in `absorbing` have no outgoing transitions.  Without `chains`
+    every state is a cut, so each move is one transition.
 
     A chain ends at the first cut state it enters.  The source and target
     states are cuts, and so is every state whose out-degree is not 1.  A
@@ -226,12 +219,12 @@ def _chain_moves(
     a state of the chain (which breaks deterministic cycles) or reverse the
     direction of some counter (which keeps every chain monotone in every
     counter)."""
-    transitions = v.transitions
-    out: list[list[int]] = [[] for _ in v.states]
-    for tix, t in enumerate(transitions):
+    # per state index: its one-transition moves, in transition order
+    out: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in v.states]
+    for tix, t in enumerate(v.transitions):
         if t.src not in absorbing:
-            out[index[t.src]].append(tix)
-    cut = [len(ts) != 1 for ts in out]
+            out[index[t.src]].append((t.delta, index[t.dst], tix))
+    cut = [not chains or len(ts) != 1 for ts in out]
     cut[index[v.source.state]] = cut[index[v.target.state]] = True
     moves: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in out]
     start = index[v.source.state]
@@ -239,21 +232,20 @@ def _chain_moves(
     todo = [start]
     while todo:
         s = todo.pop()
-        for first in out[s]:
-            t = transitions[first]
-            net = t.delta
-            cur = index[t.dst]
-            seen = {s, cur}
-            while not cut[cur]:
-                t = transitions[out[cur][0]]
-                nxt = index[t.dst]
-                if (nxt in seen and not cut[nxt]) or any(a * d < 0 for a, d in zip(net, t.delta)):
-                    cut[cur] = True
-                    break
-                net = tuple([a + d for a, d in zip(net, t.delta)])
-                seen.add(nxt)
-                cur = nxt
-            moves[s].append((net, cur, first))
+        for move in out[s]:
+            net, cur, first = move
+            if not cut[cur]:
+                seen = {s, cur}
+                while not cut[cur]:
+                    delta, nxt, _tix = out[cur][0]
+                    if (nxt in seen and not cut[nxt]) or any(a * d < 0 for a, d in zip(net, delta)):
+                        cut[cur] = True
+                        break
+                    net = tuple([a + d for a, d in zip(net, delta)])
+                    seen.add(nxt)
+                    cur = nxt
+                move = (net, cur, first)
+            moves[s].append(move)
             if cur not in queued:
                 queued.add(cur)
                 todo.append(cur)

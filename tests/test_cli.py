@@ -51,6 +51,19 @@ class TestGenerate:
         code, out, err = run_cli(capsys, "expand", str(path))
         assert (code, out, err) == (2, "", "vasskit: line 5: halt inside for body\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("counters x\ninit\nloop\nendloop\nhalt x\n", "line 3: loop body is empty"),
+            ("counters x x\ninit\nhalt x\n", "line 1: duplicate counter 'x'"),
+        ],
+    )
+    def test_static_mistakes_are_parse_errors(self, capsys, tmp_path, text, message):
+        path = tmp_path / "p.cp"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "expand", str(path))
+        assert (code, out, err) == (2, "", f"vasskit: {message}\n")
+
 
     @pytest.mark.parametrize("cond", ["1 < 2", "2 > 1"])
     def test_strict_comparison_expands(self, capsys, tmp_path, cond):
@@ -272,6 +285,13 @@ GOLDEN_CASES = [
     ("flat_hp.json", ["hp", "--c", "3", "--d", "2"], ["flat", "--format", "json"], 1),
     ("measure_weak.json", None, ["measure", "weak", "--to", "2", "--format", "json"], 0),
     ("verify_weak.json", None, ["verify", "weak", "--format", "json"], 0),
+    ("gen_weak_b5.cp", None, ["gen", "weak", "--b", "5"], 0),
+    ("gen_hp_c3_d2.cp", None, ["gen", "hp", "--c", "3", "--d", "2"], 0),
+    ("gen_exp_n3.cp", None, ["gen", "exp", "--n", "3"], 0),
+    ("gen_exp_n2_x04.cp", None, ["gen", "exp", "--n", "2", "--x0", "4"], 0),
+    ("gen_2exp_k2.cp", None, ["gen", "2exp", "--k", "2"], 0),
+    ("gen_2exp_k1_pump4.cp", None, ["gen", "2exp", "--k", "1", "--pump", "4"], 0),
+    ("gen_np_s03_set12.cp", None, ["gen", "np", "--s0", "3", "--set", "1,2"], 0),
 ]
 
 

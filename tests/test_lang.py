@@ -90,6 +90,11 @@ class TestParse:
         with pytest.raises(ParseError, match="duplicate"):
             parse("counters x\nl: x += 1\nl: x += 2\n")
 
+    def test_duplicate_counter_names_line_and_counter(self):
+        with pytest.raises(ParseError, match=r"^line 2: duplicate counter 'x'$") as err:
+            parse("# header\ncounters x, y x\ninit\n")
+        assert err.value.line == 2
+
     def test_meta_expressions(self):
         p = parse("counters x\nfor i := 2*3 downto 1+1\n  x += 2^i\nendfor\n")
         loop = p.body[0]
@@ -111,8 +116,12 @@ class TestParse:
         assert p.body == (Add("x", Lit(1)),)
 
     def test_empty_loop_rejected(self):
-        with pytest.raises(ExpansionError, match="empty"):
-            expand(parse("counters x\nloop\nendloop\n"))
+        # in text, at the loop line; in an AST built in code, at expansion
+        with pytest.raises(ParseError, match=r"^line 3: loop body is empty$") as err:
+            parse("counters x\ninit\nloop\n# nothing\nendloop\n")
+        assert err.value.line == 3
+        with pytest.raises(ExpansionError, match="^loop body is empty$"):
+            expand(CounterProgram(("x",), (Init(), Loop(()))))
 
 
 class TestEval:

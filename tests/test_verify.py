@@ -5,7 +5,7 @@ import dataclasses
 from fractions import Fraction
 
 from vasskit import families, verify
-from vasskit.lang import Add, BinOp, For, Halt, Lit, Loop, Sub, Var
+from vasskit.lang import Add, BinOp, For, Lit, Loop, Sub, Var
 
 
 def assert_suite_passes(result):
@@ -68,8 +68,8 @@ def failures(result):
     return {c.name: c.detail for c in result.checks if not c.passed}
 
 
-def mutated_exp_tail(n):
-    """_exp_tail with the cascade multiplier (i+1)/i raised to (i+2)/i."""
+def mutated_cascade(n):
+    """_cascade with the cascade multiplier (i+1)/i raised to (i+2)/i."""
     return (
         For(
             "i", Lit(n), Lit(1), True,
@@ -79,12 +79,11 @@ def mutated_exp_tail(n):
             ),
         ),
         Loop((Sub("x", Lit(n + 1)), Sub("y", Lit(1)))),
-        Halt(("y",)),
     )
 
 
 def test_exp_suite_fails_on_a_mutated_cascade(monkeypatch):
-    monkeypatch.setattr(families, "_exp_tail", mutated_exp_tail)
+    monkeypatch.setattr(families, "_cascade", mutated_cascade)
     failed = failures(verify.suite_exp(max_n=2, trend_ns=(1, 2)))
     assert failed["halting iff threshold divides the pump, at most one run (n <= 2)"] == (
         "n=1, x0=2: 2 halting runs"
@@ -96,9 +95,9 @@ def test_exp_suite_fails_on_a_mutated_cascade(monkeypatch):
 
 
 def test_exp_suite_fails_on_a_second_pump_loop(monkeypatch):
-    original = families._exp_tail
+    original = families._cascade
     monkeypatch.setattr(
-        families, "_exp_tail", lambda n: (Loop((Add("z", Lit(1)),)),) + original(n)
+        families, "_cascade", lambda n: (Loop((Add("z", Lit(1)),)),) + original(n)
     )
     failed = failures(verify.suite_exp(max_n=1, trend_ns=(1,)))
     assert failed["halting iff threshold divides the pump, at most one run (n <= 1)"] == (
