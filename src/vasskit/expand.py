@@ -129,6 +129,9 @@ def expand(program: CounterProgram, max_lines: int = DEFAULT_MAX_LINES) -> FlatP
             entry_ix = len(out)
             emit(None)  # patched below once the exit line is known
             walk(cmd.body, env)
+            if len(out) == entry_ix + 1:
+                # an empty body would leave a control cycle with no effect
+                raise ExpansionError(f"loop at line {entry_ix + 1}: body expands to no lines")
             back = emit(Goto(entry_ix + 1, entry_ix + 1))
             out[entry_ix] = Goto(back + 1, entry_ix + 2)
         elif isinstance(cmd, For):

@@ -45,6 +45,16 @@ order of the Vass and results (including shortest-run tie-breaking and stats)
 are reproducible.  Stats are the kernel's (see `_explore`), except that
 `halting_reachable` reports as `expanded` the configurations it stored,
 less a target just found.
+
+`replay_canonical` walks the one run a loop policy fixes, with no search.
+It reads every step from a per-line table built once (the counter a line
+moves, by how much, and its `Transition` to each next line), fast-forwards
+each loop with a straight-line body from a per-loop table (net effect and
+one iteration's transitions), and applies `DrainLoop` and `CountedLoop` in
+one place, `_Replay._loop`.  It raises `PolicyStuckError` as soon as the
+entry of a loop walked stepwise, or the target of a backward goto other
+than a loop's own back goto, comes round with the same counters and
+counted-loop state.
 """
 
 from __future__ import annotations
@@ -620,249 +630,190 @@ def drain_policies(flat: FlatProgram) -> dict[int, LoopPolicy]:
 
 
 class _Replay:
+    """One walk of the schedule a policy fixes, over tables built once.
+
+    `table[line]` holds the index of the counter the line moves (None if
+    none), the amount, and the line's `Transition` to each next line.
+    `bodies[entry]` holds, for a loop whose body only moves distinct
+    counters, the net effect per counter and one iteration's transitions;
+    other loops map to None and are walked stepwise.  `run` walks lines,
+    and `_loop` alone applies `DrainLoop` and `CountedLoop`.  `checks` holds
+    each line where the walk could cycle, the entry of a stepwise loop or
+    the target of a backward goto other than a loop's own back goto; `run`
+    stops when one comes round with the same counters and counted-loop
+    state.
+    """
+
     def __init__(self, compiled: CompiledProgram, policy: dict[int, LoopPolicy], materialize: bool):
-        self.compiled = compiled
-        self.flat = compiled.program
-        self.policy = policy
-        self.materialize = materialize
-        self.counters = self.flat.counters
-        self.cix = {c: i for i, c in enumerate(self.counters)}
-        self.n = len(self.flat.lines)
-        self.vec = [0] * len(self.counters)
-        self.peak = [0] * len(self.counters)
+        flat = compiled.program
+        self.compiled, self.flat, self.policy, self.materialize = compiled, flat, policy, materialize
+        self.cix = cix = {c: i for i, c in enumerate(flat.counters)}
+        self.vec = [0] * len(cix)
+        self.peak = [0] * len(cix)
         self.length = 0
         self.steps: list[Transition] = []
-        self.spans: dict[int, LoopSpan] = {s.entry: s for s in self.flat.loops}
-        self.iter_count: dict[int, int] = {}
         self.counted_left: dict[int, int] = {}
-        # per stepwise loop entry: counters and counted-loop state at its last visit
-        self.last_visit: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
+        self.iterations: dict[int, int] = {}  # per loop, in its current activation
         self.observations: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-        self.body_info: dict[int, tuple[bool, dict[int, int], int]] = {}
-        for span in self.flat.loops:
-            self.body_info[span.entry] = self._analyze_body(span)
-        self.zero = (0,) * len(self.counters)
-        # The VASS's own transitions, so that a materialized run shares them
-        # instead of holding a fresh object per step.
-        self.known = {(t.src, t.delta, t.dst): t for t in compiled.vass.transitions}
+        # The VASS's own transitions: a materialized run shares them, and a
+        # step the VASS lacks is a fresh object that `validate_run` rejects.
+        known = {(t.src, t.delta, t.dst): t for t in compiled.vass.transitions}
+        zero = (0,) * len(cix)
 
-    def _analyze_body(self, span: LoopSpan):
-        deltas: dict[int, int] = {}
-        touched: set[int] = set()
-        straight = True
-        for ln in range(span.body_start, span.back):
-            cmd = self.flat.line(ln)
+        def transition(src: str, ci: int | None, amount: int, dst: str) -> Transition:
+            delta = zero if ci is None else zero[:ci] + (amount,) + zero[ci + 1:]
+            t = known.get((src, delta, dst))
+            return t if t is not None else Transition(src, delta, dst)
+
+        self.spans = {s.entry: s for s in flat.loops}
+        self.checks: set[int] = set()
+        state = (*compiled.line_states, compiled.halt_state)  # line i -> state[i - 1]
+        self.table: list[tuple[int | None, int, dict[int, Transition]]] = [(None, 0, {})]
+        for ln, cmd in enumerate(flat.lines, start=1):
+            ci, amount = None, 0
+            nexts = () if isinstance(cmd, Halt) else (ln + 1,)
             if isinstance(cmd, (Add, Sub)):
-                ci = self.cix[cmd.counter]
-                if ci in touched:
-                    straight = False  # same counter twice: no bulk application
-                touched.add(ci)
-                deltas[ci] = deltas.get(ci, 0) + (cmd.amount if isinstance(cmd, Add) else -cmd.amount)
+                ci = cix[cmd.counter]
+                amount = cmd.amount if isinstance(cmd, Add) else -cmd.amount
+            elif isinstance(cmd, Goto):
+                nexts = (cmd.first, cmd.second)
+                for t in nexts:
+                    if t <= ln and (t not in self.spans or self.spans[t].back != ln):
+                        self.checks.add(t)
+            src = state[ln - 1]
+            self.table.append((ci, amount, {t: transition(src, ci, amount, state[t - 1]) for t in nexts}))
+        self.bodies: dict[int, tuple[dict[int, int], list[Transition]] | None] = {}
+        for s in flat.loops:
+            body = self.table[s.body_start:s.back]
+            moved = [ci for ci, _, _ in body]
+            if None in moved or len(set(moved)) < len(moved):
+                self.bodies[s.entry] = None
+                self.checks.add(s.entry)
             else:
-                straight = False
-        return straight, deltas, span.back - span.body_start
-
-    def _state(self, line: int) -> str:
-        if line <= self.n:
-            return self.compiled.line_states[line - 1]
-        return self.compiled.halt_state
-
-    def _transition(self, src: str, delta: tuple[int, ...], dst: str) -> Transition:
-        # A step the VASS lacks is still emitted, so validate_run rejects it.
-        t = self.known.get((src, delta, dst))
-        return t if t is not None else Transition(src, delta, dst)
-
-    def _line_step(self, src_line: int, delta: tuple[int, ...], dst_line: int) -> Transition:
-        return self._transition(self._state(src_line), delta, self._state(dst_line))
-
-    def _emit(self, src_line: int, delta: tuple[int, ...], dst_line: int):
-        if self.materialize:
-            self.steps.append(self._line_step(src_line, delta, dst_line))
-
-    def _step(self, src_line: int, delta: tuple[int, ...], dst_line: int):
-        """Emit one step and count it in the run length."""
-        self._emit(src_line, delta, dst_line)
-        self.length += 1
-
-    def _apply(self, ci: int, amount: int, line: int):
-        nv = self.vec[ci] + amount
-        if nv < 0:
-            raise PolicyStuckError(
-                f"line {line}: counter {self.counters[ci]!r} would go below zero"
-            )
-        self.vec[ci] = nv
-        if nv > self.peak[ci]:
-            self.peak[ci] = nv
-
-    def _record_exit(self, entry: int):
-        iters, exits = self.observations.setdefault(entry, ([], []))
-        iters.append(self.iter_count.pop(entry, 0))
-        exits.append(tuple(self.vec))
-
-    def _unit_delta(self, ci: int, amount: int) -> tuple[int, ...]:
-        d = [0] * len(self.counters)
-        d[ci] = amount
-        return tuple(d)
-
-    def _fast_forward(self, span: LoopSpan, n_iter: int):
-        """Apply n_iter full iterations of a straight-line body, then exit."""
-        straight, deltas, body_len = self.body_info[span.entry]
-        assert straight
-        if n_iter > 0:
-            for ci, d in deltas.items():
-                if d < 0 and self.vec[ci] + n_iter * d < 0:
-                    raise PolicyStuckError(
-                        f"loop at line {span.entry}: counter {self.counters[ci]!r} "
-                        f"underflows after {n_iter} iterations"
-                    )
-            if self.materialize:
-                one = [self._line_step(span.entry, self.zero, span.body_start)]
-                for ln in range(span.body_start, span.back):
-                    cmd = self.flat.line(ln)
-                    amount = cmd.amount if isinstance(cmd, Add) else -cmd.amount
-                    delta = self._unit_delta(self.cix[cmd.counter], amount)
-                    one.append(self._line_step(ln, delta, ln + 1))
-                one.append(self._line_step(span.back, self.zero, span.entry))
-                self.steps.extend(one * n_iter)
-            for ci, d in deltas.items():
-                end = self.vec[ci] + n_iter * d
-                # each counter moves monotonically across iterations
-                self.peak[ci] = max(self.peak[ci], self.vec[ci], end)
-                self.vec[ci] = end
-            self.length += n_iter * (body_len + 2)
-        self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + n_iter
-        self._enter_or_leave(span, enter=False)
+                one = [t for _, _, nexts in body for t in nexts.values()]
+                one = [self.table[s.entry][2][s.body_start], *one, self.table[s.back][2][s.entry]]
+                self.bodies[s.entry] = ({ci: amount for ci, amount, _ in body}, one)
+        # halt completion: per untested counter, its drain step and the step
+        # on to the next counter's drain state (none after the last)
+        chain = compiled.drain_chain
+        links = [[transition(a, None, 0, b)] for (a, _), (b, _) in zip(chain, chain[1:])] + [[]]
+        self.drains = [(cix[c], transition(s, cix[c], -1, s), link) for (s, c), link in zip(chain, links)]
 
     def run(self) -> ReplayOutcome:
-        flat, policy = self.flat, self.policy
+        lines, table, spans, checks = self.flat.lines, self.table, self.spans, self.checks
+        n = len(lines)
+        vec, peak, steps, materialize = self.vec, self.peak, self.steps, self.materialize
+        last_visit: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
         pc = 1
         guard = 0
-        while pc <= self.n:
+        while pc <= n:
             guard += 1
             if guard > 50_000_000:
                 raise PolicyStuckError("replay did not terminate (policy loops)")
-            cmd = flat.line(pc)
-            if isinstance(cmd, Init):
-                self._step(pc, self.zero, pc + 1)
-                pc += 1
-            elif isinstance(cmd, (Add, Sub)):
-                amount = cmd.amount if isinstance(cmd, Add) else -cmd.amount
-                ci = self.cix[cmd.counter]
-                self._apply(ci, amount, pc)
-                self._step(pc, self._unit_delta(ci, amount), pc + 1)
-                pc += 1
-            elif isinstance(cmd, Halt):
+            if pc in checks:
+                visit = (tuple(vec), dict(self.counted_left))
+                if last_visit.get(pc) == visit:
+                    where = f"loop at line {pc}" if pc in spans else f"line {pc}"
+                    what = "entry" if pc in spans else "line"
+                    raise PolicyStuckError(
+                        f"{where}: replay does not terminate ({what} reached again with the same counters)"
+                    )
+                last_visit[pc] = visit
+            cmd = lines[pc - 1]
+            ci, amount, nexts = table[pc]
+            nxt = pc + 1
+            if isinstance(cmd, Halt):
                 break
+            if pc in spans:
+                nxt = self._loop(spans[pc])
             elif isinstance(cmd, Goto):
-                span = self.spans.get(pc)
-                if span is not None:
-                    pc = self._handle_loop_entry(span)
-                elif cmd.first == cmd.second:
-                    self._step(pc, self.zero, cmd.first)
-                    pc = cmd.first
-                else:
-                    pol = policy.get(pc)
+                nxt = cmd.first
+                if cmd.second != nxt:
+                    pol = self.policy.get(pc)
                     if not isinstance(pol, TakeBranch):
                         raise PolicyStuckError(f"line {pc}: no branch policy for goto")
-                    target = cmd.second if pol.second else cmd.first
-                    self._step(pc, self.zero, target)
-                    pc = target
-            else:
+                    nxt = cmd.second if pol.second else nxt
+            elif ci is not None:
+                vec[ci] += amount
+                if vec[ci] < 0:
+                    raise PolicyStuckError(f"line {pc}: counter {cmd.counter!r} would go below zero")
+                peak[ci] = max(peak[ci], vec[ci])
+            elif not isinstance(cmd, Init):
                 raise PolicyStuckError(f"line {pc}: cannot replay {cmd!r}")
+            if materialize:
+                steps.append(nexts[nxt])
+            self.length += 1
+            pc = nxt
 
-        halting = False
-        if pc <= self.n and isinstance(flat.line(pc), Halt):
-            self._drain_completion()
-            tested_ix = [self.cix[c] for c in flat.line(pc).tested]
-            halting = all(self.vec[i] == 0 for i in tested_ix)
-        final_state = self.compiled.vass.target.state if pc <= self.n else self._state(pc)
-        final = Configuration(final_state, tuple(self.vec))
-        if pc > self.n:
-            halting = final == self.compiled.vass.target
-        probe = RunProbe(
-            loops={
-                entry: LoopObservation(entry, tuple(it), tuple(ex))
-                for entry, (it, ex) in sorted(self.observations.items())
-            },
-            peak=tuple(self.peak),
-            length=self.length,
-        )
-        run = Run(self.compiled.vass.source, tuple(self.steps)) if self.materialize else None
-        return ReplayOutcome(run, probe, halting, final)
+        halted = pc <= n
+        if halted:
+            for ci, drain, link in self.drains:
+                self.length += vec[ci] + len(link)
+                if materialize:
+                    steps += [drain] * vec[ci] + link
+                vec[ci] = 0
+        vass = self.compiled.vass
+        final = Configuration(vass.target.state if halted else self.compiled.halt_state, tuple(vec))
+        loops = {e: LoopObservation(e, tuple(it), tuple(ex)) for e, (it, ex) in sorted(self.observations.items())}
+        run = Run(vass.source, tuple(steps)) if materialize else None
+        return ReplayOutcome(run, RunProbe(loops, tuple(peak), self.length), final == vass.target, final)
 
-    def _handle_loop_entry(self, span: LoopSpan) -> int:
-        pol = self.policy.get(span.entry)
+    def _loop(self, span: LoopSpan) -> int:
+        """Apply the policy at a loop's entry and return the line the caller
+        steps to.  The policy fixes how many iterations to run from here:
+        all that remain for a straight-line body, fast-forwarded before the
+        exit, or 0 or 1 for a body walked stepwise."""
+        entry, vec = span.entry, self.vec
+        pol = self.policy.get(entry)
         if pol is None:
-            raise PolicyStuckError(f"line {span.entry}: no policy for loop")
-        straight, deltas, _body_len = self.body_info[span.entry]
-        if not straight:
-            self._check_progress(span.entry)
+            raise PolicyStuckError(f"line {entry}: no policy for loop")
+        body = self.bodies[entry]
         if isinstance(pol, DrainLoop):
-            ci = self.cix[pol.counter]
-            if straight:
-                dec = -deltas.get(ci, 0)
+            ci = self.cix.get(pol.counter)
+            if ci is None:
+                raise PolicyStuckError(f"loop at line {entry}: policy drains {pol.counter!r}, not a counter")
+            if body is None:
+                count = int(vec[ci] != 0)
+            else:
+                dec = -body[0].get(ci, 0)
                 if dec <= 0:
-                    raise PolicyStuckError(
-                        f"loop at line {span.entry} does not decrease {pol.counter!r}"
-                    )
-                value = self.vec[ci]
-                n_iter, rest = divmod(value, dec)
+                    raise PolicyStuckError(f"loop at line {entry} does not decrease {pol.counter!r}")
+                count, rest = divmod(vec[ci], dec)
                 if rest:
                     raise PolicyStuckError(
-                        f"loop at line {span.entry}: {pol.counter!r}={value} not divisible "
+                        f"loop at line {entry}: {pol.counter!r}={vec[ci]} not divisible "
                         f"by per-iteration decrement {dec}"
                     )
-                self._fast_forward(span, n_iter)
-                return span.exit
-            return self._enter_or_leave(span, self.vec[ci] != 0)
-        if isinstance(pol, CountedLoop):
-            left = self.counted_left.pop(span.entry, pol.iterations)
-            if straight:
-                self._fast_forward(span, left)
-                return span.exit
-            if left:
-                self.counted_left[span.entry] = left - 1
-            return self._enter_or_leave(span, left > 0)
-        raise PolicyStuckError(f"line {span.entry}: policy {pol!r} does not fit a loop")
+        elif isinstance(pol, CountedLoop):
+            count = self.counted_left.pop(entry, pol.iterations)
+            if body is None:
+                if count:
+                    self.counted_left[entry] = count - 1
+                count = int(count > 0)
+        else:
+            raise PolicyStuckError(f"line {entry}: policy {pol!r} does not fit a loop")
 
-    def _check_progress(self, entry: int):
-        """Raise if a loop walked stepwise is at its entry with the same
-        counters and counted-loop state as at its last visit: the replay is
-        a function of those and the line, so it would repeat forever."""
-        state = (tuple(self.vec), dict(self.counted_left))
-        if self.last_visit.get(entry) == state:
-            raise PolicyStuckError(
-                f"loop at line {entry}: replay does not terminate "
-                "(entry reached again with the same counters)"
-            )
-        self.last_visit[entry] = state
-
-    def _enter_or_leave(self, span: LoopSpan, enter: bool) -> int:
-        """One step from the entry of a loop walked stepwise: into its body
-        as a new iteration, or out of the loop.  Returns the next line."""
-        if enter:
-            self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + 1
-            self._step(span.entry, self.zero, span.body_start)
+        if body is None and count:
+            self.iterations[entry] = self.iterations.get(entry, 0) + 1
             return span.body_start
-        self._record_exit(span.entry)
-        self._step(span.entry, self.zero, span.exit)
-        return span.exit
-
-    def _drain_completion(self):
-        # Walk the drain chain synthesized by the compiler for untested counters.
-        for ix, (state, counter) in enumerate(self.compiled.drain_chain):
-            ci = self.cix[counter]
-            count = self.vec[ci]
+        if body is not None and count > 0:
+            deltas, one = body
+            for ci, d in deltas.items():
+                vec[ci] += count * d
+                if vec[ci] < 0:
+                    raise PolicyStuckError(
+                        f"loop at line {entry}: counter {self.flat.counters[ci]!r} "
+                        f"underflows after {count} iterations"
+                    )
+                # each counter moves monotonically across iterations
+                self.peak[ci] = max(self.peak[ci], vec[ci])
             if self.materialize:
-                drain = self._transition(state, self._unit_delta(ci, -1), state)
-                self.steps.extend([drain] * count)
-            self.vec[ci] = 0
-            self.length += count
-            nxt = self.compiled.drain_chain[ix + 1][0] if ix + 1 < len(self.compiled.drain_chain) else None
-            if nxt is not None:
-                if self.materialize:
-                    self.steps.append(self._transition(state, self.zero, nxt))
-                self.length += 1
+                self.steps += one * count
+            self.length += count * len(one)
+        iterations, exits = self.observations.setdefault(entry, ([], []))
+        iterations.append(self.iterations.pop(entry, 0) + count)
+        exits.append(tuple(vec))
+        return span.exit
 
 
 def replay_canonical(
@@ -876,9 +827,10 @@ def replay_canonical(
     length) are recomputed from the walk itself.  Loops with straight-line
     bodies are fast-forwarded arithmetically, so doubly-exponential canonical
     runs can be measured without materializing them (materialize=False).
-    Raises PolicyStuckError if the schedule deadlocks, or as soon as a loop
-    walked stepwise reaches its entry again with nothing changed, since the
-    replay would then repeat forever.
+    Raises PolicyStuckError if the schedule deadlocks, or as soon as the
+    entry of a loop walked stepwise, or the target of a backward goto other
+    than a loop's own back goto, comes round with nothing changed, since the
+    replay would then repeat forever.  `halting` is whether the final configuration is the target.
 
     A materialized run shares the `Transition` objects of `compiled.vass`
     rather than holding a fresh one per step, and a fast-forwarded loop's

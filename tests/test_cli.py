@@ -65,6 +65,16 @@ class TestGenerate:
         assert (code, out, err) == (2, "", f"vasskit: {message}\n")
 
 
+    @pytest.mark.parametrize(
+        "body",
+        ["  if 1 > 2 then\n    x += 1\n  endif\n", "  for i := 1 to 0\n    x += 1\n  endfor\n"],
+    )
+    def test_loop_body_expanding_to_nothing_fails(self, capsys, tmp_path, body):
+        path = tmp_path / "p.cp"
+        path.write_text(f"counters x\ninit\nloop\n{body}endloop\nhalt x\n")
+        code, out, err = run_cli(capsys, "expand", str(path))
+        assert (code, out, err) == (1, "", "vasskit: loop at line 2: body expands to no lines\n")
+
     @pytest.mark.parametrize("cond", ["1 < 2", "2 > 1"])
     def test_strict_comparison_expands(self, capsys, tmp_path, cond):
         path = tmp_path / "p.cp"

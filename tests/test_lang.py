@@ -122,6 +122,9 @@ class TestParse:
         assert err.value.line == 3
         with pytest.raises(ExpansionError, match="^loop body is empty$"):
             expand(CounterProgram(("x",), (Init(), Loop(()))))
+        # a body that expands to nothing, at its expanded entry line
+        with pytest.raises(ExpansionError, match="^loop at line 3: body expands to no lines$"):
+            expand(parse("counters x\ninit\nx += 1\nloop\n  if 1 > 2 then\n    x += 1\n  endif\nendloop\n"))
 
 
 class TestEval:

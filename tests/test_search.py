@@ -22,13 +22,16 @@ from vasskit.families import (
     np_canonical_policy,
     with_initial_values,
 )
-from vasskit.lang import Sub, parse
+from vasskit.lang import Add, Goto, Halt, Sub, parse
 from vasskit.search import (
     CountedLoop,
     DrainLoop,
+    LoopObservation,
+    RunProbe,
     SearchBudget,
     SearchStats,
     ReachResult,
+    TakeBranch,
     Verdict,
     count_halting_runs,
     final_vectors,
@@ -39,7 +42,6 @@ from vasskit.search import (
     shortest_halting,
     _explore,
     _Packed,
-    _Replay,
     _target_caps,
 )
 from vasskit.vass import (
@@ -259,6 +261,88 @@ class TestCountHaltingRuns:
             count_halting_runs(v, SearchBudget(3))
 
 
+def _canonical(name):
+    if name == "exp(3)":
+        compiled = compile_counter_program(gen_exp(3))
+        return compiled, exp_canonical_policy(compiled.program, divisibility_threshold(3))
+    if name == "weak(3)":
+        compiled = compile_counter_program(gen_weak(3))
+    elif name == "hp(3,2)":
+        compiled = compile_counter_program(with_initial_values(gen_hp(3, 2), {"x": 4, "z": 2}))
+    else:  # NP(3;{1,2}), taking both values
+        compiled = compile_counter_program(gen_np(NpInstance(3, (1, 2)))[0])
+        return compiled, np_canonical_policy(compiled.program, {1, 2})
+    return compiled, maximal_policy(compiled.program)
+
+
+CANONICAL = ["exp(3)", "weak(3)", "hp(3,2)", "NP(3;{1,2})"]
+
+
+def per_step_replay(compiled, policy):
+    """Reference for a materialized replay that shares no code with it: walk
+    the flat program one line at a time, enter loops one iteration at a
+    time and emit a fresh `Transition` per step.  Returns the steps, the
+    probe, the final configuration and whether it is the target."""
+    flat, vass = compiled.program, compiled.vass
+    n, counters = len(flat.lines), flat.counters
+    spans = {s.entry: s for s in flat.loops}
+    vec, peak, steps = [0] * len(counters), [0] * len(counters), []
+    observed, running, left = {}, {}, {}
+
+    def state(line):
+        return compiled.line_states[line - 1] if line <= n else compiled.halt_state
+
+    def step(src, dst, counter=None, amount=0):
+        delta = [0] * len(counters)
+        if counter is not None:
+            i = counters.index(counter)
+            delta[i] = amount
+            vec[i] += amount
+            assert vec[i] >= 0
+            peak[i] = max(peak[i], vec[i])
+        steps.append(Transition(src, tuple(delta), dst))
+
+    pc = 1
+    while pc <= n and not isinstance(flat.line(pc), Halt):
+        cmd = flat.line(pc)
+        nxt = pc + 1
+        if pc in spans:
+            pol = policy[pc]
+            if isinstance(pol, DrainLoop):
+                again = vec[counters.index(pol.counter)] > 0
+            else:
+                again = left.setdefault(pc, pol.iterations) > 0
+                left[pc] -= 1
+            if again:
+                running[pc] = running.get(pc, 0) + 1
+                nxt = spans[pc].body_start
+            else:
+                left.pop(pc, None)
+                iterations, exits = observed.setdefault(pc, ([], []))
+                iterations.append(running.pop(pc, 0))
+                exits.append(tuple(vec))
+                nxt = spans[pc].exit
+        elif isinstance(cmd, Goto):
+            nxt = cmd.second if cmd.first != cmd.second and policy[pc].second else cmd.first
+        if isinstance(cmd, (Add, Sub)):
+            step(state(pc), state(nxt), cmd.counter, cmd.amount if isinstance(cmd, Add) else -cmd.amount)
+        else:
+            step(state(pc), state(nxt))
+        pc = nxt
+    here = state(pc)
+    if pc <= n:  # halt completion: drain each untested counter in turn
+        chain = compiled.drain_chain
+        for ix, (at, counter) in enumerate(chain):
+            while vec[counters.index(counter)] > 0:
+                step(at, at, counter, -1)
+            if ix + 1 < len(chain):
+                here = chain[ix + 1][0]
+                step(at, here)
+    loops = {e: LoopObservation(e, tuple(it), tuple(ex)) for e, (it, ex) in sorted(observed.items())}
+    final = Configuration(here, tuple(vec))
+    return steps, RunProbe(loops, tuple(peak), len(steps)), final, final == vass.target
+
+
 class TestReplay:
     def test_weak_mult_probes(self):
         prog = with_initial_values(gen_weak_mult(3, 2), {"x": 4})
@@ -300,13 +384,14 @@ class TestReplay:
         assert report.ok and report.halting
         assert out.run.final == compiled.vass.target
 
-    def test_unmaterialized_matches_materialized(self):
-        compiled = compile_counter_program(gen_exp_fixed(2, 4))
-        a = replay_canonical(compiled, maximal_policy(compiled.program), materialize=True)
-        b = replay_canonical(compiled, maximal_policy(compiled.program), materialize=False)
+    @pytest.mark.parametrize("name", CANONICAL)
+    def test_unmaterialized_matches_materialized(self, name):
+        compiled, policy = _canonical(name)
+        a = replay_canonical(compiled, policy, materialize=True)
+        b = replay_canonical(compiled, policy, materialize=False)
         assert b.run is None
-        assert a.probe == b.probe
-        assert a.final == b.final
+        assert (a.probe, a.final, a.halting) == (b.probe, b.final, b.halting)
+        assert a.probe.length == len(a.run)
 
     def test_policy_stuck_on_bad_divisibility(self):
         # drain of x by 2 per iteration cannot land on zero from x = 3
@@ -376,6 +461,40 @@ class TestReplay:
             replay_canonical(compiled, {entry: DrainLoop("x")})
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("materialize", [True, False])
+    @pytest.mark.parametrize(
+        "body, policy, where",
+        [
+            ("lbl: goto lbl or lbl\n", {}, "line 2"),
+            ("lbl: goto lbl or out\n", {2: TakeBranch(False)}, "line 2"),
+            # a straight-line loop whose entry a later goto reaches again
+            ("lbl: loop\n  x -= 1\nendloop\ngoto lbl or lbl\n", {2: DrainLoop("x")}, "loop at line 2"),
+        ],
+    )
+    def test_goto_cycle_without_change_raises_at_once(self, body, policy, where, materialize):
+        compiled = compile_counter_program(parse(f"counters x\ninit\n{body}out: halt x\n"))
+        start = time.perf_counter()
+        with pytest.raises(PolicyStuckError, match=f"^{where}: replay does not terminate"):
+            replay_canonical(compiled, policy, materialize=materialize)
+        assert time.perf_counter() - start < 5
+
+    def test_backward_goto_that_changes_counters_runs_on(self):
+        # the goto takes line 3 round with x = 2, 1, 0, then its decrement underflows
+        text = "counters x\ninit\nx += 3\ntop: x -= 1\ngoto top or out\nout: halt x\n"
+        compiled = compile_counter_program(parse(text))
+        with pytest.raises(PolicyStuckError, match="^line 3: counter 'x' would go below zero$"):
+            replay_canonical(compiled, {4: TakeBranch(False)})
+        out = replay_canonical(compiled, {4: TakeBranch(True)})
+        assert (out.final.vector, out.halting, out.probe.length) == ((2,), False, 4)
+
+    @pytest.mark.parametrize("body", ["  x -= 1\n", "  x -= 1\n  x += 1\n  x -= 1\n"])
+    def test_drain_of_unknown_counter_is_named(self, body):
+        # straight-line and stepwise bodies alike
+        compiled = compile_counter_program(parse(f"counters x\ninit\nx += 2\nloop\n{body}endloop\nhalt x\n"))
+        entry = compiled.program.loops[0].entry
+        with pytest.raises(PolicyStuckError, match=f"^loop at line {entry}: .*'q'"):
+            replay_canonical(compiled, {entry: DrainLoop("q")})
+
     def test_counted_loop_with_unchanged_counters_is_not_stuck(self):
         # same counters at every entry, but the iterations left differ
         text = "counters y\ninit\nloop\n  y += 1\n  y -= 1\nendloop\nhalt y\n"
@@ -405,79 +524,18 @@ class TestReplay:
             )
 
 
-class PerStepReplay(_Replay):
-    """Reference emitter for materialized replay: every step is a fresh
-    `Transition` appended on its own, with no shared objects and no
-    block appends."""
-
-    def _transition(self, src, delta, dst):
-        return Transition(src, delta, dst)
-
-    def _fast_forward(self, span, n_iter):
-        straight, deltas, body_len = self.body_info[span.entry]
-        assert straight
-        if n_iter > 0:
-            for ci, d in deltas.items():
-                if d < 0 and self.vec[ci] + n_iter * d < 0:
-                    raise PolicyStuckError("underflow")
-            for _ in range(n_iter):
-                self._emit(span.entry, self.zero, span.body_start)
-                for ln in range(span.body_start, span.back):
-                    cmd = self.flat.line(ln)
-                    amount = -cmd.amount if isinstance(cmd, Sub) else cmd.amount
-                    self._emit(ln, self._unit_delta(self.cix[cmd.counter], amount), ln + 1)
-                self._emit(span.back, self.zero, span.entry)
-            for ci, d in deltas.items():
-                end = self.vec[ci] + n_iter * d
-                self.peak[ci] = max(self.peak[ci], self.vec[ci], end)
-                self.vec[ci] = end
-            self.length += n_iter * (body_len + 2)
-        self.iter_count[span.entry] = self.iter_count.get(span.entry, 0) + n_iter
-        self._record_exit(span.entry)
-        self._emit(span.entry, self.zero, span.exit)
-        self.length += 1
-
-    def _drain_completion(self):
-        chain = self.compiled.drain_chain
-        for ix, (state, counter) in enumerate(chain):
-            ci = self.cix[counter]
-            while self.vec[ci] > 0:
-                self.steps.append(Transition(state, self._unit_delta(ci, -1), state))
-                self.vec[ci] -= 1
-                self.length += 1
-            if ix + 1 < len(chain):
-                self.steps.append(Transition(state, self.zero, chain[ix + 1][0]))
-                self.length += 1
-
-
-def _canonical(name):
-    if name == "exp(3)":
-        compiled = compile_counter_program(gen_exp(3))
-        return compiled, exp_canonical_policy(compiled.program, divisibility_threshold(3))
-    if name == "weak(3)":
-        compiled = compile_counter_program(gen_weak(3))
-    elif name == "hp(3,2)":
-        compiled = compile_counter_program(with_initial_values(gen_hp(3, 2), {"x": 4, "z": 2}))
-    else:  # NP(3;{1,2}), taking both values
-        compiled = compile_counter_program(gen_np(NpInstance(3, (1, 2)))[0])
-        return compiled, np_canonical_policy(compiled.program, {1, 2})
-    return compiled, maximal_policy(compiled.program)
-
-
-CANONICAL = ["exp(3)", "weak(3)", "hp(3,2)", "NP(3;{1,2})"]
-
-
 class TestReplaySharesTransitions:
     @pytest.mark.parametrize("name", CANONICAL)
     def test_steps_match_per_step_reference(self, name):
         compiled, policy = _canonical(name)
         out = replay_canonical(compiled, policy)
-        ref = PerStepReplay(compiled, policy, materialize=True).run()
-        assert out.run.steps == ref.run.steps
-        assert (out.probe, out.final, out.halting) == (ref.probe, ref.final, ref.halting)
+        steps, probe, final, halting = per_step_replay(compiled, policy)
+        assert list(out.run.steps) == steps
+        assert (out.probe, out.final, out.halting) == (probe, final, halting)
         own = {id(t) for t in compiled.vass.transitions}
         assert all(id(t) in own for t in out.run.steps)
-        assert validate_run(compiled.vass, out.run) == validate_run(compiled.vass, ref.run)
+        reference = Run(compiled.vass.source, tuple(steps))
+        assert validate_run(compiled.vass, out.run) == validate_run(compiled.vass, reference)
 
     @pytest.mark.parametrize("name", CANONICAL)
     def test_step_missing_from_vass_is_emitted_and_rejected(self, name):
