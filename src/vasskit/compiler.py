@@ -50,23 +50,18 @@ def compile_program(flat: FlatProgram) -> CompiledProgram:
         d[cix[counter]] = scale
         return tuple(d)
 
-    has_halt = flat.halt is not None
-    line_states = tuple(f"L{i}" for i in range(1, n + 1))
-    states = list(line_states)
-    line_of_state = {s: i + 1 for i, s in enumerate(line_states)}
-    if not has_halt:
-        end = f"L{n + 1}"
-        states.append(end)
-        line_of_state[end] = n + 1
+    # Every state of line l is L<l>, line n + 1 included when control can
+    # fall off the end; the last of them is where halting completes.
+    last = n if flat.halt is not None else n + 1
+    states = [f"L{line}" for line in range(1, last + 1)]
+    line_states = tuple(states[:n])
+    line_of_state = {s: line for line, s in enumerate(states, start=1)}
 
     def state_of(line: int) -> str:
-        if line == n + 1 and not has_halt:
-            return f"L{n + 1}"
-        return line_states[line - 1]
+        return states[line - 1]
 
     transitions: list[Transition] = []
-    target_state = state_of(n) if has_halt else state_of(n + 1)
-    halt_state = target_state if has_halt else state_of(n + 1)
+    halt_state = target_state = states[-1]
     drain_chain: tuple[tuple[str, str], ...] = ()
 
     for ln, cmd in enumerate(flat.lines, start=1):

@@ -164,7 +164,12 @@ def expand(program: CounterProgram, max_lines: int = DEFAULT_MAX_LINES) -> FlatP
         elif target in labels:
             resolved = labels[target]
         elif isinstance(target, str) and target.isdigit():
-            resolved = int(target)  # fall-off-the-end line of a flat fragment
+            # a number that is no label names the line just past the last
+            # one, where control falls off the end of a halt-less fragment
+            if has_halt:
+                raise ExpansionError(
+                    f"goto target {target!r} falls off the end of a program that ends in halt")
+            resolved = n + 1
         else:
             raise ExpansionError(f"unresolved goto target {target!r}")
         if not 1 <= resolved <= limit:

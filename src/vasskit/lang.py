@@ -19,21 +19,29 @@ Concrete syntax is line oriented, one command per line:
     endloop
     for i := 3 downto 1
       x += i+1
+      if bit(6, i) = 1 then
+        x += 1
+      endif
     endfor
-    if bit(6, i) = 1 then
-      x += 1
-    endif
-    lbl: goto lbl or other
-    halt y z
+    lbl: goto lbl or done
+    done: halt y z
 
 `counters` may be omitted, in which case counters are collected in order of
 first use.  `init`/`halt` may be omitted for program fragments.  Labels are
-identifiers or line numbers; `# ...` comments run to end of line.
+identifiers or line numbers; a goto target that is a number but no label
+names the line just past the last command, where control falls off the end
+of a fragment.  `# ...` comments run to end of line.
+
+`parse` keeps its whole state in one `_Parser`: the tokens of each nonblank
+line, a cursor in the current line, and what the program has declared and
+used so far (counters, labels, goto targets, the open block).  The
+expression, condition, block and command rules are its methods, and the
+block commands `loop`, `for` and `if` share one rule for a body and its end
+line, keyed by their end keyword in `_END`.
 
 `format_command` prints a ground command (init, halt, increment, decrement,
-goto); `pretty_print` and `expand.pretty_print_flat` both use it.  The block
-commands `loop`, `for` and `if` share one rule for parsing a body with its
-end line and one for printing it, keyed by their end keyword in `_END`.
+goto); `pretty_print` and `expand.pretty_print_flat` both use it, and the
+block commands share one rule for printing a body.
 """
 
 from __future__ import annotations
@@ -240,7 +248,6 @@ _KEYWORDS = {
 class _Tok:
     kind: str  # 'ident' | 'num' | 'op' | 'kw'
     text: str
-    line: int
     col: int
 
 
@@ -255,306 +262,238 @@ def _tokenize_line(text: str, lineno: int) -> list[_Tok]:
         value = m.group()
         if kind == "ident" and value in _KEYWORDS:
             kind = "kw"
-        toks.append(_Tok(kind, value, lineno, m.start() + 1))
+        toks.append(_Tok(kind, value, m.start() + 1))
     return toks
-
-
-class _LineCursor:
-    """Cursor over one logical line's tokens."""
-
-    def __init__(self, toks: list[_Tok], lineno: int):
-        self.toks = toks
-        self.pos = 0
-        self.lineno = lineno
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of line", self.lineno)
-        self.pos += 1
-        return t
-
-    def accept(self, kind: str, text: str | None = None) -> _Tok | None:
-        t = self.peek()
-        if t and t.kind == kind and (text is None or t.text == text):
-            self.pos += 1
-            return t
-        return None
-
-    def expect(self, kind: str, text: str | None = None) -> _Tok:
-        t = self.peek()
-        if t is None or t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            got = t.text if t else "end of line"
-            raise ParseError(f"expected {want!r}, got {got!r}", self.lineno,
-                             t.col if t else None)
-        self.pos += 1
-        return t
-
-    def done(self) -> bool:
-        return self.pos >= len(self.toks)
-
-    def require_done(self):
-        t = self.peek()
-        if t is not None:
-            raise ParseError(f"trailing input {t.text!r}", self.lineno, t.col)
-
-
-# Expression grammar: expr := term (('+'|'-') term)*
-#                     term := pow ('*' pow)* ; pow := atom ['^' pow]
-#                     atom := NUM | IDENT | '-' atom | '(' expr ')'
-
-def _parse_expr(cur: _LineCursor) -> MetaExpr:
-    e = _parse_term(cur)
-    while True:
-        if cur.accept("op", "+"):
-            e = BinOp("+", e, _parse_term(cur))
-        elif cur.accept("op", "-"):
-            e = BinOp("-", e, _parse_term(cur))
-        else:
-            return e
-
-
-def _parse_term(cur: _LineCursor) -> MetaExpr:
-    e = _parse_pow(cur)
-    while cur.accept("op", "*"):
-        e = BinOp("*", e, _parse_pow(cur))
-    return e
-
-
-def _parse_pow(cur: _LineCursor) -> MetaExpr:
-    base = _parse_atom(cur)
-    if cur.accept("op", "^"):
-        return Pow(base, _parse_pow(cur))
-    return base
-
-
-def _parse_atom(cur: _LineCursor) -> MetaExpr:
-    if cur.accept("op", "-"):
-        inner = _parse_atom(cur)
-        if isinstance(inner, Lit):
-            return Lit(-inner.value)
-        return BinOp("-", Lit(0), inner)
-    if cur.accept("op", "("):
-        e = _parse_expr(cur)
-        cur.expect("op", ")")
-        return e
-    t = cur.peek()
-    if t is None:
-        raise ParseError("expected expression", cur.lineno)
-    if t.kind == "num":
-        cur.next()
-        return Lit(int(t.text))
-    if t.kind == "ident":
-        cur.next()
-        return Var(t.text)
-    raise ParseError(f"expected expression, got {t.text!r}", cur.lineno, t.col)
-
-
-def _parse_cond(cur: _LineCursor) -> MetaCond:
-    if cur.accept("kw", "bit"):
-        cur.expect("op", "(")
-        value = _parse_expr(cur)
-        cur.expect("op", ",")
-        index = _parse_expr(cur)
-        cur.expect("op", ")")
-        cur.expect("op", "=")
-        bit_tok = cur.expect("num")
-        if bit_tok.text not in ("0", "1"):
-            raise ParseError("bit test compares against 0 or 1", cur.lineno, bit_tok.col)
-        return BitTest(value, index, int(bit_tok.text))
-    left = _parse_expr(cur)
-    t = cur.peek()
-    if t is None or t.kind != "op" or t.text not in ("=", "!=", "<", "<=", ">", ">="):
-        raise ParseError("expected comparison operator", cur.lineno, t.col if t else None)
-    cur.next()
-    right = _parse_expr(cur)
-    return Compare(t.text, left, right)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 
-class _Lines:
+class _Parser:
+    """The whole parse state: the tokens of each nonblank line, tokenized up
+    front; a cursor in the current line (`lineno`, `toks`, `pos`); and what
+    the program has declared and used so far."""
+
     def __init__(self, text: str):
-        self.lines: list[_LineCursor] = []
+        self.lines: list[tuple[int, list[_Tok]]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0]
-            toks = _tokenize_line(body, lineno)
+            toks = _tokenize_line(raw.split("#", 1)[0], lineno)
             if toks:
-                self.lines.append(_LineCursor(toks, lineno))
+                self.lines.append((lineno, toks))
+        self.index = -1  # of the current line in `lines`
+        self.lineno = 0
+        self.toks: list[_Tok] = []
         self.pos = 0
-
-    def peek(self) -> _LineCursor | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def next(self) -> _LineCursor:
-        cur = self.peek()
-        if cur is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return cur
-
-
-def _starts_with_kw(cur: _LineCursor, kw: str) -> bool:
-    t = cur.peek()
-    return t is not None and t.kind == "kw" and t.text == kw
-
-
-def _parse_block(
-    lines: _Lines, end: str | None, ctx: "_ParseCtx", opened: int | None = None
-) -> tuple[Command, ...]:
-    """The commands up to the line that starts with keyword `end`, which is
-    consumed and must hold nothing else; with `end` None, up to end of input.
-    `opened` is the line of the block's head, which a missing `end` names.
-    While the body is parsed, `ctx.block` is `end`."""
-    outer, ctx.block = ctx.block, end
-    body: list[Command] = []
-    while (cur := lines.peek()) is not None:
-        lines.next()
-        if end is not None and _starts_with_kw(cur, end):
-            cur.next()
-            cur.require_done()
-            ctx.block = outer
-            return tuple(body)
-        body.append(_parse_command(cur, lines, ctx))
-    if end is not None:
-        raise ParseError(f"missing {end}", opened)
-    return tuple(body)
-
-
-class _ParseCtx:
-    def __init__(self):
-        self.declared: tuple[str, ...] | None = None
-        self.seen_counters: list[str] = []
+        self.counters: list[str] = []  # the header's, else in order of first use
+        self.declared = False  # whether a `counters` header fixed `counters`
         self.labels: dict[str, int] = {}  # label -> source line (for dup checks)
         self.goto_targets: list[tuple[str, int]] = []
         self.saw_halt = False
         self.command_count = 0
-        self.block: str | None = None  # end keyword of the innermost open block
+        self.block_end: str | None = None  # end keyword of the innermost open block
 
-    def use_counter(self, name: str, lineno: int):
-        if self.declared is not None:
-            if name not in self.declared:
-                raise ParseError(f"undeclared counter {name!r}", lineno)
-        elif name not in self.seen_counters:
-            self.seen_counters.append(name)
+    def next_line(self) -> bool:
+        """Move the cursor to the start of the next line; False at end of input."""
+        self.index += 1
+        if self.index >= len(self.lines):
+            return False
+        self.lineno, self.toks = self.lines[self.index]
+        self.pos = 0
+        return True
 
+    def peek(self) -> _Tok | None:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-def _parse_command(cur: _LineCursor, lines: _Lines, ctx: _ParseCtx) -> Command:
-    lineno = cur.lineno
-    ctx.command_count += 1
-    if ctx.saw_halt:
-        raise ParseError("halt must be the last command", lineno)
+    def accept(self, kind: str, *texts: str) -> _Tok | None:
+        """The next token, consumed, if it has this kind and (when `texts`
+        are given) one of these texts; else None."""
+        t = self.peek()
+        if t and t.kind == kind and (not texts or t.text in texts):
+            self.pos += 1
+            return t
+        return None
 
-    # Optional label: IDENT ':' or NUM ':' at line start.
-    label = None
-    t0 = cur.peek()
-    if (
-        t0 is not None
-        and t0.kind in ("ident", "num")
-        and cur.pos + 1 < len(cur.toks)
-        and cur.toks[cur.pos + 1].kind == "op"
-        and cur.toks[cur.pos + 1].text == ":"
-    ):
-        cur.next()
-        cur.next()
-        label = t0.text
-        if label in ctx.labels:
-            raise ParseError(f"duplicate label {label!r}", lineno)
-        ctx.labels[label] = lineno
+    def expect(self, kind: str, text: str | None = None) -> _Tok:
+        t = self.accept(kind, text) if text else self.accept(kind)
+        if t is None:
+            got = self.peek()
+            raise self.error(f"expected {text or kind!r}, got "
+                             f"{got.text if got else 'end of line'!r}", got)
+        return t
 
-    cmd = _parse_bare_command(cur, lines, ctx, lineno)
-    if label is not None:
-        cmd = Labeled(label, cmd)
-    return cmd
+    def require_done(self):
+        t = self.peek()
+        if t is not None:
+            raise self.error(f"trailing input {t.text!r}", t)
 
+    def error(self, message: str, at: _Tok | None) -> ParseError:
+        return ParseError(message, self.lineno, at.col if at else None)
 
-def _parse_bare_command(cur: _LineCursor, lines: _Lines, ctx: _ParseCtx, lineno: int) -> Command:
-    t = cur.peek()
-    if t is None:
-        raise ParseError("empty command", lineno)
+    def use_counter(self, name: str):
+        if name not in self.counters:
+            if self.declared:
+                raise ParseError(f"undeclared counter {name!r}", self.lineno)
+            self.counters.append(name)
 
-    if t.kind == "kw":
+    # Expression grammar: expr := term (('+'|'-') term)*
+    #                     term := pow ('*' pow)* ; pow := atom ['^' pow]
+    #                     atom := NUM | IDENT | '-' atom | '(' expr ')'
+
+    def expr(self) -> MetaExpr:
+        e = self.term()
+        while op := self.accept("op", "+", "-"):
+            e = BinOp(op.text, e, self.term())
+        return e
+
+    def term(self) -> MetaExpr:
+        e = self.pow()
+        while self.accept("op", "*"):
+            e = BinOp("*", e, self.pow())
+        return e
+
+    def pow(self) -> MetaExpr:
+        base = self.atom()
+        if self.accept("op", "^"):
+            return Pow(base, self.pow())
+        return base
+
+    def atom(self) -> MetaExpr:
+        if self.accept("op", "-"):
+            inner = self.atom()
+            if isinstance(inner, Lit):
+                return Lit(-inner.value)
+            return BinOp("-", Lit(0), inner)
+        if self.accept("op", "("):
+            e = self.expr()
+            self.expect("op", ")")
+            return e
+        t = self.peek()
+        if t is None:
+            raise ParseError("expected expression", self.lineno)
+        self.pos += 1
+        if t.kind == "num":
+            return Lit(int(t.text))
+        if t.kind == "ident":
+            return Var(t.text)
+        raise self.error(f"expected expression, got {t.text!r}", t)
+
+    def cond(self) -> MetaCond:
+        if self.accept("kw", "bit"):
+            self.expect("op", "(")
+            value = self.expr()
+            self.expect("op", ",")
+            index = self.expr()
+            self.expect("op", ")")
+            self.expect("op", "=")
+            bit_tok = self.expect("num")
+            if bit_tok.text not in ("0", "1"):
+                raise self.error("bit test compares against 0 or 1", bit_tok)
+            return BitTest(value, index, int(bit_tok.text))
+        left = self.expr()
+        op = self.accept("op", "=", "!=", "<", "<=", ">", ">=")
+        if op is None:
+            raise self.error("expected comparison operator", self.peek())
+        return Compare(op.text, left, self.expr())
+
+    def block(self, end: str | None, opened: int | None = None) -> tuple[Command, ...]:
+        """The commands up to the line that starts with keyword `end`, which is
+        consumed and must hold nothing else; with `end` None, up to end of input.
+        `opened` is the line of the block's head, which a missing `end` names.
+        While the body is parsed, `block_end` is `end`."""
+        outer, self.block_end = self.block_end, end
+        body: list[Command] = []
+        while self.next_line():
+            if end is not None and self.accept("kw", end):
+                self.require_done()
+                self.block_end = outer
+                return tuple(body)
+            body.append(self.command())
+        if end is not None:
+            raise ParseError(f"missing {end}", opened)
+        return tuple(body)
+
+    def command(self) -> Command:
+        """The command on the current line, with its optional label
+        (IDENT ':' or NUM ':' at line start)."""
+        self.command_count += 1
+        if self.saw_halt:
+            raise ParseError("halt must be the last command", self.lineno)
+        t = self.peek()
+        if t.kind in ("ident", "num") and len(self.toks) > 1 and self.toks[1].text == ":":
+            if t.text in self.labels:
+                raise ParseError(f"duplicate label {t.text!r}", self.lineno)
+            self.labels[t.text] = self.lineno
+            self.pos = 2
+            return Labeled(t.text, self.bare_command())
+        return self.bare_command()
+
+    def bare_command(self) -> Command:
+        lineno = self.lineno
+        t = self.peek()
+        if t is None:
+            raise ParseError("empty command", lineno)
+        self.pos += 1
+        if t.kind == "ident":
+            op = self.accept("op", "+=", "-=")
+            if op is None:
+                raise self.error(f"expected '+=' or '-=' after counter {t.text!r}", self.peek())
+            self.use_counter(t.text)
+            amount = self.expr()
+            self.require_done()
+            return Add(t.text, amount) if op.text == "+=" else Sub(t.text, amount)
+        if t.kind != "kw":
+            raise self.error(f"cannot parse command starting with {t.text!r}", t)
         if t.text == "init":
-            cur.next()
-            cur.require_done()
+            self.require_done()
             return Init()
         if t.text == "halt":
-            if ctx.block is not None:
-                raise ParseError(f"halt inside {ctx.block.removeprefix('end')} body", lineno)
-            cur.next()
+            if self.block_end is not None:
+                raise ParseError(f"halt inside {self.block_end.removeprefix('end')} body", lineno)
             tested = []
-            while not cur.done():
-                cur.accept("op", ",")
-                if cur.done():
+            while self.peek() is not None:
+                self.accept("op", ",")
+                if self.peek() is None:
                     break
-                tok = cur.expect("ident")
-                ctx.use_counter(tok.text, lineno)
-                tested.append(tok.text)
-            ctx.saw_halt = True
+                tested.append(self.expect("ident").text)
+                self.use_counter(tested[-1])
+            self.saw_halt = True
             return Halt(tuple(tested))
         if t.text == "goto":
-            cur.next()
-            first = _parse_goto_target(cur, ctx)
-            cur.expect("kw", "or")
-            second = _parse_goto_target(cur, ctx)
-            cur.require_done()
+            first = self.goto_target()
+            self.expect("kw", "or")
+            second = self.goto_target()
+            self.require_done()
             return Goto(first, second)
         if t.text == "loop":
-            cur.next()
-            cur.require_done()
-            body = _parse_block(lines, _END[Loop], ctx, lineno)
+            self.require_done()
+            body = self.block(_END[Loop], lineno)
             if not body:
                 raise ParseError("loop body is empty", lineno)
             return Loop(body)
         if t.text == "for":
-            cur.next()
-            var = cur.expect("ident").text
-            cur.expect("op", ":=")
-            start = _parse_expr(cur)
-            if cur.accept("kw", "downto"):
-                downward = True
-            else:
-                cur.expect("kw", "to")
-                downward = False
-            stop = _parse_expr(cur)
-            cur.require_done()
-            return For(var, start, stop, downward, _parse_block(lines, _END[For], ctx, lineno))
+            var = self.expect("ident").text
+            self.expect("op", ":=")
+            start = self.expr()
+            downward = self.accept("kw", "downto") is not None
+            if not downward:
+                self.expect("kw", "to")
+            stop = self.expr()
+            self.require_done()
+            return For(var, start, stop, downward, self.block(_END[For], lineno))
         if t.text == "if":
-            cur.next()
-            cond = _parse_cond(cur)
-            cur.expect("kw", "then")
-            cur.require_done()
-            return If(cond, _parse_block(lines, _END[If], ctx, lineno))
-        raise ParseError(f"unexpected keyword {t.text!r}", lineno, t.col)
+            cond = self.cond()
+            self.expect("kw", "then")
+            self.require_done()
+            return If(cond, self.block(_END[If], lineno))
+        raise self.error(f"unexpected keyword {t.text!r}", t)
 
-    if t.kind == "ident":
-        name = cur.next().text
-        op = cur.peek()
-        if op is None or op.kind != "op" or op.text not in ("+=", "-="):
-            raise ParseError(f"expected '+=' or '-=' after counter {name!r}", lineno,
-                             op.col if op else None)
-        cur.next()
-        ctx.use_counter(name, lineno)
-        amount = _parse_expr(cur)
-        cur.require_done()
-        return Add(name, amount) if op.text == "+=" else Sub(name, amount)
-
-    raise ParseError(f"cannot parse command starting with {t.text!r}", lineno, t.col)
-
-
-def _parse_goto_target(cur: _LineCursor, ctx: _ParseCtx) -> str:
-    t = cur.peek()
-    if t is None or t.kind not in ("ident", "num"):
-        raise ParseError("expected goto target", cur.lineno, t.col if t else None)
-    cur.next()
-    ctx.goto_targets.append((t.text, t.line))
-    return t.text
+    def goto_target(self) -> str:
+        t = self.accept("ident") or self.accept("num")
+        if t is None:
+            raise self.error("expected goto target", self.peek())
+        self.goto_targets.append((t.text, self.lineno))
+        return t.text
 
 
 def parse(text: str) -> CounterProgram:
@@ -566,38 +505,33 @@ def parse(text: str) -> CounterProgram:
     inside a block, a loop with no commands, and a block with no end line
     (named by the line that opens it).
     """
-    lines = _Lines(text)
-    ctx = _ParseCtx()
+    p = _Parser(text)
+    if p.next_line() and p.accept("kw", "counters"):
+        while p.peek() is not None:
+            p.accept("op", ",")
+            name = p.expect("ident").text
+            if name in p.counters:
+                raise ParseError(f"duplicate counter {name!r}", p.lineno)
+            p.counters.append(name)
+        if not p.counters:
+            raise ParseError("counters header lists no counters", p.lineno)
+        p.declared = True
+    else:
+        p.index = -1  # no header: the body starts at the first line
 
-    head = lines.peek()
-    if head is not None and _starts_with_kw(head, "counters"):
-        lines.next()
-        head.next()
-        names = []
-        while not head.done():
-            head.accept("op", ",")
-            name = head.expect("ident").text
-            if name in names:
-                raise ParseError(f"duplicate counter {name!r}", head.lineno)
-            names.append(name)
-        if not names:
-            raise ParseError("counters header lists no counters", head.lineno)
-        ctx.declared = tuple(names)
-
-    body = _parse_block(lines, None, ctx)
+    body = p.block(None)
 
     # Numeric targets may also name the line just past the last command
     # (where control falls off the end of a halt-less fragment).
-    for target, lineno in ctx.goto_targets:
-        if target in ctx.labels:
+    for target, lineno in p.goto_targets:
+        if target in p.labels:
             continue
-        if target.isdigit() and int(target) == ctx.command_count + 1:
+        if target.isdigit() and int(target) == p.command_count + 1:
             continue
         raise ParseError(f"unresolved goto target {target!r}"
                          + (" (no such line)" if target.isdigit() else ""), lineno)
 
-    counters = ctx.declared if ctx.declared is not None else tuple(ctx.seen_counters)
-    return CounterProgram(counters, body)
+    return CounterProgram(tuple(p.counters), body)
 
 
 # ---------------------------------------------------------------------------

@@ -708,7 +708,8 @@ class _Replay:
         guard = 0
         while pc <= n:
             guard += 1
-            if guard > 50_000_000:
+            # the largest replay any family makes, 2exp(10), takes about 10,250 visits
+            if guard > 2_000_000:
                 raise PolicyStuckError("replay did not terminate (policy loops)")
             if pc in checks:
                 visit = (tuple(vec), dict(self.counted_left))

@@ -262,6 +262,31 @@ class TestExpand:
         assert flat.labels == {"a": 3, "b": 4}
         assert flat.lines[1] == Goto(3, 4)
 
+    # A number that is no label names the line past the last command: in
+    # the source for `parse`, in the expanded program for `expand`.
+    @pytest.mark.parametrize("text, lines", [
+        ("counters x\nfor i := 1 to 3\n  x += 1\nendfor\ngoto 4 or 4\n",
+         (Add("x", 1), Add("x", 1), Add("x", 1), Goto(5, 5))),
+        ("counters x\nloop\n  x += 1\nendloop\ngoto 4 or 4\n",
+         (Goto(4, 2), Add("x", 1), Goto(1, 1), Goto(5, 5))),
+        ("counters x\nif 1 = 1 then\n  x += 1\n  x += 2\nendif\ngoto 5 or 5\n",
+         (Add("x", 1), Add("x", 2), Goto(4, 4))),
+    ])
+    def test_numeric_target_falls_off_the_expanded_end(self, text, lines):
+        flat = expand(parse(text))
+        assert flat.lines == lines
+        assert expand(parse(pretty_print_flat(flat))).lines == lines
+        # the expanded end line is no line of the source
+        source_goto = text.splitlines()[-1]
+        end = len(lines) + 1
+        with pytest.raises(ParseError, match="no such line"):
+            parse(text.replace(source_goto, f"goto {end} or {end}"))
+
+    def test_numeric_target_past_a_halt_is_rejected(self):
+        p = parse("counters x\ninit\nfor i := 1 to 3\n  x += 1\nendfor\ngoto 6 or 6\nhalt x\n")
+        with pytest.raises(ExpansionError, match="falls off the end"):
+            expand(p)
+
     def test_duplicate_label_after_for_unrolling(self):
         p = CounterProgram(
             ("x",),

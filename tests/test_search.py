@@ -478,6 +478,17 @@ class TestReplay:
             replay_canonical(compiled, policy, materialize=materialize)
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_runaway_replay_stops_at_the_visit_guard(self, materialize):
+        # the goto re-enters the body, so y grows and no visit repeats
+        text = "counters x y\ninit\nx += 2\nloop\n  x -= 1\n  in: y += 1\nendloop\ngoto in or in\nhalt\n"
+        compiled = compile_counter_program(parse(text))
+        entry = compiled.program.loops[0].entry
+        start = time.perf_counter()
+        with pytest.raises(PolicyStuckError, match=r"^replay did not terminate \(policy loops\)$"):
+            replay_canonical(compiled, {entry: DrainLoop("x")}, materialize=materialize)
+        assert time.perf_counter() - start < 5
+
     def test_backward_goto_that_changes_counters_runs_on(self):
         # the goto takes line 3 round with x = 2, 1, 0, then its decrement underflows
         text = "counters x\ninit\nx += 3\ntop: x -= 1\ngoto top or out\nout: halt x\n"
