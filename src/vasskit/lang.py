@@ -30,7 +30,8 @@ Concrete syntax is line oriented, one command per line:
 first use.  `init`/`halt` may be omitted for program fragments.  Labels are
 identifiers or line numbers; a goto target that is a number but no label
 names the line just past the last command, where control falls off the end
-of a fragment.  `# ...` comments run to end of line.
+of a fragment; a program that ends in `halt` has no such line.  `# ...`
+comments run to end of line.
 
 `parse` keeps its whole state in one `_Parser`: the tokens of each nonblank
 line, a cursor in the current line, and what the program has declared and
@@ -501,9 +502,10 @@ def parse(text: str) -> CounterProgram:
 
     Raises ParseError with source position for syntax errors, undeclared
     or duplicate counters (when a `counters` header is present), duplicate
-    or unresolved labels, a `halt` that is not the final command or sits
-    inside a block, a loop with no commands, and a block with no end line
-    (named by the line that opens it).
+    or unresolved labels, a numeric goto target past the last command of a
+    program that ends in `halt`, a `halt` that is not the final command or
+    sits inside a block, a loop with no commands, and a block with no end
+    line (named by the line that opens it).
     """
     p = _Parser(text)
     if p.next_line() and p.accept("kw", "counters"):
@@ -527,6 +529,9 @@ def parse(text: str) -> CounterProgram:
         if target in p.labels:
             continue
         if target.isdigit() and int(target) == p.command_count + 1:
+            if p.saw_halt:
+                raise ParseError(f"goto target {target!r} falls off the end of a program "
+                                 "that ends in halt", lineno)
             continue
         raise ParseError(f"unresolved goto target {target!r}"
                          + (" (no such line)" if target.isdigit() else ""), lineno)

@@ -27,18 +27,23 @@ two need per-step levels or every configuration, so they step one
 transition at a time.
 
 Each move checks the counter fields it must against a cap per field.  In
-most searches the cap is the bound.  `halting_reachable` tightens it with a
-rule that depends on the target (`_target_caps`): it drops configurations
-at states with no path to the target state, and configurations holding more
-than the target value in a counter that no transition on such a path
-decreases, since along any run from there that counter only grows.  No
-configuration that can reach the target is dropped, so its verdicts stay
-exact; its stats count only the configurations that pass the rule, and a
-drop is not a bound rejection.  `count_halting_runs` applies the same rule
-when `acyclic_configurations` proves that no run repeats a configuration;
-on any other VASS it must still see cycles among configurations that
-cannot halt, so it keeps the plain bound.  `shortest_halting` keeps it too,
-because it prints its stats, and the collections have no target.
+the collections, which have no target, the cap is the bound.
+`shortest_halting` and `halting_reachable` tighten it with a rule that
+depends on the target (`_target_caps`): they drop configurations at states
+with no path to the target state, and configurations holding more than the
+target value in a counter that no transition on such a path decreases,
+since along any run from there that counter only grows.  No configuration
+that can reach the target is dropped, so verdicts stay exact, and a drop is
+not a bound rejection.  The rule never drops a configuration on a shortest
+run, nor the first parent of a configuration it keeps, so each level of the
+pruned breadth-first search is the unpruned level with the dropped
+configurations left out, in the same order: `shortest_halting` returns the
+same run, tie-breaks included, whenever no budget cuts the search.  Their
+stats and `max_configs` count only the configurations that pass the rule.
+`count_halting_runs` applies the same rule when `acyclic_configurations`
+proves that no run repeats a configuration; on any other VASS it must still
+see cycles among configurations that cannot halt, so it keeps the plain
+bound.
 
 Search is deterministic: successors are expanded in the canonical transition
 order of the Vass and results (including shortest-run tie-breaking and stats)
@@ -392,12 +397,18 @@ def shortest_halting(
     FOUND returns a minimum-length halting run (ties broken by canonical
     transition order); EXHAUSTED certifies that no halting run stays within
     the bound; BUDGET_EXCEEDED means the node budget, or `max_depth` (a cap
-    on run length), cut search off.  `stats.expanded` counts the
-    configurations whose successors were generated.
+    on run length), cut search off.
+
+    The search drops every configuration that provably cannot reach the
+    target (see `_target_caps`), as halting_reachable does.  Verdicts and
+    runs are those of the search without the rule whenever no budget cuts
+    it.  `stats.expanded` counts the configurations, passing the rule, whose
+    successors were generated, and `max_configs` the configurations stored,
+    all of which pass it.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    packed = _Packed(v, budget.counter_bound)
+    packed = _Packed(v, budget.counter_bound, prune=True)
     verdict, parent, stats = _explore(packed, packed.tgt, budget.max_configs, max_depth)
     run = _trace_run(v, packed, parent) if verdict == Verdict.FOUND else None
     return ReachResult(verdict, run, stats)

@@ -491,7 +491,7 @@ def _np_init_unique(n: int) -> str | None:
 
 def _np_accounting(inst: families.NpInstance) -> str | None:
     """Positive instances: the canonical subset run halts, validates and meters
-    f and u per component; so does the BFS run when every entry is <= 2."""
+    f and u per component, and so does the shortest run the BFS finds."""
     chosen = families.subset_sum_witness(inst.target, inst.values)
     if chosen is None:
         return None
@@ -504,7 +504,7 @@ def _np_accounting(inst: families.NpInstance) -> str | None:
     if not (report.ok and report.halting):
         return f"{inst}: canonical subset run fails validation"
     counterexample = check_np_run_accounting(inst, out.run, compiled, meta)
-    if counterexample is not None or max(inst.target, *inst.values) > 2:
+    if counterexample is not None:
         return counterexample
     result = shortest_halting(compiled.vass, SearchBudget(meta.search_bound, 8_000_000))
     if result.verdict != Verdict.FOUND:

@@ -56,6 +56,8 @@ class TestGenerate:
         [
             ("counters x\ninit\nloop\nendloop\nhalt x\n", "line 3: loop body is empty"),
             ("counters x x\ninit\nhalt x\n", "line 1: duplicate counter 'x'"),
+            ("counters x\ninit\ngoto 4 or 4\nhalt x\n",
+             "line 3: goto target '4' falls off the end of a program that ends in halt"),
         ],
     )
     def test_static_mistakes_are_parse_errors(self, capsys, tmp_path, text, message):
@@ -122,7 +124,7 @@ class TestPipeline:
         assert out == "verdict: budget-exceeded\nexpanded: 6  frontier peak: 3  depth: 5\n"
         code, out, _ = run_cli(capsys, *solve, "--max-depth", "100")
         assert code == 0
-        assert out == "verdict: found\nlength: 31\nexpanded: 93  frontier peak: 6  depth: 31\n"
+        assert out == "verdict: found\nlength: 31\nexpanded: 67  frontier peak: 4  depth: 31\n"
         assert run_cli(capsys, *solve) == (code, out, "")
         code, out, err = run_cli(capsys, *solve, "--max-depth", "-1")
         assert (code, out, err) == (2, "", "vasskit: max_depth must be >= 0\n")

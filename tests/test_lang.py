@@ -283,7 +283,18 @@ class TestExpand:
             parse(text.replace(source_goto, f"goto {end} or {end}"))
 
     def test_numeric_target_past_a_halt_is_rejected(self):
-        p = parse("counters x\ninit\nfor i := 1 to 3\n  x += 1\nendfor\ngoto 6 or 6\nhalt x\n")
+        text = "counters x\ninit\nfor i := 1 to 3\n  x += 1\nendfor\ngoto 6 or 6\nhalt x\n"
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == (
+            "line 6: goto target '6' falls off the end of a program that ends in halt"
+        )
+        assert exc.value.line == 6
+        # `expand` still rejects such an AST when it is built in code
+        p = CounterProgram(("x",), (
+            Init(), For("i", Lit(1), Lit(3), False, (Add("x", Lit(1)),)),
+            Goto("6", "6"), Halt(("x",)),
+        ))
         with pytest.raises(ExpansionError, match="falls off the end"):
             expand(p)
 

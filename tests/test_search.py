@@ -20,6 +20,7 @@ from vasskit.families import (
     gen_weak_mult,
     maximal_policy,
     np_canonical_policy,
+    subset_sum_witness,
     with_initial_values,
 )
 from vasskit.lang import Add, Goto, Halt, Sub, parse
@@ -43,6 +44,7 @@ from vasskit.search import (
     _explore,
     _Packed,
     _target_caps,
+    _trace_run,
 )
 from vasskit.vass import (
     Configuration, Run, RunReport, Transition, Vass, acyclic_configurations, is_flat, validate_run,
@@ -588,14 +590,51 @@ def _ref_successors(v, bound, absorbing=frozenset()):
     return successors
 
 
-def ref_shortest(v, budget, max_depth=None):
+def ref_target_caps(v, bound):
+    """Per state name, None if no path leads from it to the target state,
+    else one cap per counter: the bound if some transition on such a path
+    decreases the counter, else min(bound, target value).  A naive fixpoint
+    over the transitions: a state's decreased counters are those of every
+    transition from it into a state that reaches the target state, plus
+    that state's own, until nothing changes."""
+    decreased = {v.target.state: frozenset()}
+    changed = True
+    while changed:
+        changed = False
+        for t in v.transitions:
+            if t.dst not in decreased:
+                continue
+            new = decreased[t.dst].union(
+                decreased.get(t.src, ()), (i for i, d in enumerate(t.delta) if d < 0)
+            )
+            if decreased.get(t.src) != new:
+                decreased[t.src] = new
+                changed = True
+    return {
+        s: None if s not in decreased else tuple(
+            bound if i in decreased[s] else min(bound, x) for i, x in enumerate(v.target.vector)
+        )
+        for s in v.states
+    }
+
+
+def ref_shortest(v, budget, max_depth=None, caps=None):
     """Deque BFS on tuple keys: (verdict, run, expanded).  `expanded` counts
     configurations whose successors were generated; the node budget is
-    checked before the target test, as in shortest_halting."""
+    checked before the target test, as in shortest_halting.  With `caps`
+    (per state, as `ref_target_caps` gives them), a configuration outside
+    its state's caps is never stored, and such a source is not searched."""
+
+    def outside(cfg):
+        state, vec = cfg
+        return caps is not None and (
+            caps[state] is None or any(x > c for x, c in zip(vec, caps[state]))
+        )
+
     bound = budget.counter_bound
     src = (v.source.state, v.source.vector)
     tgt = (v.target.state, v.target.vector)
-    if max(v.source.vector, default=0) > bound:
+    if max(v.source.vector, default=0) > bound or outside(src):
         return Verdict.EXHAUSTED, None, 0
     if src == tgt:
         return Verdict.FOUND, Run(v.source, ()), 0
@@ -611,7 +650,7 @@ def ref_shortest(v, budget, max_depth=None):
             continue
         expanded += 1
         for tix, nxt in successors(cfg):
-            if nxt in parents:
+            if nxt in parents or outside(nxt):
                 continue
             if len(parents) >= budget.max_configs:
                 return Verdict.BUDGET_EXCEEDED, None, expanded
@@ -803,6 +842,36 @@ def _chains_finish(got, want, ref, v, budget, *args):
 
 
 class TestAgainstTupleReference:
+    @staticmethod
+    def check_pruned_shortest(v, budget, depth):
+        """shortest_halting equals the reference with the target caps, stats
+        included, and gives the plain reference's verdict and run wherever a
+        budget does not cut that reference.  Returns both references'
+        (verdict, run, expanded), the pruned one first."""
+        want = ref_shortest(v, budget, depth, ref_target_caps(v, budget.counter_bound))
+        res = shortest_halting(v, budget, depth)
+        assert (res.verdict, res.run, res.stats.expanded) == want
+        plain = verdict, run, expanded = ref_shortest(v, budget, depth)
+        if verdict != Verdict.BUDGET_EXCEEDED:
+            assert (res.verdict, res.run) == (verdict, run)
+            assert res.stats.expanded <= expanded
+        return want, plain
+
+    def test_pruned_shortest_keeps_unpruned_runs(self):
+        rng = random.Random(20261019)
+        seen = Counter()
+        for _ in range(300):
+            for make in (random_vass, random_dag_vass, random_flat_vass):
+                v = make(rng)
+                budget, depth = random_budget(rng)
+                (verdict, _run, expanded), plain = self.check_pruned_shortest(v, budget, depth)
+                seen[make.__name__, verdict] += 1
+                seen["pruned", expanded < plain[2]] += 1
+        # every generator finds and exhausts, and the rule often drops work
+        for make in (random_vass, random_dag_vass, random_flat_vass):
+            assert seen[make.__name__, Verdict.FOUND] and seen[make.__name__, Verdict.EXHAUSTED]
+        assert seen["pruned", True] > 50
+
     def test_random_vass(self):
         rng = random.Random(20200113)
         outcomes = set()
@@ -810,9 +879,7 @@ class TestAgainstTupleReference:
             v = random_vass(rng)
             budget, depth = random_budget(rng)
 
-            verdict, run, expanded = ref_shortest(v, budget, depth)
-            res = shortest_halting(v, budget, depth)
-            assert (res.verdict, res.run, res.stats.expanded) == (verdict, run, expanded)
+            (verdict, run, _expanded), _plain = self.check_pruned_shortest(v, budget, depth)
             if run is not None:
                 assert validate_run(v, run).halting
             outcomes.add(verdict)
@@ -1118,6 +1185,7 @@ class TestTargetCaps:
         verdict is the reference's.  Returns the caps by state."""
         index = {s: i for i, s in enumerate(v.states)}
         caps = _target_caps(v, index, bound)
+        assert dict(zip(v.states, caps)) == ref_target_caps(v, bound)
         for cfg in ref_coreachable(v, bound):
             assert not cap_rejects(caps, index, cfg), cfg
         budget = SearchBudget(bound, 1_000_000)
@@ -1183,6 +1251,44 @@ class TestTargetCaps:
         assert halting_reachable(v, SearchBudget(bound)) == ReachResult(
             Verdict.FOUND, None, SearchStats(7, 4, 3)
         )
+
+    def test_shortest_runs_on_family_members(self):
+        # shortest_halting against the same search without the rule: the
+        # same verdict and run, and no more configurations expanded
+        members = []
+        for n in (1, 2, 3):
+            compiled = compile_counter_program(gen_exp(n))
+            policy = exp_canonical_policy(compiled.program, divisibility_threshold(n))
+            peak = replay_canonical(compiled, policy, materialize=False).probe.peak
+            members.append((compiled.vass, 2 * max(peak)))
+        for n in (2, 3, 4):
+            th = divisibility_threshold(n)
+            for x0 in sorted({x for m in (th, 2 * th) for x in (m - 1, m, m + 1)}):
+                members.append((compile_counter_program(gen_exp_fixed(n, x0)).vass, (n + 2) * x0))
+        # the positive NP instances with entries <= 2, at the peak of their
+        # canonical runs: the search without the rule stores up to 833,097
+        # configurations there, and up to 1,582,900 at `meta.search_bound`
+        for values in ((1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)):
+            for target in (1, 2):
+                chosen = subset_sum_witness(target, values)
+                if chosen is None:
+                    continue
+                compiled = compile_counter_program(gen_np(NpInstance(target, values))[0])
+                policy = np_canonical_policy(compiled.program, chosen)
+                peak = replay_canonical(compiled, policy, materialize=False).probe.peak
+                members.append((compiled.vass, max(peak)))
+        seen = Counter()
+        for v, bound in members:
+            budget = SearchBudget(bound, 2_000_000)
+            packed = _Packed(v, bound)
+            verdict, parent, stats = _explore(packed, packed.tgt, budget.max_configs)
+            assert verdict != Verdict.BUDGET_EXCEEDED
+            run = _trace_run(v, packed, parent) if verdict == Verdict.FOUND else None
+            res = shortest_halting(v, budget)
+            assert (res.verdict, res.run) == (verdict, run)
+            assert res.stats.expanded <= stats.expanded
+            seen[verdict] += 1
+        assert seen == {Verdict.FOUND: 18, Verdict.EXHAUSTED: 11}
 
     def test_np_search_keeps_only_live_configurations(self):
         # a per-chain search without the rule stores 458,748 configurations
