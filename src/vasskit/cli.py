@@ -57,6 +57,14 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _parse_set(text: str) -> tuple[int, ...]:
+    """The values of an np `--set` option: comma-separated integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--set: expected comma-separated integers, got {text!r}") from None
+
+
 def _generate(args) -> str:
     family = args.family
     if family == "exp":
@@ -73,8 +81,7 @@ def _generate(args) -> str:
         else:
             program, _meta = families.gen_double_exp(args.k)
     elif family == "np":
-        values = tuple(int(v) for v in args.set.split(","))
-        program, _meta = families.gen_np(families.NpInstance(args.s0, values))
+        program, _meta = families.gen_np(families.NpInstance(args.s0, _parse_set(args.set)))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {family!r}")
     if args.format == "json":
@@ -146,8 +153,10 @@ def cmd_size(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.family != "np" and args.lo > args.hi:
+        raise ValueError(f"--from {args.lo} is greater than --to {args.hi}: the range is empty")
     params = list(range(args.lo, args.hi + 1)) if args.family != "np" else []
-    np_values = tuple(int(v) for v in args.set.split(",")) if args.set else None
+    np_values = _parse_set(args.set) if args.set else None
     rows = measure.measure_family(
         args.family, params, max_configs=args.max_configs,
         np_target=args.s0, np_values=np_values,

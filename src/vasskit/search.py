@@ -7,9 +7,14 @@ provably contain every halting run, which upgrades the certificate.
 
 Every search question runs on one representation, `_Packed`: a configuration
 is a single int, and a successor is one integer addition plus a masked check
-per touched counter.  Runs, `(state, vector)` collections and counts are
-decoded from packed keys only when a result is returned, and a collection
-decodes each distinct counter vector once, sharing its tuple between states.
+per touched counter.  Runs and counts are decoded from packed keys when a
+result is returned.  `reachable_configs` returns a read-only
+`Mapping[str, set[tuple[int, ...]]]` over the stored keys.  Reading one
+state costs one filtering pass over the keys plus decoding that state's
+own, a small part of a full read when the state holds few of them; the
+first full read decodes every key in one pass, each distinct counter
+vector once, shared between states.  `final_vectors` decodes its one state
+the same way.
 
 `shortest_halting`, `halting_reachable`, `reachable_configs` and
 `final_vectors` each run the one breadth-first search, `_explore`, and
@@ -64,6 +69,7 @@ counted-loop state.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -446,38 +452,106 @@ def _reach_keys(
     return packed, stored
 
 
+def _state_vectors(packed: _Packed, keys: Iterable[int], at: int) -> Iterator[tuple[int, ...]]:
+    """The counter vectors of the packed keys at state index `at`: one
+    filtering pass over all keys, decoding only the keys that match."""
+    smask, cmask, shifts = packed.smask, packed.cmask, packed.shifts
+    return (tuple([(key >> sh) & cmask for sh in shifts]) for key in keys if key & smask == at)
+
+
+class _Reachable(Mapping[str, set[tuple[int, ...]]]):
+    """What `reachable_configs` returns: the packed keys `_explore` stored,
+    decoded when first read (see there).  `_one` caches single-state reads;
+    the first full read fills `_all` in one pass and releases the keys, and
+    from then on `_all` serves every read."""
+
+    def __init__(self, states: tuple[str, ...], packed: _Packed, keys: dict[int, int]):
+        self._states = states
+        self._packed = packed
+        self._keys: dict[int, int] | None = keys
+        self._one: dict[str, set[tuple[int, ...]]] = {}
+        self._all: dict[str, set[tuple[int, ...]]] = {}
+
+    def __getitem__(self, state: str) -> set[tuple[int, ...]]:
+        keys = self._keys
+        if keys is None:
+            return self._all[state]
+        vectors = self._one.get(state)
+        if vectors is None:
+            at = self._packed.index.get(state)
+            if at is None:
+                raise KeyError(state)
+            vectors = self._one[state] = set(_state_vectors(self._packed, keys, at))
+        if not vectors:
+            raise KeyError(state)
+        return vectors
+
+    def _decoded(self) -> dict[str, set[tuple[int, ...]]]:
+        """Every state's vectors, decoding every key in one pass the first
+        time it is called."""
+        keys = self._keys
+        if keys is None:
+            return self._all
+        packed = self._packed
+        states, sbits, smask, cmask = self._states, packed.sbits, packed.smask, packed.cmask
+        # field shifts within the counter part of a key, `key >> sbits`
+        shifts = [sh - sbits for sh in packed.shifts]
+        vectors: dict[int, tuple[int, ...]] = {}
+        out: dict[str, set[tuple[int, ...]]] = {}
+        for key in keys:
+            state = states[key & smask]
+            counters = key >> sbits
+            vec = vectors.get(counters)
+            if vec is None:
+                vec = vectors[counters] = tuple([(counters >> sh) & cmask for sh in shifts])
+            if state in out:
+                out[state].add(vec)
+            else:
+                out[state] = {vec}
+        self._all = out
+        self._keys = None
+        return out
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._decoded())
+
+    def __len__(self) -> int:
+        return len(self._decoded())
+
+    def items(self):
+        return self._decoded().items()
+
+    def values(self):
+        return self._decoded().values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._decoded()!r})"
+
+
 def reachable_configs(
     v: Vass, budget: SearchBudget, absorbing: frozenset[str] = frozenset()
-) -> dict[str, set[tuple[int, ...]]]:
-    """All configurations reachable within the bound, grouped by state.
+) -> Mapping[str, set[tuple[int, ...]]]:
+    """All configurations reachable within the bound, grouped by state: a
+    read-only mapping from each reached state to its counter vectors, in
+    the order the search first reached the states.
 
     States in `absorbing` are not expanded (their configurations are still
     collected), which is how halt-completion drains are kept out of
     "values on arrival" collections.  Raises BudgetExceededError if the node
     budget is hit before exhaustion, and ValueError if a state in
-    `absorbing` is not a state of v.
+    `absorbing` is not a state of v; both before returning.
 
-    Each distinct counter vector is decoded once, and every state holding
-    it shares that one tuple: compiled programs have many goto and no-op
-    lines, whose configurations repeat their neighbours' vectors.
+    The mapping decodes the packed configurations the search stored when
+    first read.  Reading one state filters them once and decodes only that
+    state's, a small part of a full read when the state holds few of them.
+    The first read of every state (iteration, `len`, `items`, `values`,
+    `==`) decodes all of them in one pass, each distinct counter vector
+    once: every state holding it shares that tuple, since compiled programs
+    have many goto and no-op lines, whose configurations repeat their
+    neighbours' vectors.  Each decode is cached.
     """
     packed, stored = _reach_keys(v, budget, absorbing, chains=False)
-    states, sbits, smask, cmask = v.states, packed.sbits, packed.smask, packed.cmask
-    # field shifts within the counter part of a key, `key >> sbits`
-    shifts = [sh - sbits for sh in packed.shifts]
-    vectors: dict[int, tuple[int, ...]] = {}
-    out: dict[str, set[tuple[int, ...]]] = {}
-    for key in stored:
-        state = states[key & smask]
-        counters = key >> sbits
-        vec = vectors.get(counters)
-        if vec is None:
-            vec = vectors[counters] = tuple([(counters >> sh) & cmask for sh in shifts])
-        if state in out:
-            out[state].add(vec)
-        else:
-            out[state] = {vec}
-    return out
+    return _Reachable(v.states, packed, stored)
 
 
 def final_vectors(
@@ -496,10 +570,7 @@ def final_vectors(
     if `at_state` is not a state of v."""
     state = at_state if at_state is not None else v.target.state
     packed, stored = _reach_keys(v, budget, frozenset({state}), chains=True)
-    at, smask, cmask, shifts = packed.index[state], packed.smask, packed.cmask, packed.shifts
-    return frozenset(
-        tuple([(key >> sh) & cmask for sh in shifts]) for key in stored if key & smask == at
-    )
+    return frozenset(_state_vectors(packed, stored, packed.index[state]))
 
 
 def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -> int:

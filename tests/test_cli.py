@@ -45,6 +45,15 @@ class TestGenerate:
         assert code == 2
         assert "weak" in err
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["gen", "np", "--set", "1,,2"], "1,,2"), (["measure", "np", "--s0", "3", "--set", "x"], "x")],
+    )
+    def test_malformed_set_is_a_usage_error(self, capsys, argv, text):
+        code, out, err = run_cli(capsys, *argv)
+        message = f"vasskit: --set: expected comma-separated integers, got '{text}'\n"
+        assert (code, out, err) == (2, "", message)
+
     def test_halt_inside_for_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "p.cp"
         path.write_text("counters x\ninit\nfor i := 1 to 2\n  x += 1\n  halt x\nendfor\n")
@@ -234,6 +243,12 @@ class TestMeasure:
         row = json.loads(out)[0]
         assert row["extra"]["subset_sum"] is True
         assert row["shortest_verdict"] == "found"
+
+    def test_empty_range_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "measure", "weak", "--from", "3", "--to", "1")
+        assert (code, out, err) == (
+            2, "", "vasskit: --from 3 is greater than --to 1: the range is empty\n"
+        )
 
     def test_deterministic_modulo_wall_clock(self, capsys):
         def strip(rows):

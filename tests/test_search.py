@@ -716,6 +716,78 @@ class TestReachableConfigsDecode:
                 # many states hold the same vector
                 assert sum(map(len, got.values())) > 2 * len(shared)
 
+    @staticmethod
+    def assert_shared(got):
+        """Every state holding a vector holds the same tuple object."""
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for vectors in got.values():
+            for vec in vectors:
+                assert shared.setdefault(vec, vec) is vec
+
+    def test_single_state_and_full_reads_in_either_order(self):
+        unreached_seen = 0
+        for program, budget in self.members():
+            compiled = compile_counter_program(program)
+            v, halt = compiled.vass, compiled.halt_state
+            absorbing = frozenset({halt})
+            want = ref_reachable(v, budget, absorbing)
+            # halt-completion drain states lie past the absorbing halt state
+            unreached = set(v.states) - set(want)
+            unreached_seen += len(unreached)
+
+            single_first = reachable_configs(v, budget, absorbing)
+            assert single_first[halt] == want[halt]
+            assert single_first.get(halt) is single_first[halt]
+            for state in unreached:
+                assert single_first.get(state) is None
+                with pytest.raises(KeyError):
+                    single_first[state]
+            assert single_first == want
+            self.assert_shared(single_first)
+
+            full_first = reachable_configs(v, budget, absorbing)
+            assert dict(full_first.items()) == want
+            self.assert_shared(full_first)
+            assert full_first[halt] == want[halt]
+            assert full_first[halt] is dict(full_first.items())[halt]
+            for state in unreached:
+                assert state not in full_first
+                with pytest.raises(KeyError):
+                    full_first[state]
+        assert unreached_seen
+
+    def test_states_in_first_seen_order(self):
+        # states sort as a, b, c, d; the search from c first reaches d, then a, then b
+        v = Vass(
+            1,
+            ("a", "b", "c", "d"),
+            (
+                Transition("c", (1,), "a"),
+                Transition("c", (0,), "d"),
+                Transition("d", (1,), "b"),
+                Transition("a", (1,), "b"),
+            ),
+            Configuration("c", (0,)),
+            Configuration("b", (0,)),
+        )
+        got = reachable_configs(v, SearchBudget(2))
+        assert list(got) == ["c", "d", "a", "b"]
+        assert list(got.items()) == [
+            ("c", {(0,)}), ("d", {(0,)}), ("a", {(1,)}), ("b", {(1,), (2,)}),
+        ]
+        assert len(got) == 4
+        self.assert_shared(got)
+
+    def test_read_only(self):
+        got = reachable_configs(
+            Vass(1, ("p",), (), Configuration("p", (0,)), Configuration("p", (0,))),
+            SearchBudget(1),
+        )
+        assert got == {"p": {(0,)}}
+        assert not hasattr(got, "__setitem__")
+        with pytest.raises(TypeError):
+            got["p"] = set()
+
 
 def ref_count(v, budget, cutoff):
     """Recursive path count with the same cycle and budget checks."""
