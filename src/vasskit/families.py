@@ -487,6 +487,8 @@ def exp_canonical_policy(flat: FlatProgram, pump_value: int) -> dict[int, LoopPo
     gen_double_exp (pump to t = x = pump_value), then drain: every loop
     drains its decremented counter except the single pump loop, which has
     an increment-only body and iterates pump_value - 1 times."""
+    if pump_value < 1:
+        raise ValueError("pump_value must be >= 1")
     policy, undrained = _drain_policy(flat)
     if len(undrained) != 1:
         raise PolicyStuckError(f"expected exactly one pump loop, found entries {undrained}")

@@ -657,6 +657,10 @@ class CountedLoop:
 
     iterations: int
 
+    def __post_init__(self):
+        if not isinstance(self.iterations, int) or self.iterations < 0:
+            raise ValueError("iterations must be an int >= 0")
+
 
 @dataclass(frozen=True)
 class TakeBranch:
@@ -719,11 +723,22 @@ class _Replay:
     `bodies[entry]` holds, for a loop whose body only moves distinct
     counters, the net effect per counter and one iteration's transitions;
     other loops map to None and are walked stepwise.  `run` walks lines,
-    and `_loop` alone applies `DrainLoop` and `CountedLoop`.  `checks` holds
-    each line where the walk could cycle, the entry of a stepwise loop or
-    the target of a backward goto other than a loop's own back goto; `run`
-    stops when one comes round with the same counters and counted-loop
-    state.
+    and `_loop` alone applies `DrainLoop` and `CountedLoop`.
+
+    A fast-forward does only the big-integer work its result needs.  A
+    drain by 1 takes the counter's value as its count and any other drain
+    divides once, proving divisibility; the drained counter is then set to
+    0.  Every other counter gains or loses the count itself when its
+    per-iteration amount is 1, and only other amounts multiply.  Each
+    counter is checked once, for underflow if it falls and for its peak if
+    it rises.  `length` counts the steps walked one at a time, and
+    `repeats` sums the fast-forwarded iterations per body length; `run`
+    adds their products to `length` once, when the walk ends.
+
+    `checks` holds each line where the walk could cycle, the entry of a
+    stepwise loop or the target of a backward goto other than a loop's own
+    back goto; `run` stops when one comes round with the same counters and
+    counted-loop state.
     """
 
     def __init__(self, compiled: CompiledProgram, policy: dict[int, LoopPolicy], materialize: bool):
@@ -733,6 +748,7 @@ class _Replay:
         self.vec = [0] * len(cix)
         self.peak = [0] * len(cix)
         self.length = 0
+        self.repeats: dict[int, int] = {}
         self.steps: list[Transition] = []
         self.counted_left: dict[int, int] = {}
         self.iterations: dict[int, int] = {}  # per loop, in its current activation
@@ -828,6 +844,7 @@ class _Replay:
             self.length += 1
             pc = nxt
 
+        self.length += sum(size * count for size, count in self.repeats.items())
         halted = pc <= n
         if halted:
             for ci, drain, link in self.drains:
@@ -846,11 +863,12 @@ class _Replay:
         steps to.  The policy fixes how many iterations to run from here:
         all that remain for a straight-line body, fast-forwarded before the
         exit, or 0 or 1 for a body walked stepwise."""
-        entry, vec = span.entry, self.vec
+        entry, vec, peak = span.entry, self.vec, self.peak
         pol = self.policy.get(entry)
         if pol is None:
             raise PolicyStuckError(f"line {entry}: no policy for loop")
         body = self.bodies[entry]
+        drained = None
         if isinstance(pol, DrainLoop):
             ci = self.cix.get(pol.counter)
             if ci is None:
@@ -861,12 +879,16 @@ class _Replay:
                 dec = -body[0].get(ci, 0)
                 if dec <= 0:
                     raise PolicyStuckError(f"loop at line {entry} does not decrease {pol.counter!r}")
-                count, rest = divmod(vec[ci], dec)
-                if rest:
-                    raise PolicyStuckError(
-                        f"loop at line {entry}: {pol.counter!r}={vec[ci]} not divisible "
-                        f"by per-iteration decrement {dec}"
-                    )
+                if dec == 1:
+                    count = vec[ci]
+                else:
+                    count, rest = divmod(vec[ci], dec)
+                    if rest:
+                        raise PolicyStuckError(
+                            f"loop at line {entry}: {pol.counter!r}={vec[ci]} not divisible "
+                            f"by per-iteration decrement {dec}"
+                        )
+                drained = ci
         elif isinstance(pol, CountedLoop):
             count = self.counted_left.pop(entry, pol.iterations)
             if body is None:
@@ -881,18 +903,25 @@ class _Replay:
             return span.body_start
         if body is not None and count > 0:
             deltas, one = body
-            for ci, d in deltas.items():
-                vec[ci] += count * d
-                if vec[ci] < 0:
-                    raise PolicyStuckError(
-                        f"loop at line {entry}: counter {self.flat.counters[ci]!r} "
-                        f"underflows after {count} iterations"
-                    )
-                # each counter moves monotonically across iterations
-                self.peak[ci] = max(self.peak[ci], vec[ci])
+            # each counter moves monotonically across iterations, so only
+            # a decrease can underflow and only an increase can raise a peak
+            for c, d in deltas.items():
+                if c == drained:
+                    vec[c] = 0
+                elif d > 0:
+                    vec[c] += count if d == 1 else count * d
+                    if vec[c] > peak[c]:
+                        peak[c] = vec[c]
+                else:
+                    vec[c] -= count if d == -1 else count * -d
+                    if vec[c] < 0:
+                        raise PolicyStuckError(
+                            f"loop at line {entry}: counter {self.flat.counters[c]!r} "
+                            f"underflows after {count} iterations"
+                        )
             if self.materialize:
                 self.steps += one * count
-            self.length += count * len(one)
+            self.repeats[len(one)] = self.repeats.get(len(one), 0) + count
         iterations, exits = self.observations.setdefault(entry, ([], []))
         iterations.append(self.iterations.pop(entry, 0) + count)
         exits.append(tuple(vec))
@@ -907,9 +936,15 @@ def replay_canonical(
     """Deterministically replay the schedule described by `policy`.
 
     Probes (per-loop iteration counts and exit values, final vector, peaks,
-    length) are recomputed from the walk itself.  Loops with straight-line
-    bodies are fast-forwarded arithmetically, so doubly-exponential canonical
-    runs can be measured without materializing them (materialize=False).
+    length) are recomputed from the walk itself.  A loop with a
+    straight-line body runs all the iterations its policy fixes in one
+    fast-forward: the count is the drained counter itself for a drain by 1,
+    its quotient by the decrement for any other drain (which must divide
+    it), or the counted loop's iterations; the drained counter becomes 0,
+    every other counter moves by the count times its per-iteration amount,
+    each checked for underflow and peak once, and the length grows by the
+    count times the body length.  So doubly-exponential canonical runs can
+    be measured without materializing them (materialize=False).
     Raises PolicyStuckError if the schedule deadlocks, or as soon as the
     entry of a loop walked stepwise, or the target of a backward goto other
     than a loop's own back goto, comes round with nothing changed, since the

@@ -613,7 +613,7 @@ def _double_exp_k1(pump_sweep: int) -> str | None:
     return None
 
 
-def suite_double_exp(flow_max_k: int = 3, probe_max_k: int = 2, pump_sweep: int = 32) -> SuiteResult:
+def suite_double_exp(flow_max_k: int = 3, probe_max_k: int = 8, pump_sweep: int = 32) -> SuiteResult:
     t0 = time.perf_counter()
     return _suite("2exp", t0, [
         _check(f"tower product maximal exactly at full exponents (k <= {flow_max_k})",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -141,6 +142,21 @@ class TestFractionSequence:
             fraction_sequence(0)
 
 
+# sha256 of the canonical replay probe of gen_double_exp(k)
+DOUBLE_EXP_PROBES = {
+    1: "8df84c19e3c0a8bad6078b7d212123ef",
+    2: "e9a554a7baffa4b0aae2f3181864823d",
+    3: "5d088f6ff1632805f73fafe6c0dce6ec",
+    4: "8db15cdcffa1a37a1256b15110aac742",
+    5: "d5bc81426ff790382212287b3b952656",
+    6: "998a98162632ca23a5a658251dea90a9",
+    7: "d9dbf2aab638f99fda2a188585941c41",
+    8: "0a4b08baa6edd6048a5b92480beedcd3",
+    9: "4301646c0833649399e5059cd70c88be",
+    10: "ade70cc2c8d69541b97867d23fce2066",
+}
+
+
 class TestDoubleExp:
     def test_meta_k1(self):
         _program, meta = gen_double_exp(1)
@@ -167,6 +183,26 @@ class TestDoubleExp:
             materialize=False,
         )
         assert out.halting
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_canonical_probe_is_pinned(self, k):
+        # no stepwise reference can walk these runs (2exp(2) already has
+        # 563,918,804 steps), so the fast-forward replay is held to the
+        # probe it gave before; bytes, not str(), which refuses ints over
+        # 4,300 digits
+        program, meta = gen_double_exp(k)
+        compiled = compile_counter_program(program)
+        policy = double_exp_canonical_policy(compiled.program, meta.canonical_pump)
+        probe = replay_canonical(compiled, policy, materialize=False).probe
+        values = [probe.length, *probe.peak]
+        for obs in probe.loops.values():
+            values += [obs.entry_line, *obs.iterations, *(x for vec in obs.exit_vectors for x in vec)]
+        h = hashlib.sha256()
+        for x in values:
+            size = (x.bit_length() + 7) // 8
+            h.update(size.to_bytes(8, "little"))
+            h.update(x.to_bytes(size, "little"))
+        assert h.hexdigest()[:32] == DOUBLE_EXP_PROBES[k]
 
     def test_binary_constants_in_program(self):
         program, meta = gen_double_exp(2)

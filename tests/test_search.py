@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from collections import Counter, deque
 from dataclasses import replace
@@ -43,6 +44,7 @@ from vasskit.search import (
     shortest_halting,
     _explore,
     _Packed,
+    _Replay,
     _target_caps,
     _trace_run,
 )
@@ -417,6 +419,18 @@ class TestReplay:
         assert out.halting  # halt tests nothing; completion drains x
         assert validate_run(compiled.vass, out.run).halting
 
+    @pytest.mark.parametrize("iterations", [-1, 2.0, "3"])
+    def test_counted_loop_rejects_bad_iterations(self, iterations):
+        with pytest.raises(ValueError, match="^iterations must be an int >= 0$"):
+            CountedLoop(iterations)
+
+    @pytest.mark.parametrize("pump", [0, -2])
+    def test_exp_policy_rejects_pump_below_1(self, pump):
+        # pump 0 once replayed as pump 1 while reporting -1 pump iterations
+        compiled = compile_counter_program(gen_exp(1))
+        with pytest.raises(ValueError, match="^pump_value must be >= 1$"):
+            exp_canonical_policy(compiled.program, pump)
+
     def test_probe_peak_tracks_maxima(self):
         compiled = compile_counter_program(gen_exp_fixed(2, 2))
         out = replay_canonical(compiled, maximal_policy(compiled.program))
@@ -566,6 +580,78 @@ class TestReplaySharesTransitions:
             assert validate_run(crippled.vass, run) == RunReport(
                 False, first, False, f"step {first} uses a transition not in the VASS"
             )
+
+
+# Straight-line loops, one per fast-forward rule; each policy is keyed by the
+# loop's index in `flat.loops`.
+FAST_FORWARDS = {
+    # drain by 1, with +-1 and non-unit amounts on the other counters
+    "drain by 1": (
+        "x += 3\nz += 7\nloop\n  y += 1\n  x -= 1\n  z -= 2\n  w += 3\nendloop\n",
+        {0: DrainLoop("x")},
+    ),
+    # drain by 3, with +-1 and non-unit amounts on the other counters
+    "drain by 3": (
+        "x += 6\nz += 3\nloop\n  w += 2\n  x -= 3\n  y += 1\n  z -= 1\nendloop\n",
+        {0: DrainLoop("x")},
+    ),
+    # the counted loop decrements x by 1 but stops before x is 0
+    "counted, decrement 1": (
+        "x += 5\nloop\n  x -= 1\n  y += 2\nendloop\n",
+        {0: CountedLoop(3)},
+    ),
+    # drains by 1 and by 2 from 0 run no iteration
+    "drain from 0": (
+        "loop\n  x -= 1\n  y += 1\nendloop\nloop\n  y -= 2\n  x += 1\nendloop\n",
+        {0: DrainLoop("x"), 1: DrainLoop("y")},
+    ),
+    # a drain activated three times by a stepwise counted outer loop, next
+    # to a second fast-forward of another body length
+    "repeated activations": (
+        "loop\n  x += 2\n  loop\n    x -= 1\n    y += 3\n  endloop\nendloop\n"
+        "loop\n  y -= 2\n  w += 1\n  z += 1\nendloop\n",
+        {0: CountedLoop(3), 1: DrainLoop("x"), 2: DrainLoop("y")},
+    ),
+}
+
+
+class TestFastForward:
+    @staticmethod
+    def _compiled(text, policy):
+        compiled = compile_counter_program(parse(f"counters x y z w\ninit\n{text}halt\n"))
+        loops = compiled.program.loops
+        return compiled, {loops[i].entry: pol for i, pol in policy.items()}
+
+    @pytest.mark.parametrize("materialize", [True, False])
+    @pytest.mark.parametrize("name", FAST_FORWARDS)
+    def test_matches_per_step_reference(self, name, materialize):
+        compiled, policy = self._compiled(*FAST_FORWARDS[name])
+        bodies = _Replay(compiled, policy, materialize).bodies
+        assert any(bodies[entry] is not None for entry in policy)  # a fast path runs
+        out = replay_canonical(compiled, policy, materialize=materialize)
+        steps, probe, final, halting = per_step_replay(compiled, policy)
+        assert (out.probe, out.final, out.halting) == (probe, final, halting)
+        assert halting
+        if materialize:
+            assert list(out.run.steps) == steps
+        else:
+            assert out.run is None
+
+    @pytest.mark.parametrize("materialize", [True, False])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a second counter underflows, by 1 and by more
+            ("x += 4\nz += 3\nloop\n  x -= 1\n  z -= 1\nendloop\n", "counter 'z' underflows after 4 iterations"),
+            ("x += 6\nz += 5\nloop\n  z -= 2\n  x -= 2\nendloop\n", "counter 'z' underflows after 3 iterations"),
+            ("x += 5\nloop\n  x -= 2\n  y += 1\nendloop\n", "'x'=5 not divisible by per-iteration decrement 2"),
+        ],
+    )
+    def test_stuck_drain_names_its_counter(self, text, message, materialize):
+        compiled, policy = self._compiled(text, {0: DrainLoop("x")})
+        entry = compiled.program.loops[0].entry
+        with pytest.raises(PolicyStuckError, match=f"^loop at line {entry}: {re.escape(message)}$"):
+            replay_canonical(compiled, policy, materialize=materialize)
 
 
 # ---------------------------------------------------------------------------

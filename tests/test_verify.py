@@ -41,6 +41,11 @@ def test_double_exp_suite_small():
     assert_suite_passes(verify.suite_double_exp(flow_max_k=2, probe_max_k=1, pump_sweep=17))
 
 
+def test_double_exp_stage_exits_match_the_closed_form_to_k_10():
+    for k in range(1, 11):
+        assert verify._stage_exits(k) is None
+
+
 def test_sizes_suite():
     assert_suite_passes(verify.suite_sizes(max_n=6, max_k=6))
 
