@@ -426,7 +426,7 @@ class TestReplay:
 
     @pytest.mark.parametrize("pump", [0, -2])
     def test_exp_policy_rejects_pump_below_1(self, pump):
-        # pump 0 once replayed as pump 1 while reporting -1 pump iterations
+        # pump 0 would ask the pump loop for -1 iterations
         compiled = compile_counter_program(gen_exp(1))
         with pytest.raises(ValueError, match="^pump_value must be >= 1$"):
             exp_canonical_policy(compiled.program, pump)
