@@ -58,7 +58,6 @@ from .search import (
     TakeBranch,
     Verdict,
     count_halting_runs,
-    drain_policies,
     final_vectors,
     halting_reachable,
     reachable_configs,

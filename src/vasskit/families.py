@@ -28,7 +28,7 @@ from .lang import (
     Add, BinOp, BitTest, Command, CounterProgram, For, Goto, Halt, If, Init,
     Labeled, Lit, Loop, Sub, Var,
 )
-from .search import CountedLoop, LoopPolicy, TakeBranch, drain_policies
+from .search import CountedLoop, DrainLoop, LoopPolicy, TakeBranch
 
 
 def with_initial_values(fragment: CounterProgram, values: dict[str, int]) -> CounterProgram:
@@ -476,9 +476,18 @@ def gen_np(inst: NpInstance) -> tuple[CounterProgram, NpMeta]:
 
 
 def _drain_policy(flat: FlatProgram) -> tuple[dict[int, LoopPolicy], list[int]]:
-    """drain_policies(flat), and the entries of the loops it leaves out
-    because their bodies drain no counter."""
-    policy = drain_policies(flat)
+    """Default maximal-iteration policy: each loop exits when the counter its
+    body decrements first (at top nesting level) reaches zero.  Also returns
+    the entries of the loops whose bodies only increment (pump loops), which
+    get no entry; callers supply those."""
+    policy: dict[int, LoopPolicy] = {}
+    for span in flat.loops:
+        inner = [o for o in flat.loops if span.entry < o.entry and o.back < span.back]
+        nested = {ln for o in inner for ln in range(o.entry, o.back + 1)}
+        top = [flat.line(ln) for ln in range(span.body_start, span.back) if ln not in nested]
+        sub = next((cmd for cmd in top if isinstance(cmd, Sub)), None)
+        if sub is not None:
+            policy[span.entry] = DrainLoop(sub.counter)
     return policy, [s.entry for s in flat.loops if s.entry not in policy]
 
 

@@ -46,7 +46,7 @@ configurations left out, in the same order: `shortest_halting` returns the
 same run, tie-breaks included, whenever no budget cuts the search.  Their
 stats and `max_configs` count only the configurations that pass the rule.
 `count_halting_runs` applies the same rule when `acyclic_configurations`
-proves that no run repeats a configuration; on any other VASS it must still
+proves that no run revisits a configuration; on any other VASS it must still
 see cycles among configurations that cannot halt, so it keeps the plain
 bound.
 
@@ -61,7 +61,9 @@ It reads every step from a per-line table built once (the counter a line
 moves, by how much, and its `Transition` to each next line), fast-forwards
 each loop with a straight-line body from a per-loop table (net effect and
 one iteration's transitions), and applies `DrainLoop` and `CountedLoop` in
-one place, `_Replay._loop`.  It raises `PolicyStuckError` as soon as the
+one place, `_Replay._loop`.  The walk's one record is a list of
+(transitions, count) blocks; the length is summed from it and a
+materialized run expands it.  It raises `PolicyStuckError` as soon as the
 entry of a loop walked stepwise, or the target of a backward goto other
 than a loop's own back goto, comes round with the same counters and
 counted-loop state.
@@ -69,13 +71,14 @@ counted-loop state.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .compiler import CompiledProgram
 from .errors import BudgetExceededError, ConfigCycleError, PolicyStuckError
-from .expand import FlatProgram, LoopSpan
+from .expand import LoopSpan
 from .lang import Add, Goto, Halt, Init, Sub
 from .vass import Configuration, Run, Transition, Vass, acyclic_configurations
 
@@ -586,7 +589,7 @@ def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -
     cut, so halting paths map one to one onto chain paths, and a cycle of
     configurations shows up as a cycle among chain ends.
 
-    When `acyclic_configurations` certifies that no run of v repeats a
+    When `acyclic_configurations` certifies that no run of v revisits a
     configuration, no search could meet a cycle, so the count also drops
     every configuration that cannot reach the target, as halting_reachable
     does (see `_target_caps`).  Such a configuration lies on no halting
@@ -694,36 +697,20 @@ class ReplayOutcome:
     final: Configuration
 
 
-def drain_policies(flat: FlatProgram) -> dict[int, LoopPolicy]:
-    """Default maximal-iteration policy: each loop exits when the counter its
-    body decrements first (at top nesting level) reaches zero.  Loops whose
-    bodies only increment (pump loops) get no entry; callers supply those."""
-    policies: dict[int, LoopPolicy] = {}
-    spans = flat.loops
-    for span in spans:
-        nested_lines: set[int] = set()
-        for other in spans:
-            if span.entry < other.entry and other.back < span.back:
-                nested_lines.update(range(other.entry, other.back + 1))
-        for ln in range(span.body_start, span.back):
-            if ln in nested_lines:
-                continue
-            cmd = flat.line(ln)
-            if isinstance(cmd, Sub):
-                policies[span.entry] = DrainLoop(cmd.counter)
-                break
-    return policies
-
-
 class _Replay:
     """One walk of the schedule a policy fixes, over tables built once.
 
     `table[line]` holds the index of the counter the line moves (None if
-    none), the amount, and the line's `Transition` to each next line.
-    `bodies[entry]` holds, for a loop whose body only moves distinct
-    counters, the net effect per counter and one iteration's transitions;
-    other loops map to None and are walked stepwise.  `run` walks lines,
-    and `_loop` alone applies `DrainLoop` and `CountedLoop`.
+    none), the amount, and the line's block `((transition,), 1)` to each
+    next line.  `bodies[entry]` holds, for a loop whose body only moves
+    distinct counters, the net effect per counter and one iteration's
+    transitions; other loops map to None and are walked stepwise.  `run`
+    walks lines, and `_loop` alone applies `DrainLoop` and `CountedLoop`.
+
+    The walk's one record is `blocks`, (transitions, count) pairs: a
+    stepwise step appends its line's block, a fast-forward one iteration
+    with its count, halt completion each drain and link.  The probe's
+    length and a materialized run are both read from it.
 
     A fast-forward does only the big-integer work its result needs.  A
     drain by 1 takes the counter's value as its count and any other drain
@@ -731,9 +718,7 @@ class _Replay:
     0.  Every other counter gains or loses the count itself when its
     per-iteration amount is 1, and only other amounts multiply.  Each
     counter is checked once, for underflow if it falls and for its peak if
-    it rises.  `length` counts the steps walked one at a time, and
-    `repeats` sums the fast-forwarded iterations per body length; `run`
-    adds their products to `length` once, when the walk ends.
+    it rises.
 
     `checks` holds each line where the walk could cycle, the entry of a
     stepwise loop or the target of a backward goto other than a loop's own
@@ -741,15 +726,13 @@ class _Replay:
     counted-loop state.
     """
 
-    def __init__(self, compiled: CompiledProgram, policy: dict[int, LoopPolicy], materialize: bool):
+    def __init__(self, compiled: CompiledProgram, policy: dict[int, LoopPolicy]):
         flat = compiled.program
-        self.compiled, self.flat, self.policy, self.materialize = compiled, flat, policy, materialize
+        self.compiled, self.flat, self.policy = compiled, flat, policy
         self.cix = cix = {c: i for i, c in enumerate(flat.counters)}
         self.vec = [0] * len(cix)
         self.peak = [0] * len(cix)
-        self.length = 0
-        self.repeats: dict[int, int] = {}
-        self.steps: list[Transition] = []
+        self.blocks: list[tuple[tuple[Transition, ...], int]] = []
         self.counted_left: dict[int, int] = {}
         self.iterations: dict[int, int] = {}  # per loop, in its current activation
         self.observations: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
@@ -766,7 +749,7 @@ class _Replay:
         self.spans = {s.entry: s for s in flat.loops}
         self.checks: set[int] = set()
         state = (*compiled.line_states, compiled.halt_state)  # line i -> state[i - 1]
-        self.table: list[tuple[int | None, int, dict[int, Transition]]] = [(None, 0, {})]
+        self.table: list[tuple[int | None, int, dict[int, tuple[tuple[Transition, ...], int]]]] = [(None, 0, {})]
         for ln, cmd in enumerate(flat.lines, start=1):
             ci, amount = None, 0
             nexts = () if isinstance(cmd, Halt) else (ln + 1,)
@@ -779,8 +762,8 @@ class _Replay:
                     if t <= ln and (t not in self.spans or self.spans[t].back != ln):
                         self.checks.add(t)
             src = state[ln - 1]
-            self.table.append((ci, amount, {t: transition(src, ci, amount, state[t - 1]) for t in nexts}))
-        self.bodies: dict[int, tuple[dict[int, int], list[Transition]] | None] = {}
+            self.table.append((ci, amount, {t: ((transition(src, ci, amount, state[t - 1]),), 1) for t in nexts}))
+        self.bodies: dict[int, tuple[dict[int, int], tuple[Transition, ...]] | None] = {}
         for s in flat.loops:
             body = self.table[s.body_start:s.back]
             moved = [ci for ci, _, _ in body]
@@ -788,19 +771,20 @@ class _Replay:
                 self.bodies[s.entry] = None
                 self.checks.add(s.entry)
             else:
-                one = [t for _, _, nexts in body for t in nexts.values()]
-                one = [self.table[s.entry][2][s.body_start], *one, self.table[s.back][2][s.entry]]
-                self.bodies[s.entry] = ({ci: amount for ci, amount, _ in body}, one)
-        # halt completion: per untested counter, its drain step and the step
-        # on to the next counter's drain state (none after the last)
+                parts = [b for _, _, nexts in body for b in nexts.values()]
+                parts = [self.table[s.entry][2][s.body_start], *parts, self.table[s.back][2][s.entry]]
+                self.bodies[s.entry] = ({ci: amount for ci, amount, _ in body}, tuple(t for (t,), _ in parts))
+        # halt completion: per untested counter, its drain step and the
+        # block on to the next counter's drain state (none after the last)
         chain = compiled.drain_chain
-        links = [[transition(a, None, 0, b)] for (a, _), (b, _) in zip(chain, chain[1:])] + [[]]
-        self.drains = [(cix[c], transition(s, cix[c], -1, s), link) for (s, c), link in zip(chain, links)]
+        links = [[((transition(a, None, 0, b),), 1)] for (a, _), (b, _) in zip(chain, chain[1:])] + [[]]
+        self.drains = [(cix[c], (transition(s, cix[c], -1, s),), link) for (s, c), link in zip(chain, links)]
 
     def run(self) -> ReplayOutcome:
         lines, table, spans, checks = self.flat.lines, self.table, self.spans, self.checks
         n = len(lines)
-        vec, peak, steps, materialize = self.vec, self.peak, self.steps, self.materialize
+        vec, peak, blocks = self.vec, self.peak, self.blocks
+        record = blocks.append
         last_visit: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
         pc = 1
         guard = 0
@@ -839,24 +823,24 @@ class _Replay:
                 peak[ci] = max(peak[ci], vec[ci])
             elif not isinstance(cmd, Init):
                 raise PolicyStuckError(f"line {pc}: cannot replay {cmd!r}")
-            if materialize:
-                steps.append(nexts[nxt])
-            self.length += 1
+            record(nexts[nxt])
             pc = nxt
 
-        self.length += sum(size * count for size, count in self.repeats.items())
         halted = pc <= n
         if halted:
             for ci, drain, link in self.drains:
-                self.length += vec[ci] + len(link)
-                if materialize:
-                    steps += [drain] * vec[ci] + link
+                record((drain, vec[ci]))
+                blocks += link
                 vec[ci] = 0
+        # each block size multiplies its summed count once
+        per_size: dict[int, int] = {}
+        for ts, count in blocks:
+            per_size[len(ts)] = per_size.get(len(ts), 0) + count
+        length = sum(size * count for size, count in per_size.items())
         vass = self.compiled.vass
         final = Configuration(vass.target.state if halted else self.compiled.halt_state, tuple(vec))
         loops = {e: LoopObservation(e, tuple(it), tuple(ex)) for e, (it, ex) in sorted(self.observations.items())}
-        run = Run(vass.source, tuple(steps)) if materialize else None
-        return ReplayOutcome(run, RunProbe(loops, tuple(peak), self.length), final == vass.target, final)
+        return ReplayOutcome(None, RunProbe(loops, tuple(peak), length), final == vass.target, final)
 
     def _loop(self, span: LoopSpan) -> int:
         """Apply the policy at a loop's entry and return the line the caller
@@ -919,11 +903,11 @@ class _Replay:
                             f"loop at line {entry}: counter {self.flat.counters[c]!r} "
                             f"underflows after {count} iterations"
                         )
-            if self.materialize:
-                self.steps += one * count
-            self.repeats[len(one)] = self.repeats.get(len(one), 0) + count
+            self.blocks.append((one, count))
         iterations, exits = self.observations.setdefault(entry, ([], []))
-        iterations.append(self.iterations.pop(entry, 0) + count)
+        # `0 + count` would copy a fast-forward's count, often a counter's big int
+        before = self.iterations.pop(entry, 0)
+        iterations.append(before + count if before else count)
         exits.append(tuple(vec))
         return span.exit
 
@@ -941,19 +925,25 @@ def replay_canonical(
     fast-forward: the count is the drained counter itself for a drain by 1,
     its quotient by the decrement for any other drain (which must divide
     it), or the counted loop's iterations; the drained counter becomes 0,
-    every other counter moves by the count times its per-iteration amount,
-    each checked for underflow and peak once, and the length grows by the
-    count times the body length.  So doubly-exponential canonical runs can
-    be measured without materializing them (materialize=False).
+    and every other counter moves by the count times its per-iteration
+    amount, each checked for underflow and peak once.  The walk is recorded
+    as blocks of transitions, each run a count of times in a row, and the
+    length is summed from them, so doubly-exponential canonical runs can be
+    measured without materializing them (materialize=False); a materialized
+    run is the blocks expanded.
     Raises PolicyStuckError if the schedule deadlocks, or as soon as the
     entry of a loop walked stepwise, or the target of a backward goto other
     than a loop's own back goto, comes round with nothing changed, since the
     replay would then repeat forever.  `halting` is whether the final configuration is the target.
 
     A materialized run shares the `Transition` objects of `compiled.vass`
-    rather than holding a fresh one per step, and a fast-forwarded loop's
-    iterations are appended as whole blocks.  A step the VASS lacks is still
-    emitted, as a new `Transition`, so `validate_run` rejects it: replay
-    never vouches for its own steps.
+    rather than holding a fresh one per step.  A step the VASS lacks is
+    still emitted, as a new `Transition`, so `validate_run` rejects it:
+    replay never vouches for its own steps.
     """
-    return _Replay(compiled, policy, materialize).run()
+    replay = _Replay(compiled, policy)
+    out = replay.run()
+    if not materialize:
+        return out
+    steps = itertools.chain.from_iterable(ts * count for ts, count in replay.blocks)
+    return replace(out, run=Run(compiled.vass.source, tuple(steps)))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,20 @@ class TestDoubleExp:
             h.update(size.to_bytes(8, "little"))
             h.update(x.to_bytes(size, "little"))
         assert h.hexdigest()[:32] == DOUBLE_EXP_PROBES[k]
+
+    def test_canonical_replay_memory_peak(self):
+        # 2exp(10)'s probe holds about 48 MB of distinct big ints; a copy
+        # of each fast-forward count beside it took the peak to 64.9 MB
+        program, meta = gen_double_exp(10)
+        compiled = compile_counter_program(program)
+        policy = double_exp_canonical_policy(compiled.program, meta.canonical_pump)
+        tracemalloc.start()
+        try:
+            replay_canonical(compiled, policy, materialize=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 57_000_000
 
     def test_binary_constants_in_program(self):
         program, meta = gen_double_exp(2)

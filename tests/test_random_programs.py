@@ -25,7 +25,8 @@ from vasskit.compiler import compile_program
 from vasskit.expand import expand, pretty_print_flat
 from vasskit.interp import reachable_line_configs
 from vasskit.lang import parse, pretty_print
-from vasskit.search import SearchBudget, reachable_configs
+from vasskit.search import SearchBudget, Verdict, halting_reachable, reachable_configs, shortest_halting
+from vasskit.vass import Vass, validate_run
 
 SEEDS = range(1000)
 COUNTERS = ("x", "y", "z")
@@ -197,3 +198,29 @@ def test_interpreter_matches_compiled_vass():
         )
         got = {(compiled.line_of_state[s], vec) for s, vectors in reach.items() for vec in vectors}
         assert got == reachable_line_configs(flat, bound), seed
+
+
+def test_vass_json_round_trip():
+    for seed in SEEDS:
+        v = compile_program(expand(parse(random_program(seed)))).vass
+        text = v.to_json()
+        again = Vass.from_json(text)
+        assert again == v, seed
+        assert again.to_json() == text, seed
+
+
+def test_chain_and_per_transition_searches_agree():
+    # halting_reachable steps along chains and returns no run,
+    # shortest_halting steps one transition at a time; neither budget is
+    # reached at this bound
+    budget = SearchBudget(3, 200_000)
+    found = 0
+    for seed in SEEDS:
+        v = compile_program(expand(parse(random_program(seed)))).vass
+        chains, steps = halting_reachable(v, budget), shortest_halting(v, budget)
+        assert chains.verdict == steps.verdict != Verdict.BUDGET_EXCEEDED, seed
+        if steps.verdict == Verdict.FOUND:
+            report = validate_run(v, steps.run)
+            assert report.ok and report.halting, seed
+            found += 1
+    assert found > 100

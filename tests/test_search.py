@@ -532,12 +532,10 @@ class TestReplay:
         assert out.probe.loops[entry].iterations == (3,)
 
     def test_drain_policy_inference_skips_nested_loops(self):
-        from vasskit.search import DrainLoop, drain_policies
-
         compiled = compile_counter_program(gen_hp(3, 2))
         flat = compiled.program
         outer = flat.loops[0]
-        policies = drain_policies(flat)
+        policies = maximal_policy(flat)
         # the outer loop drains z (its own top-level decrement), not the
         # x/y decrements owned by the nested loops
         assert policies[outer.entry] == DrainLoop("z")
@@ -626,7 +624,7 @@ class TestFastForward:
     @pytest.mark.parametrize("name", FAST_FORWARDS)
     def test_matches_per_step_reference(self, name, materialize):
         compiled, policy = self._compiled(*FAST_FORWARDS[name])
-        bodies = _Replay(compiled, policy, materialize).bodies
+        bodies = _Replay(compiled, policy).bodies
         assert any(bodies[entry] is not None for entry in policy)  # a fast path runs
         out = replay_canonical(compiled, policy, materialize=materialize)
         steps, probe, final, halting = per_step_replay(compiled, policy)
