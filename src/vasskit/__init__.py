@@ -62,7 +62,6 @@ from .search import (
     halting_reachable,
     reachable_configs,
     replay_canonical,
-    run_from_indices,
     shortest_halting,
 )
 from .vass import (

@@ -153,14 +153,16 @@ def cmd_size(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    if args.family != "np" and args.lo > args.hi:
+    if args.family == "np":
+        values = _parse_set(args.set) if args.set else ()
+        if args.s0 is None or not values:
+            raise ValueError("measure np needs --s0 and --set")
+        rows = [measure.measure_np(args.s0, values, args.max_configs)]
+    elif args.lo > args.hi:
         raise ValueError(f"--from {args.lo} is greater than --to {args.hi}: the range is empty")
-    params = list(range(args.lo, args.hi + 1)) if args.family != "np" else []
-    np_values = _parse_set(args.set) if args.set else None
-    rows = measure.measure_family(
-        args.family, params, max_configs=args.max_configs,
-        np_target=args.s0, np_values=np_values,
-    )
+    else:
+        params = list(range(args.lo, args.hi + 1))
+        rows = measure.measure_family(args.family, params, args.max_configs)
     if args.format == "json":
         text = _json_dumps([r.to_json_obj() for r in rows])
     else:

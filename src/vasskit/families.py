@@ -193,7 +193,9 @@ def fraction_sequence(k: int) -> FractionSequence:
 class DoubleExpMeta:
     k: int
     fractions: FractionSequence
-    canonical_pump: int  # product of denominator towers: the pump count that halts
+    # product of denominator towers: one halting pump count, a multiple of
+    # forced_divisor, but not the least one from k = 2 on
+    canonical_pump: int
     forced_divisor: int  # last denominator ** 2^k; divides every halting pump count
 
     def __post_init__(self):

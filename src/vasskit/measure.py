@@ -17,13 +17,14 @@ from .errors import BudgetExceededError
 from .search import (
     ReachResult,
     SearchBudget,
+    SearchStats,
     Verdict,
     final_vectors,
     halting_reachable,
     replay_canonical,
     shortest_halting,
 )
-from .vass import Vass, is_flat, vass_size
+from .vass import is_flat, vass_size
 
 
 @dataclass
@@ -47,22 +48,6 @@ class ExperimentReport:
 # starts it from x = d^z0
 _HP_C, _HP_D = 3, 2
 
-# family -> name of the parameter its rows are labelled with
-_PARAMETER_NAMES = {"exp": "n", "weak": "b", "hp": "z0", "2exp": "k"}
-
-
-def _label(family: str, p: int) -> str:
-    return f"{_PARAMETER_NAMES[family]}={p}"
-
-
-def _shape(vass: Vass) -> dict:
-    """A row's size and flatness fields: linear in the VASS, no search."""
-    return {
-        "size_unary": vass_size(vass, "unary"),
-        "size_binary": vass_size(vass, "binary"),
-        "flat": is_flat(vass).is_flat,
-    }
-
 
 def _row(
     family: str,
@@ -73,10 +58,13 @@ def _row(
     extra: dict,
     t0: float,
 ) -> ExperimentReport:
+    vass = compiled.vass
     return ExperimentReport(
         family=family,
         parameter=parameter,
-        **_shape(compiled.vass),
+        size_unary=vass_size(vass, "unary"),
+        size_binary=vass_size(vass, "binary"),
+        flat=is_flat(vass).is_flat,
         shortest_verdict=result.verdict.value,
         shortest_length=len(result.run) if result.run is not None else None,
         canonical_length=canonical_length,
@@ -85,57 +73,47 @@ def _row(
     )
 
 
-def _member(family: str, p: int):
-    """The compiled member of `family` with parameter p, and the generator's
-    metadata (None for families without any).  The measurers and the
-    budget-exceeded fallback row both build members here."""
-    meta = None
-    if family == "exp":
-        program = families.gen_exp(p)
-    elif family == "weak":
-        program = families.gen_weak(p)
-    elif family == "hp":
-        program = families.with_initial_values(families.gen_hp(_HP_C, _HP_D), {"x": _HP_D**p, "z": p})
-    else:
-        program, meta = families.gen_double_exp(p)
-    return compile_counter_program(program), meta
-
-
 def measure_exp(n: int, max_configs: int) -> ExperimentReport:
     t0 = time.perf_counter()
-    compiled, _ = _member("exp", n)
+    compiled = compile_counter_program(families.gen_exp(n))
     pump = divisibility_threshold(n)
     out = replay_canonical(
         compiled, families.exp_canonical_policy(compiled.program, pump), materialize=False
     )
     result = shortest_halting(compiled.vass, SearchBudget(2 * max(out.probe.peak), max_configs))
-    return _row(
-        "exp", _label("exp", n), compiled, result, out.probe.length, {"pump": str(pump)}, t0
-    )
+    return _row("exp", f"n={n}", compiled, result, out.probe.length, {"pump": str(pump)}, t0)
 
 
 def measure_weak(b: int, max_configs: int) -> ExperimentReport:
+    """The one measurer whose search can raise: `final_vectors` collects a
+    reachable set, so a cut-off collection gives an error row."""
     t0 = time.perf_counter()
-    compiled, _ = _member("weak", b)
-    out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
+    compiled = compile_counter_program(families.gen_weak(b))
     budget = SearchBudget(2 * b + 2, max_configs)
-    finals = final_vectors(compiled.vass, budget, at_state=compiled.halt_state)
+    try:
+        finals = final_vectors(compiled.vass, budget, at_state=compiled.halt_state)
+    except BudgetExceededError as e:
+        cut = ReachResult(Verdict.BUDGET_EXCEEDED, None, SearchStats(0, 0, 0))
+        return _row("weak", f"b={b}", compiled, cut, None, {"error": str(e)}, t0)
+    out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
     return _row(
-        "weak", _label("weak", b), compiled, shortest_halting(compiled.vass, budget),
+        "weak", f"b={b}", compiled, shortest_halting(compiled.vass, budget),
         out.probe.length, {"max_final_x": str(max(vec[0] for vec in finals))}, t0,
     )
 
 
 def measure_hp(z0: int, max_configs: int) -> ExperimentReport:
     t0 = time.perf_counter()
-    compiled, _ = _member("hp", z0)
+    compiled = compile_counter_program(
+        families.with_initial_values(families.gen_hp(_HP_C, _HP_D), {"x": _HP_D**z0, "z": z0})
+    )
     out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
     result = shortest_halting(
         compiled.vass, SearchBudget(2 * max(out.probe.peak) + 2, max_configs)
     )
     final_x = out.final.vector[compiled.program.counters.index("x")]
     return _row(
-        "hp", _label("hp", z0), compiled, result, out.probe.length,
+        "hp", f"z0={z0}", compiled, result, out.probe.length,
         {"ratio": f"{_HP_C}/{_HP_D}", "x0": str(_HP_D**z0), "canonical_final_x": str(final_x)},
         t0,
     )
@@ -143,7 +121,8 @@ def measure_hp(z0: int, max_configs: int) -> ExperimentReport:
 
 def measure_double_exp(k: int, max_configs: int) -> ExperimentReport:
     t0 = time.perf_counter()
-    compiled, meta = _member("2exp", k)
+    program, meta = families.gen_double_exp(k)
+    compiled = compile_counter_program(program)
     out = replay_canonical(
         compiled,
         families.double_exp_canonical_policy(compiled.program, meta.canonical_pump),
@@ -151,7 +130,7 @@ def measure_double_exp(k: int, max_configs: int) -> ExperimentReport:
     )
     result = shortest_halting(compiled.vass, SearchBudget(2 * max(out.probe.peak), max_configs))
     return _row(
-        "2exp", _label("2exp", k), compiled, result, out.probe.length,
+        "2exp", f"k={k}", compiled, result, out.probe.length,
         {
             "canonical_pump": str(meta.canonical_pump),
             "forced_divisor": str(meta.forced_divisor),
@@ -186,44 +165,23 @@ def measure_np(target: int, values: tuple[int, ...], max_configs: int) -> Experi
     return _row("np", parameter, compiled, result, canonical_length, extra, t0)
 
 
+_MEASURERS = {
+    "exp": measure_exp,
+    "weak": measure_weak,
+    "hp": measure_hp,
+    "2exp": measure_double_exp,
+}
+
+
 def measure_family(
-    family: str,
-    params: list[int],
-    max_configs: int = 10_000_000,
-    np_target: int | None = None,
-    np_values: tuple[int, ...] | None = None,
+    family: str, params: list[int], max_configs: int = 10_000_000
 ) -> list[ExperimentReport]:
-    """One report row per parameter; rows that blow the node budget report
-    the budget-exceeded verdict rather than aborting the table."""
-    rows: list[ExperimentReport] = []
-    if family == "np":
-        if np_target is None or not np_values:
-            raise ValueError("measure np needs --s0 and --set")
-        return [measure_np(np_target, np_values, max_configs)]
-    measurers = {
-        "exp": measure_exp,
-        "weak": measure_weak,
-        "hp": measure_hp,
-        "2exp": measure_double_exp,
-    }
-    if family not in measurers:
-        raise ValueError(f"unknown family {family!r}; choose from exp, weak, hp, 2exp, np")
-    for p in params:
-        try:
-            rows.append(measurers[family](p, max_configs))
-        except BudgetExceededError as e:
-            rows.append(
-                ExperimentReport(
-                    family=family,
-                    parameter=_label(family, p),
-                    **_shape(_member(family, p)[0].vass),
-                    shortest_verdict=Verdict.BUDGET_EXCEEDED.value,
-                    shortest_length=None,
-                    canonical_length=None,
-                    extra={"error": str(e)},
-                )
-            )
-    return rows
+    """One report row per parameter of an exp, weak, hp or 2exp family; a
+    search cut by the node budget gives a budget-exceeded row rather than
+    aborting the table."""
+    if family not in _MEASURERS:
+        raise ValueError(f"unknown family {family!r}; choose from {', '.join(_MEASURERS)}")
+    return [_MEASURERS[family](p, max_configs) for p in params]
 
 
 def format_table(rows: list[ExperimentReport]) -> str:

@@ -127,11 +127,6 @@ class ReachResult:
         return {"verdict": self.verdict.value, "stats": asdict(self.stats), "run": run}
 
 
-def run_from_indices(v: Vass, indices: list[int]) -> Run:
-    """Rebuild a Run from serialized transition indices (source-anchored)."""
-    return Run(v.source, tuple(v.transitions[i] for i in indices))
-
-
 class _Packed:
     """Configurations packed into single ints: the state index in the low
     bits, then one fixed-width field per counter.  Fields are wide enough

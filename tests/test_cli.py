@@ -250,6 +250,12 @@ class TestMeasure:
             2, "", "vasskit: --from 3 is greater than --to 1: the range is empty\n"
         )
 
+    def test_np_needs_s0_and_set(self, capsys):
+        for argv in (["--s0", "3"], ["--set", "1,2"], []):
+            assert run_cli(capsys, "measure", "np", *argv) == (
+                2, "", "vasskit: measure np needs --s0 and --set\n"
+            )
+
     def test_deterministic_modulo_wall_clock(self, capsys):
         def strip(rows):
             return [{k: v for k, v in r.items() if k != "wall_clock_s"} for r in rows]

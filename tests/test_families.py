@@ -7,6 +7,7 @@ import pytest
 
 from vasskit.arith import description_size
 from vasskit.compiler import compile_counter_program
+from vasskit.errors import PolicyStuckError
 from vasskit.expand import expand
 from vasskit.families import (
     NpInstance,
@@ -27,7 +28,7 @@ from vasskit.families import (
 )
 from vasskit.lang import Add, Lit, Loop, Sub, parse, pretty_print
 from vasskit.search import SearchBudget, Verdict, halting_reachable, replay_canonical
-from vasskit.vass import is_flat, vass_size
+from vasskit.vass import is_flat, validate_run, vass_size
 
 
 class TestWeakMult:
@@ -188,7 +189,7 @@ class TestDoubleExp:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_canonical_probe_is_pinned(self, k):
         # no stepwise reference can walk these runs (2exp(2) already has
-        # 563,918,804 steps), so the fast-forward replay is held to the
+        # 639,678,417 steps), so the fast-forward replay is held to the
         # probe it gave before; bytes, not str(), which refuses ints over
         # 4,300 digits
         program, meta = gen_double_exp(k)
@@ -204,6 +205,25 @@ class TestDoubleExp:
             h.update(size.to_bytes(8, "little"))
             h.update(x.to_bytes(size, "little"))
         assert h.hexdigest()[:32] == DOUBLE_EXP_PROBES[k]
+
+    def test_canonical_pump_is_not_the_least_halting_pump(self):
+        # at k = 2 the least halting pump is forced_divisor; canonical_pump
+        # is 289 times that and its run about 289 times as long
+        _, meta = gen_double_exp(2)
+        assert (meta.forced_divisor, meta.canonical_pump) == (65_536, 289 * 65_536)
+
+        def replay(pump, materialize=False):
+            compiled = compile_counter_program(gen_double_exp_fixed(2, pump)[0])
+            policy = maximal_policy(compiled.program)
+            return compiled, replay_canonical(compiled, policy, materialize=materialize)
+
+        compiled, least = replay(65_536, materialize=True)
+        assert least.halting and least.probe.length == 1_951_316
+        report = validate_run(compiled.vass, least.run)
+        assert report.ok and report.halting
+        assert replay(meta.canonical_pump)[1].probe.length == 563_918_804
+        with pytest.raises(PolicyStuckError, match="not divisible"):
+            replay(32_768)
 
     def test_canonical_replay_memory_peak(self):
         # 2exp(10)'s probe holds about 48 MB of distinct big ints; a copy

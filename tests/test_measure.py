@@ -1,7 +1,5 @@
 import pytest
 
-from vasskit import measure
-from vasskit.errors import BudgetExceededError
 from vasskit.measure import format_table, measure_family
 from vasskit.search import Verdict
 
@@ -19,43 +17,48 @@ class TestMeasureFamily:
         assert len(rows) == 2
         assert all(r.shortest_verdict == Verdict.BUDGET_EXCEEDED.value for r in rows)
 
-    @pytest.mark.parametrize(
-        "family, name",
-        [("exp", "measure_exp"), ("weak", "measure_weak"), ("hp", "measure_hp"),
-         ("2exp", "measure_double_exp")],
-    )
-    def test_budget_exceeded_row_keeps_the_family_label(self, monkeypatch, family, name):
+    @pytest.mark.parametrize("family", ["exp", "weak", "hp", "2exp"])
+    def test_budget_row_keeps_label_size_and_flatness(self, family):
         measured = measure_family(family, [1])[0]
-
-        def blow_budget(p, max_configs):
-            raise BudgetExceededError("node budget")
-
-        monkeypatch.setattr(measure, name, blow_budget)
-        row = measure_family(family, [1])[0]
+        row = measure_family(family, [1], max_configs=1)[0]
         assert row.shortest_verdict == Verdict.BUDGET_EXCEEDED.value
-        assert row.extra == {"error": "node budget"}
-        assert row.parameter == measured.parameter
-        # size and flatness need no search, so the fallback row reports them
-        assert (row.size_unary, row.size_binary, row.flat) == (
-            measured.size_unary, measured.size_binary, measured.flat
+        assert row.shortest_length is None
+        # size and flatness need no search, so a cut row reports them
+        assert (row.parameter, row.size_unary, row.size_binary, row.flat) == (
+            measured.parameter, measured.size_unary, measured.size_binary, measured.flat
         )
 
-    def test_hp_budget_exceeded_row_is_labelled_z0(self, monkeypatch):
-        def blow_budget(p, max_configs):
-            raise BudgetExceededError("node budget")
+    @pytest.mark.parametrize(
+        "family, params, max_configs", [("exp", [1], 10), ("hp", [0, 2], 5), ("2exp", [1], 50)]
+    )
+    def test_cut_search_keeps_canonical_length(self, family, params, max_configs):
+        measured = measure_family(family, params)
+        rows = measure_family(family, params, max_configs)
+        assert all(r.shortest_verdict == Verdict.BUDGET_EXCEEDED.value for r in rows)
+        assert [(r.parameter, r.canonical_length) for r in rows] == [
+            (r.parameter, r.canonical_length) for r in measured
+        ]
 
-        monkeypatch.setattr(measure, "measure_hp", blow_budget)
-        assert [r.parameter for r in measure_family("hp", [0, 2])] == ["z0=0", "z0=2"]
+    def test_weak_cut_collection_gives_the_error_row(self):
+        verdict_row, error_row = measure_family("weak", [1, 2], max_configs=5)
+        assert (verdict_row.shortest_verdict, verdict_row.canonical_length) == (
+            Verdict.BUDGET_EXCEEDED.value, 4
+        )
+        assert verdict_row.extra == {"max_final_x": "1"}
+        assert (error_row.parameter, error_row.shortest_verdict) == (
+            "b=2", Verdict.BUDGET_EXCEEDED.value
+        )
+        assert (error_row.shortest_length, error_row.canonical_length) == (None, None)
+        assert error_row.extra == {
+            "error": "reachable-set exploration exceeded its budget: "
+            "SearchBudget(counter_bound=6, max_configs=5)"
+        }
 
     def test_hp_rows_report_canonical_power(self):
         rows = measure_family("hp", [0, 1, 2])
         finals = [int(r.extra["canonical_final_x"]) for r in rows]
         assert finals == [1, 3, 9]  # (3/2)^z0 * 2^z0
         assert all(not r.flat for r in rows)
-
-    def test_np_requires_instance(self):
-        with pytest.raises(ValueError):
-            measure_family("np", [])
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

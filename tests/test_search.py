@@ -40,7 +40,6 @@ from vasskit.search import (
     halting_reachable,
     reachable_configs,
     replay_canonical,
-    run_from_indices,
     shortest_halting,
     _explore,
     _Packed,
@@ -106,7 +105,7 @@ class TestShortestHalting:
         res = shortest_halting(v, SearchBudget(12))
         assert res.verdict == Verdict.FOUND
         obj = res.to_json_obj(v)
-        again = run_from_indices(v, obj["run"]["steps"])
+        again = Run(v.source, tuple(v.transitions[i] for i in obj["run"]["steps"]))
         assert again == res.run
         assert validate_run(v, again).halting
 

@@ -128,3 +128,32 @@ def test_fractions_suite_fails_on_a_perturbed_factor(monkeypatch):
     failed = failures(verify.suite_fractions(max_k=4))
     assert list(failed) == ["sequence invariants for k <= 4"]
     assert failed["sequence invariants for k <= 4"].startswith("k=3:")
+
+
+def test_weak_weakmult_and_hp_suites_fail_on_an_overpaying_rebuild(monkeypatch):
+    """gen_weak_mult's rebuild loop gains c+1 per d: weak, weakmult and hp
+    all build on it, so each suite names the first start it breaks."""
+    def overpaying(c, d):
+        return families.CounterProgram(
+            ("x", "y"),
+            (
+                Loop((Sub("x", Lit(1)), Add("y", Lit(1)))),
+                Loop((Add("x", Lit(c + 1)), Sub("y", Lit(d)))),
+            ),
+        )
+
+    monkeypatch.setattr(families, "gen_weak_mult", overpaying)
+    assert failures(verify.suite_weak(max_b=4)) == {
+        "weak(b) attains exactly b and never more, b <= 4": "b=2: final x values [0, 1, 3]"
+    }
+    # 3/2 first fails at y0 = 2: from y0 = 1 the rebuild loop cannot run
+    assert failures(verify.suite_weak_mult(((2, 1), (3, 2)), 6)) == {
+        "weak multiplication by 2/1, sums <= 6":
+            "(x0,y0)=(0,1): BFS finals differ from analytic enumeration",
+        "weak multiplication by 3/2, sums <= 6":
+            "(x0,y0)=(0,2): BFS finals differ from analytic enumeration",
+    }
+    assert failures(verify.suite_hp(4, 2)) == {
+        "weak exponentiation by 3/2: bound, exactness iff divisibility (sums <= 4, z0 <= 2)":
+            "(x0,y0,z0)=(0,2,1): final (4,0,0) above bound"
+    }
