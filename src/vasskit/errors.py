@@ -45,5 +45,6 @@ class PolicyStuckError(VasskitError):
 
 
 class ConfigCycleError(VasskitError):
-    """The bounded configuration graph contains a cycle, so run counts
-    are not well defined (some halting-run count would be infinite)."""
+    """Run counting met a cycle among the bounded configurations it keeps,
+    so it returns no count: through a configuration that can halt, the
+    halting-run count would be infinite."""

@@ -86,16 +86,17 @@ def measure_exp(n: int, max_configs: int) -> ExperimentReport:
 
 def measure_weak(b: int, max_configs: int) -> ExperimentReport:
     """The one measurer whose search can raise: `final_vectors` collects a
-    reachable set, so a cut-off collection gives an error row."""
+    reachable set, so a cut-off collection gives an error row.  The row
+    keeps the canonical length, since the maximal replay needs no budget."""
     t0 = time.perf_counter()
     compiled = compile_counter_program(families.gen_weak(b))
+    out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
     budget = SearchBudget(2 * b + 2, max_configs)
     try:
         finals = final_vectors(compiled.vass, budget, at_state=compiled.halt_state)
     except BudgetExceededError as e:
         cut = ReachResult(Verdict.BUDGET_EXCEEDED, None, SearchStats(0, 0, 0))
-        return _row("weak", f"b={b}", compiled, cut, None, {"error": str(e)}, t0)
-    out = replay_canonical(compiled, families.maximal_policy(compiled.program), materialize=False)
+        return _row("weak", f"b={b}", compiled, cut, out.probe.length, {"error": str(e)}, t0)
     return _row(
         "weak", f"b={b}", compiled, shortest_halting(compiled.vass, budget),
         out.probe.length, {"max_final_x": str(max(vec[0] for vec in finals))}, t0,

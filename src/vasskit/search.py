@@ -31,24 +31,21 @@ collected state are always cuts, so their answers are exact.  The other
 two need per-step levels or every configuration, so they step one
 transition at a time.
 
-Each move checks the counter fields it must against a cap per field.  In
-the collections, which have no target, the cap is the bound.
-`shortest_halting` and `halting_reachable` tighten it with a rule that
-depends on the target (`_target_caps`): they drop configurations at states
-with no path to the target state, and configurations holding more than the
-target value in a counter that no transition on such a path decreases,
-since along any run from there that counter only grows.  No configuration
-that can reach the target is dropped, so verdicts stay exact, and a drop is
-not a bound rejection.  The rule never drops a configuration on a shortest
-run, nor the first parent of a configuration it keeps, so each level of the
-pruned breadth-first search is the unpruned level with the dropped
-configurations left out, in the same order: `shortest_halting` returns the
-same run, tie-breaks included, whenever no budget cuts the search.  Their
-stats and `max_configs` count only the configurations that pass the rule.
-`count_halting_runs` applies the same rule when `acyclic_configurations`
-proves that no run revisits a configuration; on any other VASS it must still
-see cycles among configurations that cannot halt, so it keeps the plain
-bound.
+Each move checks the counter fields it must against a cap per field.  In the
+collections, which have no target, the cap is the bound.
+`shortest_halting`, `halting_reachable` and `count_halting_runs` tighten it
+with a rule that depends on the target (`_target_caps`): they drop
+configurations at states with no path to the target state, and
+configurations holding more than the target value in a counter that no
+transition on such a path decreases, since along any run from there that
+counter only grows.  No configuration that can reach the target is dropped,
+so verdicts and counts stay exact, and a drop is not a bound rejection.  The
+rule never drops a configuration on a shortest run, nor the first parent of
+a configuration it keeps, so each level of the pruned breadth-first search
+is the unpruned level with the dropped configurations left out, in the same
+order: `shortest_halting` returns the same run, tie-breaks included,
+whenever no budget cuts the search.  Stats and `max_configs` count only the
+configurations that pass the rule.
 
 Search is deterministic: successors are expanded in the canonical transition
 order of the Vass and results (including shortest-run tie-breaking and stats)
@@ -80,7 +77,7 @@ from .compiler import CompiledProgram
 from .errors import BudgetExceededError, ConfigCycleError, PolicyStuckError
 from .expand import LoopSpan
 from .lang import Add, Goto, Halt, Init, Sub
-from .vass import Configuration, Run, Transition, Vass, acyclic_configurations
+from .vass import Configuration, Run, Transition, Vass
 
 
 class Verdict(str, Enum):
@@ -571,44 +568,37 @@ def final_vectors(
     return frozenset(_state_vectors(packed, stored, packed.index[state]))
 
 
-def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -> int:
-    """Number of distinct halting paths within the bound, saturated at
-    `cutoff`, which must be at least 1.
+def count_halting_runs(v: Vass, budget: SearchBudget) -> int:
+    """Number of distinct halting paths within the bound, an exact int.
 
-    The bounded configuration graph must be acyclic (a cycle would make some
-    counts infinite); a back edge raises ConfigCycleError.  This is a bounded
-    check, not a proof about unbounded runs.
+    The depth-first search drops configurations that cannot reach the
+    target by the rule of halting_reachable (see `_target_caps`), and steps
+    along maximal deterministic chains.  Chains are deterministic and the target
+    state is a cut, so halting paths map one to one onto chain paths, and a
+    cycle of configurations shows up as a cycle among chain ends.
 
-    The depth-first search steps along maximal deterministic chains, as in
-    halting_reachable.  Chains are deterministic and the target state is a
-    cut, so halting paths map one to one onto chain paths, and a cycle of
-    configurations shows up as a cycle among chain ends.
-
-    When `acyclic_configurations` certifies that no run of v revisits a
-    configuration, no search could meet a cycle, so the count also drops
-    every configuration that cannot reach the target, as halting_reachable
-    does (see `_target_caps`).  Such a configuration lies on no halting
-    path, so counts stay exact.  Every other VASS is searched in full, so
-    that any cycle within the bound, even among configurations that cannot
-    halt, raises ConfigCycleError.
+    A back edge among the configurations it keeps raises ConfigCycleError.
+    The rule drops no configuration that can reach the target, so a cycle
+    through one is always met: a finite count is never returned where the
+    true count within the bound is infinite.  A cycle among kept
+    configurations that cannot halt raises too.  This is a bounded check,
+    not a proof about unbounded runs.
 
     `max_configs` counts the chain-end configurations stored, a subset of
     every reachable configuration, so it never needs a larger budget to
     finish than a per-transition search would.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    packed = _Packed(v, budget.counter_bound, chains=True, prune=acyclic_configurations(v))
+    packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
     if packed.src is None:
         return 0
     successors = packed.successors
     src, tgt = packed.src, packed.tgt
     max_configs = budget.max_configs
-    # configuration -> halting-run count, saturated at `cutoff`, once its
-    # subtree is done; -1 while it is on the DFS stack
+    # configuration -> halting-run count once its subtree is done; -1 while
+    # it is on the DFS stack
     counts = {src: -1}
     stack = [(src, successors(src))]
-    accs = [1 if src == tgt else 0]  # unsaturated partial count per frame
+    accs = [1 if src == tgt else 0]  # partial count per frame
     while stack:
         key, children = stack[-1]
         acc = accs[-1]
@@ -630,7 +620,7 @@ def count_halting_runs(v: Vass, budget: SearchBudget, cutoff: int = 1_000_000) -
                 )
             acc += c
         else:
-            acc = counts[key] = min(acc, cutoff)
+            counts[key] = acc
             stack.pop()
             accs.pop()
             if accs:

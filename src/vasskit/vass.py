@@ -295,15 +295,15 @@ def _cycle_through(inner: _Edges, u: int, first: tuple[int, int]) -> tuple[int, 
     return tuple(path[i:] + path[:i])
 
 
-def _inner_edges(v: Vass) -> tuple[_Edges, list[int]]:
+def _inner_edges(v: Vass) -> _Edges:
     """Per state index, its out-edges that stay inside its strongly
-    connected component, and the component of each state (see `_scc_ids`)."""
+    connected component (see `_scc_ids`)."""
     index = {s: i for i, s in enumerate(v.states)}
     out: _Edges = [[] for _ in v.states]
     for tix, t in enumerate(v.transitions):
         out[index[t.src]].append((index[t.dst], tix))
     comp = _scc_ids(out)
-    return [[e for e in edges if comp[e[0]] == comp[u]] for u, edges in enumerate(out)], comp
+    return [[e for e in edges if comp[e[0]] == comp[u]] for u, edges in enumerate(out)]
 
 
 def is_flat(v: Vass) -> FlatnessReport:
@@ -313,34 +313,13 @@ def is_flat(v: Vass) -> FlatnessReport:
     Linear in |Q| + |T|.  The witness is the first such state; its cycles
     start with its first two inner transitions and return by shortest paths.
     """
-    inner, _comp = _inner_edges(v)
+    inner = _inner_edges(v)
     for u, edges in enumerate(inner):
         if len(edges) >= 2:
             cycles = sorted(_cycle_through(inner, u, e) for e in edges[:2])
             witness = tuple(tuple(v.transitions[tix] for tix in c) for c in cycles)
             return FlatnessReport(False, v.states[u], witness)
     return FlatnessReport(True)
-
-
-def acyclic_configurations(v: Vass) -> bool:
-    """A certificate that no run of v repeats a configuration: v is flat
-    and the simple cycle of each nontrivial strongly connected component has
-    a nonzero net effect.  A closed walk stays inside one component, which
-    in a flat VASS is a single simple cycle, so the walk goes m >= 1 times
-    round it and moves the counters by m times that nonzero effect.  False
-    does not mean some run repeats a configuration.  Linear in |Q| + |T|;
-    with no counters every cycle has zero effect, so in dimension 0 it holds
-    only for an acyclic control graph."""
-    inner, comp = _inner_edges(v)
-    effect: dict[int, list[int]] = {}  # per component root: its cycle's net effect
-    for u, edges in enumerate(inner):
-        if len(edges) >= 2:
-            return False
-        for _w, tix in edges:
-            net = effect.setdefault(comp[u], [0] * v.dimension)
-            for i, d in enumerate(v.transitions[tix].delta):
-                net[i] += d
-    return all(any(net) for net in effect.values())
 
 
 def vass_size(v: Vass, encoding: str = "unary") -> int:

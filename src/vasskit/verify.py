@@ -388,25 +388,17 @@ def suite_hp(max_sum: int = 16, max_z: int = 3, c: int = 3, d: int = 2) -> Suite
 # NP reduction
 
 
-def check_np_instance(
-    inst: families.NpInstance,
-    program: CounterProgram | None = None,
-    max_configs: int = 30_000_000,
-) -> str | None:
+def check_np_instance(inst: families.NpInstance) -> str | None:
     """Bounded halting of the compiled reduction vs the Subset-Sum oracle.
-    Returns a counterexample string, or None.  `program` overrides the
-    generated program (used by the mutation control)."""
-    if program is None:
-        program, meta = families.gen_np(inst)
-    else:
-        meta = families.gen_np(inst)[1]
+    Returns a counterexample string, or None."""
+    program, meta = families.gen_np(inst)
     compiled = compile_counter_program(program)
     if compiled.vass.dimension != 7:
         return f"{inst}: dimension {compiled.vass.dimension} != 7"
     flat_report = is_flat(compiled.vass)
     if not flat_report.is_flat:
         return f"{inst}: compiled reduction is not flat (state {flat_report.witness_state})"
-    result = halting_reachable(compiled.vass, SearchBudget(meta.search_bound, max_configs))
+    result = halting_reachable(compiled.vass, SearchBudget(meta.search_bound, 30_000_000))
     if result.verdict == Verdict.BUDGET_EXCEEDED:
         return f"{inst}: search budget exceeded"
     want = families.subset_sum_brute(inst.target, inst.values)

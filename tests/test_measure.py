@@ -48,7 +48,8 @@ class TestMeasureFamily:
         assert (error_row.parameter, error_row.shortest_verdict) == (
             "b=2", Verdict.BUDGET_EXCEEDED.value
         )
-        assert (error_row.shortest_length, error_row.canonical_length) == (None, None)
+        # the maximal replay needs no budget, so the row keeps its length
+        assert (error_row.shortest_length, error_row.canonical_length) == (None, 14)
         assert error_row.extra == {
             "error": "reachable-set exploration exceeded its budget: "
             "SearchBudget(counter_bound=6, max_configs=5)"

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from vasskit import families
 from vasskit.arith import divisibility_threshold
 from vasskit.compiler import compile_counter_program
 from vasskit.families import (
@@ -114,13 +115,14 @@ def mutate_drop_load_increments(program: CounterProgram) -> CounterProgram:
 
 
 class TestNegativeControl:
-    def test_mutated_component_breaks_the_reduction(self):
+    def test_mutated_component_breaks_the_reduction(self, monkeypatch):
         # with load no longer charging u, the all-skip run halts even though
         # the oracle says no subset fits; the checker must report it
         inst = NpInstance(2, (1,))  # negative instance: 2 is not a subset sum of {1}
-        program, _meta = gen_np(inst)
+        program, meta = gen_np(inst)
         mutated = mutate_drop_load_increments(program)
         assert mutated != program
-        failure = check_np_instance(inst, program=mutated)
+        monkeypatch.setattr(families, "gen_np", lambda _inst: (mutated, meta))
+        failure = check_np_instance(inst)
         assert failure is not None
         assert "halting=True but subset-sum=False" in failure

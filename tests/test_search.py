@@ -48,7 +48,7 @@ from vasskit.search import (
     _trace_run,
 )
 from vasskit.vass import (
-    Configuration, Run, RunReport, Transition, Vass, acyclic_configurations, is_flat, validate_run,
+    Configuration, Run, RunReport, Transition, Vass, is_flat, validate_run,
 )
 
 
@@ -227,29 +227,6 @@ class TestCountHaltingRuns:
         )
         v = compile_counter_program(parse(text)).vass
         assert count_halting_runs(v, SearchBudget(3)) == 2
-
-    def test_cutoff_saturates(self):
-        text = "counters x\n" + "1: init\n" + "\n".join(
-            f"{i}: goto {i + 1} or {i + 1}" for i in range(2, 6)
-        ) + "\n6: halt x\n"
-        # widen: several diamonds
-        diamond = (
-            "counters x\n"
-            "1: init\n"
-            "2: goto 3 or 4\n"
-            "3: goto 5 or 6\n"
-            "4: goto 5 or 6\n"
-            "5: goto 7 or 7\n"
-            "6: goto 7 or 7\n"
-            "7: halt x\n"
-        )
-        v = compile_counter_program(parse(diamond)).vass
-        assert count_halting_runs(v, SearchBudget(3)) == 4
-        assert count_halting_runs(v, SearchBudget(3), cutoff=3) == 3
-        # a count saturated at cutoff < 1 could read as the on-stack marker
-        for cutoff in (0, -1):
-            with pytest.raises(ValueError, match="cutoff"):
-                count_halting_runs(v, SearchBudget(3), cutoff=cutoff)
 
     def test_cycle_detected(self):
         # a zero-effect control cycle that can still reach the target
@@ -872,10 +849,12 @@ class TestReachableConfigsDecode:
             got["p"] = set()
 
 
-def ref_count(v, budget, cutoff):
-    """Recursive path count with the same cycle and budget checks."""
+def ref_count(v, budget, keep=None):
+    """Recursive path count with the same cycle and budget checks; with
+    `keep`, over the configurations in it alone."""
     bound = budget.counter_bound
-    if max(v.source.vector, default=0) > bound:
+    src = (v.source.state, v.source.vector)
+    if max(v.source.vector, default=0) > bound or (keep is not None and src not in keep):
         return 0
     successors = _ref_successors(v, bound)
     tgt = (v.target.state, v.target.vector)
@@ -885,19 +864,50 @@ def ref_count(v, budget, cutoff):
         on_stack.add(cfg)
         acc = 1 if cfg == tgt else 0
         for _tix, nxt in successors(cfg):
+            if keep is not None and nxt not in keep:
+                continue
             if nxt in counts:
-                acc = min(acc + counts[nxt], cutoff)
+                acc += counts[nxt]
                 continue
             if nxt in on_stack:
                 raise ConfigCycleError("reference cycle")
             if len(counts) + len(on_stack) >= budget.max_configs:
                 raise BudgetExceededError("reference budget")
-            acc = min(acc + count(nxt), cutoff)
+            acc += count(nxt)
         on_stack.discard(cfg)
         counts[cfg] = acc
         return acc
 
-    return count((v.source.state, v.source.vector))
+    return count(src)
+
+
+def ref_live_count(v, budget):
+    """ref_count over the configurations that can reach the target within
+    the bound, with no node budget: the bounded reachable set, closed
+    backwards from the target.  A cycle among them raises ConfigCycleError,
+    since through it the count is infinite."""
+    bound = budget.counter_bound
+    if max(v.source.vector, default=0) > bound:
+        return 0
+    successors = _ref_successors(v, bound)
+    src = (v.source.state, v.source.vector)
+    preds = {src: set()}
+    todo = [src]
+    while todo:
+        cfg = todo.pop()
+        for _tix, nxt in successors(cfg):
+            if nxt not in preds:
+                preds[nxt] = set()
+                todo.append(nxt)
+            preds[nxt].add(cfg)
+    tgt = (v.target.state, v.target.vector)
+    live = {tgt} & preds.keys()
+    todo = list(live)
+    while todo:
+        for cfg in preds[todo.pop()] - live:
+            live.add(cfg)
+            todo.append(cfg)
+    return ref_count(v, SearchBudget(bound, len(preds) + 1), live)
 
 
 def ref_finals(v, budget, state):
@@ -910,6 +920,21 @@ def stored_configs(v, budget):
     reachable_configs under an ample node budget."""
     ample = replace(budget, max_configs=max(budget.max_configs, 1_000_000))
     return sum(len(vectors) for vectors in reachable_configs(v, ample).values())
+
+
+def check_count(v, budget):
+    """count_halting_runs against the references, as its outcome: a count
+    is the live reference's, a cycle is one the full reference meets too,
+    and a cut is one the full reference cannot finish under the same node
+    budget either (it stores every configuration the count stores)."""
+    got = _outcome(count_halting_runs, v, budget)
+    if got is ConfigCycleError:
+        assert _outcome(ref_count, v, replace(budget, max_configs=1_000_000)) is got
+    elif got is BudgetExceededError:
+        assert isinstance(_outcome(ref_count, v, budget), type)
+    else:
+        assert got == _outcome(ref_live_count, v, budget)
+    return got
 
 
 def _outcome(fn, *args):
@@ -1054,23 +1079,15 @@ class TestAgainstTupleReference:
                     outcomes.add("chains finish")
 
             for w in (v, random_dag_vass(rng)):
-                cutoff = rng.choice((1, 2, 3, 1_000_000))
-                want = _outcome(ref_count, w, budget, cutoff)
-                got = _outcome(count_halting_runs, w, budget, cutoff)
-                if got != want:
-                    assert _chains_finish(got, want, ref_count, w, budget, cutoff)
-                    outcomes.add("chains finish")
-                if isinstance(want, type):
-                    outcomes.add(want)
-                elif want > 1:
+                got = check_count(w, budget)
+                if isinstance(got, type):
+                    outcomes.add(got)
+                elif got > 1:
                     outcomes.add("several runs")
-                elif want < _outcome(ref_count, w, budget, 1_000_000):
-                    outcomes.add("saturated")
         # the corpus reaches every outcome it is meant to pin
         assert outcomes >= {
             Verdict.FOUND, Verdict.EXHAUSTED, Verdict.BUDGET_EXCEEDED,
-            BudgetExceededError, ConfigCycleError, "collected", "several runs", "saturated",
-            "chains finish",
+            BudgetExceededError, ConfigCycleError, "collected", "several runs", "chains finish",
         }
 
     def test_halting_reachable_agrees_with_shortest(self):
@@ -1124,7 +1141,7 @@ class TestPacking:
         assert halting_reachable(v, budget).verdict == ref_shortest(v, budget)[0]
         for absorbing in (frozenset(), frozenset({"q"})):
             assert reachable_configs(v, budget, absorbing) == ref_reachable(v, budget, absorbing)
-        assert count_halting_runs(v, budget) == ref_count(v, budget, 1_000_000)
+        assert count_halting_runs(v, budget) == ref_count(v, budget)
 
     def test_largest_decrement_at_zero(self):
         # -7 is the largest amount; at 0 it must not borrow into the next field
@@ -1197,8 +1214,7 @@ class TestChains:
         assert halting_reachable(v, budget).verdict == want
         assert shortest_halting(v, budget).verdict == want
         # the other chain kernels on the same case
-        ref = _outcome(ref_count, v, budget, 1_000_000)
-        assert _outcome(count_halting_runs, v, budget) == ref
+        assert check_count(v, budget) == _outcome(ref_live_count, v, budget)
         assert final_vectors(v, budget) == ref_finals(v, budget, v.target.state)
 
     def test_eight_decrements_do_not_borrow(self):
@@ -1247,14 +1263,19 @@ class TestChains:
 
     def test_count_cuts_zero_effect_cycle(self):
         # p1 -> p2 -> p3 -> p1 has no effect and every state on it has
-        # out-degree 1: the chain from p0 must cut it, and the cut still
-        # leaves a cycle among chain ends
-        v = self.line([(0,), (0,), (0,)], (0,), "p0", (1,), extra=[("p3", (0,), "p1")])
+        # out-degree 1.  It runs through the target state p2, a cut, so it
+        # can halt: the chain from p2 comes back to p2, a cycle among chain
+        # ends
+        v = self.line([(0,), (0,), (0,)], (0,), "p2", (0,), extra=[("p3", (0,), "p1")])
         budget = SearchBudget(3)
+        for count in (ref_live_count, count_halting_runs):
+            with pytest.raises(ConfigCycleError):
+                count(v, budget)
+        # with the target at p0, which the cycle cannot reach, it is dropped
+        dead = replace(v, target=Configuration("p0", (1,)))
+        assert count_halting_runs(dead, budget) == ref_live_count(dead, budget) == 0
         with pytest.raises(ConfigCycleError):
-            ref_count(v, budget, 1_000_000)
-        with pytest.raises(ConfigCycleError):
-            count_halting_runs(v, budget)
+            ref_count(dead, budget)
 
     def test_final_vectors_mid_chain_state(self):
         # p0 -> p1 -> p0 pumps x; p1 -> p2 -> p3 is a chain through p2,
@@ -1462,22 +1483,12 @@ def test_halting_reachable_source_is_target_has_no_run():
     assert res.stats == SearchStats(0, 1, 0)
 
 
-def ref_has_cycle(v, bound):
-    """Whether a configuration cycle within the bound is reachable from the
-    source vector at any state: the reference count meets a back edge."""
-    for state in v.states:
-        try:
-            ref_count(replace(v, source=replace(v.source, state=state)),
-                      SearchBudget(bound), 1_000_000)
-        except ConfigCycleError:
-            return True
-    return False
-
-
 class TestAcyclicConfigurations:
-    """`acyclic_configurations` certifies that no run repeats a
-    configuration, and count_halting_runs then drops the configurations
-    that cannot reach the target."""
+    """count_halting_runs drops the configurations that cannot reach the
+    target, so it counts wherever those that can form no cycle.  A case is
+    certified when its VASS is flat and the simple cycle of each nontrivial
+    component moves the counters, so that no run repeats a configuration;
+    the count needs no such certificate."""
 
     @staticmethod
     def corpus(seed):
@@ -1491,36 +1502,26 @@ class TestAcyclicConfigurations:
         for make, v in self.corpus(20261018):
             if make is random_flat_vass:
                 assert is_flat(v).is_flat
-            certified = acyclic_configurations(v)
-            cycle = any(ref_has_cycle(v, bound) for bound in range(6))
-            assert not (certified and cycle), v
-            seen[make.__name__, certified, cycle] += 1
-        # flat members with and without zero-effect cycles, and the other
-        # generators both ways
-        for name in ("random_vass", "random_flat_vass"):
-            assert seen[name, True, False] and seen[name, False, True]
-        assert seen["random_dag_vass", True, False]
-
-    def test_count_equals_reference_when_certified(self):
-        rng = random.Random(11)
-        counts = Counter()
-        for _make, v in self.corpus(20261019):
-            if not acyclic_configurations(v):
-                continue
-            for bound in range(6):
+            for bound in range(5):
                 budget = SearchBudget(bound)
-                cutoff = rng.choice((1, 2, 1_000_000))
-                want = ref_count(v, budget, cutoff)
-                assert count_halting_runs(v, budget, cutoff) == want
-                counts[min(want, 2)] += 1
-        assert min(counts.values()) > 20  # no runs, one run, several runs
+                got = _outcome(count_halting_runs, v, budget)
+                full = _outcome(ref_count, v, budget)
+                if got is ConfigCycleError:
+                    assert full is got
+                    seen["raises"] += 1
+                else:
+                    assert got == _outcome(ref_live_count, v, budget)
+                    seen["counts where the full reference raises"] += full is ConfigCycleError
+                    seen["several runs"] += got > 1
+        # cycles that cannot halt are dropped, cycles that can still raise,
+        # and paths are counted, not only found
+        assert min(seen.values()) > 20, seen
 
     def test_count_equals_reference_on_exp_family(self):
         for n, x0 in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)):
             v = compile_counter_program(gen_exp_fixed(n, x0)).vass
-            assert acyclic_configurations(v)
             budget = SearchBudget((n + 2) * x0, 1_000_000)
-            want = ref_count(v, budget, 1_000_000)
+            want = ref_count(v, budget)
             assert want == (x0 % divisibility_threshold(n) == 0)
             assert count_halting_runs(v, budget) == want
 
@@ -1530,9 +1531,9 @@ class TestAcyclicConfigurations:
         assert count_halting_runs(v, SearchBudget(144, 50_000)) == 1
 
     def test_zero_effect_self_loop(self):
+        # p can halt, so its cycle is kept
         v = Vass(1, ("p", "q"), (Transition("p", (0,), "p"), Transition("p", (0,), "q")),
                  Configuration("p", (0,)), Configuration("q", (0,)))
-        assert not acyclic_configurations(v)
         with pytest.raises(ConfigCycleError):
             count_halting_runs(v, SearchBudget(3))
 
@@ -1542,27 +1543,24 @@ class TestAcyclicConfigurations:
             Transition("p", (1,), "p"), Transition("p", (1,), "q"), Transition("q", (1,), "p"),
         ), Configuration("p", (0,)), Configuration("q", (3,)))
         assert not is_flat(v).is_flat
-        assert not acyclic_configurations(v)
-        assert count_halting_runs(v, SearchBudget(3)) == ref_count(v, SearchBudget(3), 9) == 2
+        assert count_halting_runs(v, SearchBudget(3)) == ref_count(v, SearchBudget(3)) == 2
 
     def test_cycle_without_counters_is_not_certified(self):
         v = Vass(0, ("p", "q"), (Transition("p", (), "q"), Transition("q", (), "p")),
                  Configuration("p", ()), Configuration("q", ()))
         assert is_flat(v).is_flat
-        assert not acyclic_configurations(v)
         with pytest.raises(ConfigCycleError):
             count_halting_runs(v, SearchBudget(0))
         # without the cycle there is nothing to repeat
-        assert acyclic_configurations(replace(v, transitions=v.transitions[:1]))
+        assert count_halting_runs(replace(v, transitions=v.transitions[:1]), SearchBudget(0)) == 1
 
     def test_nonzero_self_loop_is_certified(self):
         # r can never reach q: its configurations are dropped, not counted
         v = Vass(1, ("p", "q", "r"), (
             Transition("p", (1,), "p"), Transition("p", (-2,), "q"), Transition("p", (0,), "r"),
         ), Configuration("p", (0,)), Configuration("q", (1,)))
-        assert acyclic_configurations(v)
         for bound in range(5):
             budget = SearchBudget(bound)
-            assert count_halting_runs(v, budget) == ref_count(v, budget, 9) == (bound >= 3)
+            assert count_halting_runs(v, budget) == ref_count(v, budget) == (bound >= 3)
         # a source outside its caps counts no runs
         assert count_halting_runs(replace(v, source=Configuration("r", (0,))), budget) == 0

@@ -157,3 +157,48 @@ def test_weak_weakmult_and_hp_suites_fail_on_an_overpaying_rebuild(monkeypatch):
         "weak exponentiation by 3/2: bound, exactness iff divisibility (sums <= 4, z0 <= 2)":
             "(x0,y0,z0)=(0,2,1): final (4,0,0) above bound"
     }
+
+
+def test_arith_suite_fails_on_a_perturbed_threshold(monkeypatch):
+    original = verify.divisibility_threshold
+    monkeypatch.setattr(verify, "divisibility_threshold", lambda n: original(n) + (n == 5))
+    assert failures(verify.suite_arith(20, 10, 10)) == {
+        "threshold(n)*(n+1) divisible by 2..n+1 for n <= 10": "n=5, divisor 4"
+    }
+
+
+def test_double_exp_suite_fails_on_a_raised_stage_ratio(monkeypatch):
+    """Each stage multiplies by (c+d)/d instead of c/d, a fraction that
+    stays irreducible, so the k = 1 member exits its stage above the closed
+    form and its canonical run is no longer the shortest."""
+    original = families.gen_hp
+    monkeypatch.setattr(families, "gen_hp", lambda c, d: original(c + d, d))
+    assert failures(verify.suite_double_exp(2, 3, 8)) == {
+        "canonical run halts and stage exits match the closed form (k <= 3)":
+            "k=1: stage exit x=81, closed form 25",
+        "k=1: not flat; halting iff pump divisible by the forced divisor; "
+        "shortest equals canonical": "k=1: shortest != canonical (found vs 338)",
+    }
+
+
+def test_sizes_suite_fails_on_a_squared_parameter(monkeypatch):
+    original = families.gen_exp
+    monkeypatch.setattr(families, "gen_exp", lambda n: original(n * n))
+    assert failures(verify.suite_sizes(4, 2)) == {
+        "exponential family: unary size within 73*n^2 for n <= 4": "n=2: unary size 325 > 73*n^2"
+    }
+
+
+def test_semantics_suite_fails_on_a_dropped_transition(monkeypatch):
+    original = verify.compile_program
+
+    def dropping(flat):
+        compiled = original(flat)
+        vass = dataclasses.replace(compiled.vass, transitions=compiled.vass.transitions[1:])
+        return dataclasses.replace(compiled, vass=vass)
+
+    monkeypatch.setattr(verify, "compile_program", dropping)
+    result = verify.suite_semantics(bound=6)
+    failed = failures(result)
+    assert len(failed) == len(result.checks) == 9
+    assert all(detail.startswith("sets differ; interpreter-only") for detail in failed.values())
