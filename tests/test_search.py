@@ -1517,6 +1517,21 @@ class TestAcyclicConfigurations:
         # and paths are counted, not only found
         assert min(seen.values()) > 20, seen
 
+    def test_count_equals_reference_when_certified(self):
+        # where the full reference meets no cycle, no run repeats a
+        # configuration, and dropping those that cannot reach the target
+        # leaves the count of every run unchanged
+        counts = Counter()
+        for _make, v in self.corpus(20261019):
+            for bound in range(6):
+                budget = SearchBudget(bound)
+                want = _outcome(ref_count, v, budget)
+                if want is ConfigCycleError:
+                    continue
+                assert count_halting_runs(v, budget) == want
+                counts[min(want, 2)] += 1
+        assert min(counts.values()) > 20, counts  # no runs, one run, several runs
+
     def test_count_equals_reference_on_exp_family(self):
         for n, x0 in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)):
             v = compile_counter_program(gen_exp_fixed(n, x0)).vass
