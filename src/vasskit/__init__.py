@@ -3,8 +3,6 @@ verification of three hard-family constructions (exponential flat 3-VASS,
 NP-hard flat 7-VASS via Subset Sum, doubly-exponential 4-VASS)."""
 
 from .arith import (
-    bits_msb_first,
-    bits_value,
     description_size,
     divisibility_threshold,
     lcm_range,

@@ -3,8 +3,7 @@
 Python ints are arbitrary precision and `fractions.Fraction` keeps values
 reduced with a positive denominator, so this module only adds the handful
 of operations the generators need: range lcm, the divisibility threshold
-that forces long runs in the exponential family, its inverse lookup, and
-most-significant-first bit strings.
+that forces long runs in the exponential family, and its inverse lookup.
 """
 
 from __future__ import annotations
@@ -54,34 +53,6 @@ def threshold_index(values: list[int] | tuple[int, ...]) -> int:
     while divisibility_threshold(n) < need:
         n += 1
     return n
-
-
-def bits_msb_first(x: int, width: int | None = None) -> tuple[int, ...]:
-    """Binary digits of x, most significant first.
-
-    Without `width` the leading bit is 1 and x must be >= 1.  With `width`
-    the result is left-padded with zeros to exactly `width` bits, which
-    requires x < 2**width; x = 0 is allowed only in this padded form.
-    """
-    if x < 0:
-        raise ValueError("bits_msb_first requires x >= 0")
-    if width is None:
-        if x == 0:
-            raise ValueError("bits_msb_first requires x >= 1 unless a width is given")
-        width = x.bit_length()
-    elif width < max(1, x.bit_length()):
-        raise ValueError(f"width {width} too small for value {x}")
-    return tuple((x >> i) & 1 for i in range(width - 1, -1, -1))
-
-
-def bits_value(bits: tuple[int, ...] | list[int]) -> int:
-    """Evaluate a most-significant-first bit string back to an integer."""
-    v = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bit string may only contain 0/1, got {b!r}")
-        v = (v << 1) | b
-    return v
 
 
 def description_size(f: Fraction) -> int:

@@ -19,7 +19,7 @@ import sys
 from . import families, measure, verify
 from .arith import description_size
 from .compiler import compile_counter_program, compile_program
-from .errors import BudgetExceededError, ParseError, VasskitError
+from .errors import BudgetExceededError, ExpansionError, ParseError, VasskitError
 from .expand import expand, pretty_print_flat
 from .lang import parse, pretty_print
 from .search import SearchBudget, Verdict, shortest_halting
@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as e:
         print(f"vasskit: budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, ValueError) as e:
+    except (ParseError, ExpansionError, ValueError) as e:
         print(f"vasskit: {e}", file=sys.stderr)
         return EXIT_USAGE
     except VasskitError as e:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import bits_msb_first, divisibility_threshold, threshold_index
+from .arith import divisibility_threshold, threshold_index
 from .errors import PolicyStuckError
 from .expand import FlatProgram
 from .lang import (
@@ -300,14 +300,6 @@ class NpInstance:
     def threshold(self) -> int:
         return divisibility_threshold(self.n)
 
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return bits_msb_first(self.threshold)
-
-    @property
-    def bit_width(self) -> int:
-        return len(self.bits)
-
 
 @dataclass(frozen=True)
 class ComponentInfo:
@@ -319,9 +311,7 @@ class ComponentInfo:
 @dataclass(frozen=True)
 class NpMeta:
     instance: NpInstance
-    n: int
     threshold: int
-    bit_width: int
     components: tuple[ComponentInfo, ...]  # in program order
 
     @property
@@ -332,11 +322,12 @@ class NpMeta:
         return 8 * self.threshold * (len(self.instance.values) + 1)
 
 
-def _np_init_commands(n: int, k: int, threshold: int) -> list[Command]:
+def _np_init_commands(n: int, k: int) -> list[Command]:
     # Weakly build `threshold` in e (times k+1 in f) bit by bit, with x, x'
     # as the doubling scratch pair and y shadowing x; then verify exactness
     # with the (i+1)/i cascade and the joint x/y drain.  The oldest bit is
     # handled by the initial increments, so the bit loop covers m-1 .. 0.
+    threshold = divisibility_threshold(n)
     m = threshold.bit_length() - 1
     cmds: list[Command] = [
         Init(),
@@ -392,15 +383,15 @@ def gen_np_init(n: int, k: int) -> CounterProgram:
     zeroes in x, x', y, z."""
     if n < 1 or k < 0:
         raise ValueError("gen_np_init needs n >= 1 and k >= 0")
-    threshold = divisibility_threshold(n)
-    body = _np_init_commands(n, k, threshold) + [Halt(("y",))]
+    body = _np_init_commands(n, k) + [Halt(("y",))]
     return CounterProgram(("x", "x'", "y", "z", "e", "f"), tuple(body))
 
 
-def _np_component(a: int, active: bool, positive: bool, m: int, threshold: int) -> list[Command]:
+def _np_component(a: int, active: bool, positive: bool, threshold: int) -> list[Command]:
     # One budgeted adder: v (reusing x) is weakly doubled m times while e/f
     # meter the work against the threshold; u gains or loses `a` in total
     # when every loop is iterated maximally.  v' reuses x', e' reuses z.
+    m = threshold.bit_length() - 1
     if not 1 <= a < 2 ** (m + 1):
         raise ValueError(f"component amount {a} needs 1 <= a < 2^{m + 1}")
     u_update = Add("u", Lit(1)) if positive else Sub("u", Lit(1))
@@ -444,15 +435,13 @@ def gen_np(inst: NpInstance) -> tuple[CounterProgram, NpMeta]:
     raises u by the target, and one `take<i>`/`skip<i>` component pair per
     value either removes value i from u or leaves it; halt tests y, u, f."""
     k = len(inst.values)
-    n = inst.n
     threshold = inst.threshold
-    m = inst.bit_width - 1
 
-    body: list[Command] = _np_init_commands(n, k, threshold)
+    body: list[Command] = _np_init_commands(inst.n, k)
     components: list[ComponentInfo] = []
 
     def emit_component(label: str, a: int, active: bool, positive: bool):
-        cmds = _np_component(a, active, positive, m, threshold)
+        cmds = _np_component(a, active, positive, threshold)
         body.append(Labeled(label, cmds[0]))
         body.extend(cmds[1:])
         components.append(ComponentInfo(label, a, active))
@@ -469,7 +458,7 @@ def gen_np(inst: NpInstance) -> tuple[CounterProgram, NpMeta]:
     body.append(Labeled("end", Halt(("y", "u", "f"))))
 
     program = CounterProgram(NP_COUNTERS, tuple(body))
-    meta = NpMeta(inst, n, threshold, m + 1, tuple(components))
+    meta = NpMeta(inst, threshold, tuple(components))
     return program, meta
 
 

@@ -85,8 +85,8 @@ class Vass:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Vass":
-        """Inverse of to_json_obj.  A missing or ill-typed field raises
-        ValueError naming it."""
+        """Inverse of to_json_obj.  A missing or ill-typed field, or a
+        negative source or target vector, raises ValueError naming it."""
         states = _json_field(obj, "states", list)
         if not all(isinstance(s, str) for s in states):
             raise ValueError("VASS JSON: field 'states' must list strings")
@@ -102,7 +102,10 @@ class Vass:
 
         def configuration(key: str) -> Configuration:
             cfg = _json_field(obj, key, dict)
-            return Configuration(_json_field(cfg, "state", str, key), _json_ints(cfg, "vector", key))
+            vector = _json_ints(cfg, "vector", key)
+            if any(v < 0 for v in vector):
+                raise ValueError(f"VASS JSON: field '{key}.vector' must list nonnegative integers")
+            return Configuration(_json_field(cfg, "state", str, key), vector)
 
         return Vass(
             dimension=_json_field(obj, "dimension", int),

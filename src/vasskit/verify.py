@@ -25,8 +25,6 @@ from fractions import Fraction
 
 from . import families
 from .arith import (
-    bits_msb_first,
-    bits_value,
     description_size,
     divisibility_threshold,
     lcm_range,
@@ -110,17 +108,6 @@ def _fraction_trial(rng: random.Random) -> str | None:
     return None
 
 
-def _bits_trial(rng: random.Random) -> str | None:
-    """A random value survives bit strings of its own and of a wider width."""
-    x = rng.randint(1, 10**30)
-    if bits_value(bits_msb_first(x)) != x:
-        return f"x={x}"
-    width = x.bit_length() + rng.randint(0, 5)
-    if bits_value(bits_msb_first(x, width)) != x:
-        return f"x={x}, width={width}"
-    return None
-
-
 def suite_arith(max_pair: int = 200, max_n: int = 100, trials: int = 300) -> SuiteResult:
     t0 = time.perf_counter()
     rng = random.Random(20240811)
@@ -136,8 +123,6 @@ def suite_arith(max_pair: int = 200, max_n: int = 100, trials: int = 300) -> Sui
         )),
         _check("fraction products/powers stay reduced and exact",
                _first, (_fraction_trial(rng) for _ in range(trials))),
-        _check("bit strings evaluate back to their value",
-               _first, (_bits_trial(rng) for _ in range(trials))),
         _check("range lcm examples", lambda: None if (
             lcm_range(2, 2), lcm_range(2, 6), lcm_range(2, 7)) == (2, 60, 420) else "examples"),
     ])

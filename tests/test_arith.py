@@ -6,8 +6,6 @@ from functools import reduce
 import pytest
 
 from vasskit.arith import (
-    bits_msb_first,
-    bits_value,
     description_size,
     divisibility_threshold,
     lcm_range,
@@ -89,36 +87,6 @@ class TestThresholdIndex:
             threshold_index([])
         with pytest.raises(ValueError):
             threshold_index([0, 3])
-
-
-class TestBits:
-    def test_examples(self):
-        assert bits_msb_first(1) == (1,)
-        assert bits_msb_first(6) == (1, 1, 0)
-        assert bits_msb_first(2, width=3) == (0, 1, 0)
-
-    def test_leading_bit_is_one(self):
-        for x in range(1, 300):
-            bits = bits_msb_first(x)
-            assert bits[0] == 1
-            assert bits_value(bits) == x
-
-    def test_padded_round_trip(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            x = rng.randint(0, 10**18)
-            width = max(1, x.bit_length()) + rng.randint(0, 7)
-            bits = bits_msb_first(x, width=width)
-            assert len(bits) == width
-            assert bits_value(bits) == x
-
-    def test_rejects_width_too_small(self):
-        with pytest.raises(ValueError):
-            bits_msb_first(6, width=2)
-
-    def test_rejects_unpadded_zero(self):
-        with pytest.raises(ValueError):
-            bits_msb_first(0)
 
 
 class TestFractionBehavior:

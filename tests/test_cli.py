@@ -84,7 +84,8 @@ class TestGenerate:
         path = tmp_path / "p.cp"
         path.write_text(f"counters x\ninit\nloop\n{body}endloop\nhalt x\n")
         code, out, err = run_cli(capsys, "expand", str(path))
-        assert (code, out, err) == (1, "", "vasskit: loop at line 2: body expands to no lines\n")
+        # a program that cannot be expanded is a usage error, not a verdict
+        assert (code, out, err) == (2, "", "vasskit: loop at line 2: body expands to no lines\n")
 
     @pytest.mark.parametrize("cond", ["1 < 2", "2 > 1"])
     def test_strict_comparison_expands(self, capsys, tmp_path, cond):
@@ -183,6 +184,9 @@ class TestPipeline:
             ({"dimension": 1, "states": ["a"], "transitions": [],
               "source": {"state": "a", "vector": ["1"]}, "target": {"state": "a", "vector": [1.5]}},
              "field 'target.vector' must list integers"),
+            ({"dimension": 1, "states": ["a"], "transitions": [],
+              "source": {"state": "a", "vector": ["0"]}, "target": {"state": "a", "vector": [-2]}},
+             "field 'target.vector' must list nonnegative integers"),
             ({"dimension": True, "states": ["a"],
               "transitions": [{"from": "a", "delta": [True], "to": "a"}],
               "source": {"state": "a", "vector": [False]}},
@@ -194,6 +198,33 @@ class TestPipeline:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "solve", str(path), "--bound", "3")
         assert (code, out, err) == (2, "", f"vasskit: VASS JSON: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "program expands to no lines"),
+            ("counters x\nx += y\n", "unbound meta-variable 'y'"),
+            ("counters x\ninit\nfor i := 1 to 500001\n  x += 1\nendfor\nhalt x\n",
+             "expansion exceeds budget of 500000 lines"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [("flat",), ("compile",), ("solve", "--bound", "3")])
+    def test_unexpandable_program_is_a_usage_error(self, capsys, tmp_path, text, message, command):
+        path = tmp_path / "bad.cp"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert (code, out, err) == (2, "", f"vasskit: {message}\n")
+
+    @pytest.mark.parametrize("command", [("flat",), ("solve", "--bound", "3"), ("size",)])
+    def test_negative_source_vector_is_a_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "states": ["a"], "transitions": [],
+            "source": {"state": "a", "vector": ["-1"]}, "target": {"state": "a", "vector": ["0"]},
+        }))
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        message = "VASS JSON: field 'source.vector' must list nonnegative integers"
+        assert (code, out, err) == (2, "", f"vasskit: {message}\n")
 
     def test_size_command(self, capsys, tmp_path):
         _, text, _ = run_cli(capsys, "gen", "2exp", "--k", "2")

@@ -305,8 +305,6 @@ class TestNpInstance:
         inst = NpInstance(3, (1, 2))
         assert inst.n == 3
         assert inst.threshold == 3
-        assert inst.bits == (1, 1)
-        assert inst.bit_width == 2
 
     def test_rejects_bad_instances(self):
         with pytest.raises(ValueError):
@@ -317,7 +315,26 @@ class TestNpInstance:
             NpInstance(1, (0,))
 
 
+# sha256 of pretty_print(gen_np(NpInstance(target, values))[0]), keyed by
+# (target, values), with the threshold and its bit length alongside
+NP_TEXTS = {
+    (1, (1,)): (1, 1, "df3e5859b4a43486b0272847ee2cb1aa9f2b849edbbae814a2ace70ddfa1f812"),
+    (2, (1,)): (2, 2, "aab481077be9a609fdbef8018028a67ecd420b7dedf9fdca32668d87cf556ac0"),
+    (3, (1, 2)): (3, 2, "9c0e00eb65a467109d5d5d9cbd88c95e204fa5f7463fef6c088b17c4a22b9114"),
+    (9, (1, 2, 3, 4, 5, 1, 2)): (
+        12, 4, "4c57f667940cebbe38583ce99ec0a5dce3c9800a8c89e768723b24c8c92d6df0"),
+    (50, (7, 43)): (60, 6, "e668dc19b37c0f70b32ea295ac61b018651e44bc369f495d00887e0481f3d91e"),
+}
+
+
 class TestGenNp:
+    @pytest.mark.parametrize("target, values", NP_TEXTS)
+    def test_text_is_pinned_across_bit_widths(self, target, values):
+        program, meta = gen_np(NpInstance(target, values))
+        text = pretty_print(program).encode()
+        got = (meta.threshold, meta.threshold.bit_length(), hashlib.sha256(text).hexdigest())
+        assert got == NP_TEXTS[target, values]
+
     def test_seven_counters_flat(self):
         program, meta = gen_np(NpInstance(3, (1, 2)))
         compiled = compile_counter_program(program)

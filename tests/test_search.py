@@ -1484,11 +1484,11 @@ def test_halting_reachable_source_is_target_has_no_run():
 
 
 class TestAcyclicConfigurations:
-    """count_halting_runs drops the configurations that cannot reach the
-    target, so it counts wherever those that can form no cycle.  A case is
-    certified when its VASS is flat and the simple cycle of each nontrivial
-    component moves the counters, so that no run repeats a configuration;
-    the count needs no such certificate."""
+    """count_halting_runs over the configurations that can reach the
+    target: it drops the others, counts the runs when those it keeps form
+    no cycle, and raises ConfigCycleError when they do.  A case is
+    certified when the full reference meets no cycle either; there the
+    count is the full reference's."""
 
     @staticmethod
     def corpus(seed):
@@ -1552,7 +1552,7 @@ class TestAcyclicConfigurations:
         with pytest.raises(ConfigCycleError):
             count_halting_runs(v, SearchBudget(3))
 
-    def test_non_flat_is_not_certified(self):
+    def test_non_flat_cycles_that_move_counters_are_counted(self):
         # every cycle through p moves x, but p lies on two of them
         v = Vass(1, ("p", "q"), (
             Transition("p", (1,), "p"), Transition("p", (1,), "q"), Transition("q", (1,), "p"),
@@ -1560,7 +1560,7 @@ class TestAcyclicConfigurations:
         assert not is_flat(v).is_flat
         assert count_halting_runs(v, SearchBudget(3)) == ref_count(v, SearchBudget(3)) == 2
 
-    def test_cycle_without_counters_is_not_certified(self):
+    def test_cycle_without_counters_raises(self):
         v = Vass(0, ("p", "q"), (Transition("p", (), "q"), Transition("q", (), "p")),
                  Configuration("p", ()), Configuration("q", ()))
         assert is_flat(v).is_flat
@@ -1569,7 +1569,7 @@ class TestAcyclicConfigurations:
         # without the cycle there is nothing to repeat
         assert count_halting_runs(replace(v, transitions=v.transitions[:1]), SearchBudget(0)) == 1
 
-    def test_nonzero_self_loop_is_certified(self):
+    def test_nonzero_self_loop_is_counted(self):
         # r can never reach q: its configurations are dropped, not counted
         v = Vass(1, ("p", "q", "r"), (
             Transition("p", (1,), "p"), Transition("p", (-2,), "q"), Transition("p", (0,), "r"),
