@@ -10,26 +10,28 @@ is a single int, and a successor is one integer addition plus a masked check
 per touched counter.  Runs and counts are decoded from packed keys when a
 result is returned.  `reachable_configs` returns a read-only
 `Mapping[str, set[tuple[int, ...]]]` over the stored keys.  Reading one
-state costs one filtering pass over the keys plus decoding that state's
-own, a small part of a full read when the state holds few of them; the
-first full read decodes every key in one pass, each distinct counter
-vector once, shared between states.  `final_vectors` decodes its one state
-the same way.
+state that is no chain's interior, such as an absorbing state, costs one
+filtering pass over the keys plus decoding that state's own, a small part
+of a full read when the state holds few of them.  The first full read, or
+read of a state some chain passes through, walks every chain from every
+stored key step by step, stopping at the first step that leaves the bound,
+and decodes every configuration met in one pass, each distinct counter
+vector once, shared between states.  `final_vectors` is a single read of
+that mapping.
 
-`shortest_halting`, `halting_reachable`, `reachable_configs` and
-`final_vectors` each run the one breadth-first search, `_explore`, and
-decode what it stored; `count_halting_runs` is a depth-first search.  Only
-the kernel handles the source checks, the depth cap of `shortest_halting`
-and the node budget, by one rule: a new configuration is checked against
-`max_configs`, then stored, then tested against the target.
+`shortest_halting`, `halting_reachable` and `reachable_configs` each run
+the one breadth-first search, `_explore`, and decode what it stored;
+`count_halting_runs` is a depth-first search.  Only the kernel handles the
+source checks, the depth cap of `shortest_halting` and the node budget, by
+one rule: a new configuration is checked against `max_configs`, then
+stored, then tested against the target.
 
-`halting_reachable`, `final_vectors` and `count_halting_runs` step along
-maximal deterministic chains of transitions, split wherever a counter would
-change direction, and store (and count in `max_configs`) only the
-configurations where chains start or end; the target state and the
-collected state are always cuts, so their answers are exact.  The other
-two need per-step levels or every configuration, so they step one
-transition at a time.
+Every search but `shortest_halting` steps along maximal deterministic
+chains of transitions, split wherever a counter would change direction,
+and stores (and counts in `max_configs`) only the configurations where
+chains start or end; the target state and absorbing states are always
+cuts, so their answers are exact.  `shortest_halting` needs per-step
+levels, so it steps one transition at a time.
 
 Each move checks the counter fields it must against a cap per field.  In the
 collections, which have no target, the cap is the bound.
@@ -144,7 +146,9 @@ class _Packed:
     is a maximal deterministic chain of transitions rather than one
     transition, and only the states where chains start get entries.  Every
     chain is monotone in every counter, so checking its end configuration
-    checks every configuration along it."""
+    checks every configuration along it.  `moves` keeps each chain's steps
+    into its interior states, which only `reachable_configs` reads, to
+    rebuild the configurations along a chain (see `_Reachable`)."""
 
     def __init__(
         self,
@@ -155,10 +159,10 @@ class _Packed:
         prune: bool = False,
     ):
         index = self.index = {s: i for i, s in enumerate(v.states)}
-        moves = _chain_moves(v, index, absorbing, chains)
+        moves = self.moves = _chain_moves(v, index, absorbing, chains)
         # a chain's net amount can exceed every single transition's
         max_amount = max(
-            (abs(d) for ms in moves for delta, _dst, _tix in ms for d in delta), default=0
+            (abs(d) for ms in moves for delta, _dst, _tix, _steps in ms for d in delta), default=0
         )
         caps = self.caps = (
             _target_caps(v, index, bound) if prune else [(bound,) * v.dimension] * len(v.states)
@@ -171,7 +175,7 @@ class _Packed:
         # per state: one (packed delta, checks, first transition index) per
         # move into a state that can reach the target state
         self.adj = [
-            [self._move(delta, s, dst, tix) for delta, dst, tix in ms if caps[dst] is not None]
+            [self._move(delta, s, dst, tix) for delta, dst, tix, _steps in ms if caps[dst] is not None]
             for s, ms in enumerate(moves)
         ]
         # a configuration outside its state's caps could overflow its fields:
@@ -222,12 +226,14 @@ class _Packed:
 
 def _chain_moves(
     v: Vass, index: dict[str, int], absorbing: frozenset[str], chains: bool
-) -> list[list[tuple[tuple[int, ...], int, int]]]:
+) -> list[list[tuple[tuple[int, ...], int, int, list[tuple[tuple[int, ...], int, int, int]]]]]:
     """Per state index, one `(net delta, end state index, first transition
-    index)` per outgoing transition of a cut state reachable from the source
-    state: the maximal deterministic chain that starts with that transition.
-    States in `absorbing` have no outgoing transitions.  Without `chains`
-    every state is a cut, so each move is one transition.
+    index, interior steps)` per outgoing transition of a cut state reachable
+    from the source state: the maximal deterministic chain that starts with
+    that transition, and one `(delta, from, to, transition index)` per step
+    of it into an interior state.  States in `absorbing` have no outgoing
+    transitions.  Without `chains` every state is a cut, so each move is one
+    transition.
 
     A chain ends at the first cut state it enters.  The source and target
     states are cuts, and so is every state whose out-degree is not 1.  A
@@ -242,26 +248,25 @@ def _chain_moves(
             out[index[t.src]].append((t.delta, index[t.dst], tix))
     cut = [not chains or len(ts) != 1 for ts in out]
     cut[index[v.source.state]] = cut[index[v.target.state]] = True
-    moves: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in out]
+    moves: list[list[tuple[tuple[int, ...], int, int, list]]] = [[] for _ in out]
     start = index[v.source.state]
     queued = {start}
     todo = [start]
     while todo:
         s = todo.pop()
-        for move in out[s]:
-            net, cur, first = move
-            if not cut[cur]:
-                seen = {s, cur}
-                while not cut[cur]:
-                    delta, nxt, _tix = out[cur][0]
-                    if (nxt in seen and not cut[nxt]) or any(a * d < 0 for a, d in zip(net, delta)):
-                        cut[cur] = True
-                        break
-                    net = tuple([a + d for a, d in zip(net, delta)])
-                    seen.add(nxt)
-                    cur = nxt
-                move = (net, cur, first)
-            moves[s].append(move)
+        for net, cur, first in out[s]:
+            steps = [(net, s, cur, first)]
+            seen = {s, cur}
+            while not cut[cur]:
+                delta, nxt, tix = out[cur][0]
+                if (nxt in seen and not cut[nxt]) or any(a * d < 0 for a, d in zip(net, delta)):
+                    cut[cur] = True
+                    break
+                net = tuple([a + d for a, d in zip(net, delta)])
+                steps.append((delta, cur, nxt, tix))
+                seen.add(nxt)
+                cur = nxt
+            moves[s].append((net, cur, first, steps[:-1]))
             if cur not in queued:
                 queued.add(cur)
                 todo.append(cur)
@@ -430,34 +435,36 @@ def _trace_run(v: Vass, packed: _Packed, parent: dict[int, int]) -> Run:
     return Run(v.source, tuple(steps))
 
 
-def _reach_keys(
-    v: Vass, budget: SearchBudget, absorbing: frozenset[str], chains: bool
-) -> tuple[_Packed, dict[int, int]]:
-    """The packed configurations a search from the source stores within the
-    bound (none if the source is above it).  Raises ValueError naming a
-    state in `absorbing` that v lacks, and BudgetExceededError if the node
-    budget is hit before exhaustion."""
-    unknown = absorbing.difference(v.states)
-    if unknown:
-        raise ValueError(f"absorbing state {min(unknown)!r} is not a state of the VASS")
-    packed = _Packed(v, budget.counter_bound, absorbing, chains)
-    verdict, stored, _stats = _explore(packed, -1, budget.max_configs)
-    if verdict == Verdict.BUDGET_EXCEEDED:
-        raise BudgetExceededError(f"reachable-set exploration exceeded its budget: {budget}")
-    return packed, stored
-
-
-def _state_vectors(packed: _Packed, keys: Iterable[int], at: int) -> Iterator[tuple[int, ...]]:
-    """The counter vectors of the packed keys at state index `at`: one
-    filtering pass over all keys, decoding only the keys that match."""
-    smask, cmask, shifts = packed.smask, packed.cmask, packed.shifts
-    return (tuple([(key >> sh) & cmask for sh in shifts]) for key in keys if key & smask == at)
+def _chain_walk(packed: _Packed, keys: Iterable[int]) -> Iterator[int]:
+    """Each stored key, then every configuration along each chain from it
+    up to the first step that leaves the bound: chains are monotone, so
+    that prefix is what a per-transition search reaches.  A chain's end
+    configuration, if within the bound, is a stored key itself."""
+    smask, cmask = packed.smask, packed.cmask
+    # per state index: the packed steps into the interior of each chain from it
+    walks = [[[packed._move(*step) for step in steps] for *_, steps in ms if steps] for ms in packed.moves]
+    for key in keys:
+        yield key
+        for steps in walks[key & smask]:
+            nk = key
+            for pd, checks, _tix in steps:
+                nk += pd
+                for sh, cap in checks:
+                    if ((nk >> sh) & cmask) > cap:
+                        break
+                else:
+                    yield nk
+                    continue
+                break
 
 
 class _Reachable(Mapping[str, set[tuple[int, ...]]]):
-    """What `reachable_configs` returns: the packed keys `_explore` stored,
-    decoded when first read (see there).  `_one` caches single-state reads;
-    the first full read fills `_all` in one pass and releases the keys, and
+    """What `reachable_configs` returns: the chain-end keys `_explore`
+    stored, and the configurations along the chains from them, decoded when
+    first read (see there).  `_one` caches single reads of states that are
+    no chain's interior, which only stored keys hold; the first full read,
+    or the first read of an interior state, walks every chain (see
+    `_chain_walk`) to fill `_all` in one pass and releases the keys, and
     from then on `_all` serves every read."""
 
     def __init__(self, states: tuple[str, ...], packed: _Packed, keys: dict[int, int]):
@@ -466,24 +473,30 @@ class _Reachable(Mapping[str, set[tuple[int, ...]]]):
         self._keys: dict[int, int] | None = keys
         self._one: dict[str, set[tuple[int, ...]]] = {}
         self._all: dict[str, set[tuple[int, ...]]] = {}
+        # the state indices some chain passes through
+        self._interior = {to for ms in packed.moves for *_, steps in ms for _d, _a, to, _t in steps}
 
     def __getitem__(self, state: str) -> set[tuple[int, ...]]:
         keys = self._keys
-        if keys is None:
-            return self._all[state]
+        at = self._packed.index.get(state)
+        if keys is None or at in self._interior:
+            return self._decoded()[state]
         vectors = self._one.get(state)
         if vectors is None:
-            at = self._packed.index.get(state)
             if at is None:
                 raise KeyError(state)
-            vectors = self._one[state] = set(_state_vectors(self._packed, keys, at))
+            # one filtering pass over the keys, decoding only those at `at`
+            smask, cmask, shifts = self._packed.smask, self._packed.cmask, self._packed.shifts
+            vectors = self._one[state] = {
+                tuple([(key >> sh) & cmask for sh in shifts]) for key in keys if key & smask == at
+            }
         if not vectors:
             raise KeyError(state)
         return vectors
 
     def _decoded(self) -> dict[str, set[tuple[int, ...]]]:
-        """Every state's vectors, decoding every key in one pass the first
-        time it is called."""
+        """Every state's vectors, walking every chain and decoding every
+        configuration in one pass the first time it is called."""
         keys = self._keys
         if keys is None:
             return self._all
@@ -493,7 +506,7 @@ class _Reachable(Mapping[str, set[tuple[int, ...]]]):
         shifts = [sh - sbits for sh in packed.shifts]
         vectors: dict[int, tuple[int, ...]] = {}
         out: dict[str, set[tuple[int, ...]]] = {}
-        for key in keys:
+        for key in _chain_walk(packed, keys):
             state = states[key & smask]
             counters = key >> sbits
             vec = vectors.get(counters)
@@ -527,8 +540,7 @@ def reachable_configs(
     v: Vass, budget: SearchBudget, absorbing: frozenset[str] = frozenset()
 ) -> Mapping[str, set[tuple[int, ...]]]:
     """All configurations reachable within the bound, grouped by state: a
-    read-only mapping from each reached state to its counter vectors, in
-    the order the search first reached the states.
+    read-only mapping from each reached state to its counter vectors.
 
     States in `absorbing` are not expanded (their configurations are still
     collected), which is how halt-completion drains are kept out of
@@ -536,16 +548,32 @@ def reachable_configs(
     budget is hit before exhaustion, and ValueError if a state in
     `absorbing` is not a state of v; both before returning.
 
-    The mapping decodes the packed configurations the search stored when
-    first read.  Reading one state filters them once and decodes only that
-    state's, a small part of a full read when the state holds few of them.
-    The first read of every state (iteration, `len`, `items`, `values`,
-    `==`) decodes all of them in one pass, each distinct counter vector
-    once: every state holding it shares that tuple, since compiled programs
-    have many goto and no-op lines, whose configurations repeat their
-    neighbours' vectors.  Each decode is cached.
+    The search steps along maximal deterministic chains, as in
+    halting_reachable, and stores only the configurations where chains
+    start or end; `max_configs` counts those, a subset of every reachable
+    configuration, so it never needs a larger budget to finish than a
+    per-transition search would.  The mapping rebuilds the rest when first
+    read.  Reading one state that is no chain's interior, such as an
+    absorbing state, filters the stored configurations once and decodes
+    only that state's, a small part of a full read when the state holds few
+    of them.  The first read of every state (iteration, `len`, `items`,
+    `values`, `==`), or of a state some chain passes through, walks each
+    chain from each stored configuration, step by step up to the first step
+    that leaves the bound, and decodes every configuration met in that one
+    pass, each distinct counter vector once: every state holding it shares
+    that tuple, since compiled programs have many goto and no-op lines,
+    whose configurations repeat their neighbours' vectors.  States come in
+    the order that walk first meets them: stored configurations in the
+    order the search stored them, each followed by the configurations along
+    its chains.  Each decode is cached.
     """
-    packed, stored = _reach_keys(v, budget, absorbing, chains=False)
+    unknown = absorbing.difference(v.states)
+    if unknown:
+        raise ValueError(f"absorbing state {min(unknown)!r} is not a state of the VASS")
+    packed = _Packed(v, budget.counter_bound, absorbing, chains=True)
+    verdict, stored, _stats = _explore(packed, -1, budget.max_configs)
+    if verdict == Verdict.BUDGET_EXCEEDED:
+        raise BudgetExceededError(f"reachable-set exploration exceeded its budget: {budget}")
     return _Reachable(v.states, packed, stored)
 
 
@@ -556,16 +584,13 @@ def final_vectors(
     target state by default) within the bound, collected before any
     halt-completion drain fires: that state is absorbing.
 
-    The search steps along maximal deterministic chains, as in
-    halting_reachable.  The absorbing state has no outgoing transitions, so
-    it is a cut and every configuration at it ends a chain.  `max_configs`
-    counts the chain-end configurations stored, a subset of what
-    reachable_configs stores, so it never needs a larger budget to finish.
-    Raises BudgetExceededError as reachable_configs does, and ValueError
-    if `at_state` is not a state of v."""
+    A single read of reachable_configs with that one state absorbing.  It
+    has no outgoing transitions, so it is a cut and is no chain's interior:
+    the read filters the stored chain-end configurations once and walks no
+    chain.  `max_configs` and errors are those of reachable_configs, so a
+    state v lacks raises ValueError."""
     state = at_state if at_state is not None else v.target.state
-    packed, stored = _reach_keys(v, budget, frozenset({state}), chains=True)
-    return frozenset(_state_vectors(packed, stored, packed.index[state]))
+    return frozenset(reachable_configs(v, budget, frozenset({state})).get(state, ()))
 
 
 def count_halting_runs(v: Vass, budget: SearchBudget) -> int:

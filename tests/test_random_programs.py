@@ -25,7 +25,9 @@ from vasskit.compiler import compile_program
 from vasskit.expand import expand, pretty_print_flat
 from vasskit.interp import reachable_line_configs
 from vasskit.lang import parse, pretty_print
-from vasskit.search import SearchBudget, Verdict, halting_reachable, reachable_configs, shortest_halting
+from vasskit.search import (
+    SearchBudget, Verdict, final_vectors, halting_reachable, reachable_configs, shortest_halting,
+)
 from vasskit.vass import Vass, validate_run
 
 SEEDS = range(1000)
@@ -189,15 +191,17 @@ def test_expand_is_idempotent_through_flat_text():
 
 
 def test_interpreter_matches_compiled_vass():
-    bound = 3
+    budget = SearchBudget(3, 200_000)
     for seed in SEEDS:
         flat = expand(parse(random_program(seed)))
         compiled = compile_program(flat)
-        reach = reachable_configs(
-            compiled.vass, SearchBudget(bound, 200_000), absorbing=frozenset({compiled.halt_state})
-        )
+        v, halt = compiled.vass, compiled.halt_state
+        reach = reachable_configs(v, budget, absorbing=frozenset({halt}))
         got = {(compiled.line_of_state[s], vec) for s, vectors in reach.items() for vec in vectors}
-        assert got == reachable_line_configs(flat, bound), seed
+        assert got == reachable_line_configs(flat, budget.counter_bound), seed
+        # the halt state read alone, on a mapping no full read has decoded
+        alone = reachable_configs(v, budget, absorbing=frozenset({halt})).get(halt, set())
+        assert alone == reach.get(halt, set()) == final_vectors(v, budget, halt), seed
 
 
 def test_vass_json_round_trip():

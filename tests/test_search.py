@@ -838,6 +838,49 @@ class TestReachableConfigsDecode:
         assert len(got) == 4
         self.assert_shared(got)
 
+    def test_chain_cut_off_by_the_bound_keeps_its_prefix(self):
+        # the one chain p -> q -> r -> s ends above the bound; q and r are
+        # its interior, and only part of it stays within the bound
+        v = Vass(1, ("p", "q", "r", "s"), (
+            Transition("p", (1,), "q"), Transition("q", (1,), "r"), Transition("r", (1,), "s"),
+        ), Configuration("p", (0,)), Configuration("p", (0,)))
+        for bound, want in ((1, [("p", {(0,)}), ("q", {(1,)})]),
+                            (2, [("p", {(0,)}), ("q", {(1,)}), ("r", {(2,)})])):
+            assert reachable_configs(v, SearchBudget(bound))["q"] == {(1,)}
+            got = reachable_configs(v, SearchBudget(bound))
+            assert list(got.items()) == want
+            assert got == ref_reachable(v, SearchBudget(bound))
+
+    def test_single_read_of_an_interior_state(self):
+        program = with_initial_values(gen_weak_mult(2, 1), {"x": 3, "y": 1})
+        compiled = compile_counter_program(program)
+        v, budget = compiled.vass, SearchBudget(4 * 2 + 2 + 1 + 1, 2_000_000)
+        absorbing = frozenset({compiled.halt_state})
+        full = dict(reachable_configs(v, budget, absorbing).items())
+        assert full == ref_reachable(v, budget, absorbing)
+        # states where the search stores nothing: only chain walks reach them
+        packed = _Packed(v, budget.counter_bound, absorbing, chains=True)
+        stored = _explore(packed, -1, budget.max_configs)[1]
+        assert set(full) - {v.states[key & packed.smask] for key in stored}
+        for state in full:
+            assert reachable_configs(v, budget, absorbing)[state] == full[state], state
+
+    def test_chain_end_that_is_another_chains_interior(self):
+        # the chain s -> x -> y passes through x; the later chain s -> a -> x
+        # would reverse x's direction at x -> y, so x becomes a cut there
+        v = Vass(1, ("a", "s", "x", "y"), (
+            Transition("s", (0,), "x"), Transition("s", (1,), "a"),
+            Transition("a", (1,), "x"), Transition("x", (-1,), "y"),
+        ), Configuration("s", (0,)), Configuration("y", (0,)))
+        budget = SearchBudget(2)
+        packed = _Packed(v, budget.counter_bound, chains=True)
+        stored = _explore(packed, -1, budget.max_configs)[1]
+        at = {(v.states[key & packed.smask], key >> packed.sbits) for key in stored}
+        # (x, 2) ends the second chain and is stored; (x, 0) lies inside the first
+        assert ("x", 2) in at and ("x", 0) not in at
+        assert reachable_configs(v, budget)["x"] == {(0,), (2,)}
+        assert reachable_configs(v, budget) == ref_reachable(v, budget)
+
     def test_read_only(self):
         got = reachable_configs(
             Vass(1, ("p",), (), Configuration("p", (0,)), Configuration("p", (0,))),
@@ -1064,13 +1107,16 @@ class TestAgainstTupleReference:
                 assert validate_run(v, run).halting
             outcomes.add(verdict)
 
+            # the collections step along chains
             absorbing = frozenset(s for s in v.states if rng.random() < 0.3)
             for drop in (frozenset(), absorbing):
                 want = _outcome(ref_reachable, v, budget, drop)
-                assert _outcome(reachable_configs, v, budget, drop) == want
+                got = _outcome(reachable_configs, v, budget, drop)
+                if got != want:
+                    assert _chains_finish(got, want, ref_reachable, v, budget, drop)
+                    outcomes.add("collection chains finish")
                 outcomes.add(want if isinstance(want, type) else "collected")
 
-            # final_vectors steps along chains
             for state in v.states:
                 want = _outcome(ref_finals, v, budget, state)
                 got = _outcome(final_vectors, v, budget, state)
@@ -1088,6 +1134,7 @@ class TestAgainstTupleReference:
         assert outcomes >= {
             Verdict.FOUND, Verdict.EXHAUSTED, Verdict.BUDGET_EXCEEDED,
             BudgetExceededError, ConfigCycleError, "collected", "several runs", "chains finish",
+            "collection chains finish",
         }
 
     def test_halting_reachable_agrees_with_shortest(self):
