@@ -2,12 +2,7 @@
 verification of three hard-family constructions (exponential flat 3-VASS,
 NP-hard flat 7-VASS via Subset Sum, doubly-exponential 4-VASS)."""
 
-from .arith import (
-    description_size,
-    divisibility_threshold,
-    lcm_range,
-    threshold_index,
-)
+from .arith import description_size, divisibility_threshold, threshold_index
 from .compiler import CompiledProgram, compile_counter_program, compile_program
 from .errors import (
     BudgetExceededError,

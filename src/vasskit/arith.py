@@ -2,26 +2,14 @@
 
 Python ints are arbitrary precision and `fractions.Fraction` keeps values
 reduced with a positive denominator, so this module only adds the handful
-of operations the generators need: range lcm, the divisibility threshold
-that forces long runs in the exponential family, and its inverse lookup.
+of operations the generators need: the divisibility threshold that forces
+long runs in the exponential family, and its inverse lookup.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def lcm_range(lo: int, hi: int) -> int:
-    """Least common multiple of all integers in [lo, hi], by folding lcm."""
-    if lo < 1:
-        raise ValueError(f"lcm_range requires lo >= 1, got {lo}")
-    if lo > hi:
-        raise ValueError(f"lcm_range requires lo <= hi, got [{lo}, {hi}]")
-    acc = 1
-    for v in range(lo, hi + 1):
-        acc = math.lcm(acc, v)
-    return acc
 
 
 def divisibility_threshold(n: int) -> int:
@@ -32,10 +20,7 @@ def divisibility_threshold(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"divisibility_threshold requires n >= 1, got {n}")
-    total = lcm_range(2, n + 1)
-    quotient, rem = divmod(total, n + 1)
-    assert rem == 0
-    return quotient
+    return math.lcm(*range(2, n + 2)) // (n + 1)
 
 
 def threshold_index(values: list[int] | tuple[int, ...]) -> int:

@@ -15,15 +15,17 @@ from .errors import BudgetExceededError
 from .expand import FlatProgram
 from .lang import Add, Goto, Halt, Init, Sub
 
+# the most (line, vector) pairs one exploration stores
+_MAX_CONFIGS = 2_000_000
 
-def reachable_line_configs(
-    flat: FlatProgram, bound: int, max_configs: int = 2_000_000
-) -> frozenset[tuple[int, tuple[int, ...]]]:
+
+def reachable_line_configs(flat: FlatProgram, bound: int) -> frozenset[tuple[int, tuple[int, ...]]]:
     """All (line, vector) pairs reachable with every counter <= bound.
 
     Line n+1 stands for control fallen off the end of a halt-less fragment.
     The run stops at a halt line (zero tests and completion are not modeled
-    here; they live in the VASS target).
+    here; they live in the VASS target).  Raises BudgetExceededError once
+    more than `_MAX_CONFIGS` pairs are reached.
     """
     cix = {c: i for i, c in enumerate(flat.counters)}
     n = len(flat.lines)
@@ -52,9 +54,9 @@ def reachable_line_configs(
             pass
         for nxt in succ:
             if nxt not in visited:
-                if len(visited) >= max_configs:
+                if len(visited) >= _MAX_CONFIGS:
                     raise BudgetExceededError(
-                        f"interpreter exploration exceeded {max_configs} configurations"
+                        f"interpreter exploration exceeded {_MAX_CONFIGS} configurations"
                     )
                 visited.add(nxt)
                 dq.append(nxt)

@@ -3,69 +3,24 @@
 Everything here is bound-relative: exploration prunes any configuration with
 a counter above the budget's bound, so "no halting run" verdicts certify
 nonexistence only within that bound.  Family verifiers pick bounds that
-provably contain every halting run, which upgrades the certificate.
+provably contain every halting run, which upgrades the certificate.  Search
+is deterministic: successors are expanded in the canonical transition order
+of the Vass, and results, stats and shortest-run tie-breaks included, are
+reproducible.
 
-Every search question runs on one representation, `_Packed`: a configuration
-is a single int, and a successor is one integer addition plus a masked check
-per touched counter.  Runs and counts are decoded from packed keys when a
-result is returned.  `reachable_configs` returns a read-only
-`Mapping[str, set[tuple[int, ...]]]` over the stored keys.  Reading one
-state that is no chain's interior, such as an absorbing state, costs one
-filtering pass over the keys plus decoding that state's own, a small part
-of a full read when the state holds few of them.  The first full read, or
-read of a state some chain passes through, walks every chain from every
-stored key step by step, stopping at the first step that leaves the bound,
-and decodes every configuration met in one pass, each distinct counter
-vector once, shared between states.  `final_vectors` is a single read of
-that mapping.
-
-`shortest_halting`, `halting_reachable` and `reachable_configs` each run
-the one breadth-first search, `_explore`, and decode what it stored;
-`count_halting_runs` is a depth-first search.  Only the kernel handles the
-source checks, the depth cap of `shortest_halting` and the node budget, by
-one rule: a new configuration is checked against `max_configs`, then
-stored, then tested against the target.
-
-Every search but `shortest_halting` steps along maximal deterministic
-chains of transitions, split wherever a counter would change direction,
-and stores (and counts in `max_configs`) only the configurations where
-chains start or end; the target state and absorbing states are always
-cuts, so their answers are exact.  `shortest_halting` needs per-step
-levels, so it steps one transition at a time.
-
-Each move checks the counter fields it must against a cap per field.  In the
-collections, which have no target, the cap is the bound.
-`shortest_halting`, `halting_reachable` and `count_halting_runs` tighten it
-with a rule that depends on the target (`_target_caps`): they drop
-configurations at states with no path to the target state, and
-configurations holding more than the target value in a counter that no
-transition on such a path decreases, since along any run from there that
-counter only grows.  No configuration that can reach the target is dropped,
-so verdicts and counts stay exact, and a drop is not a bound rejection.  The
-rule never drops a configuration on a shortest run, nor the first parent of
-a configuration it keeps, so each level of the pruned breadth-first search
-is the unpruned level with the dropped configurations left out, in the same
-order: `shortest_halting` returns the same run, tie-breaks included,
-whenever no budget cuts the search.  Stats and `max_configs` count only the
-configurations that pass the rule.
-
-Search is deterministic: successors are expanded in the canonical transition
-order of the Vass and results (including shortest-run tie-breaking and stats)
-are reproducible.  Stats are the kernel's (see `_explore`), except that
-`halting_reachable` reports as `expanded` the configurations it stored,
-less a target just found.
-
-`replay_canonical` walks the one run a loop policy fixes, with no search.
-It reads every step from a per-line table built once (the counter a line
-moves, by how much, and its `Transition` to each next line), fast-forwards
-each loop with a straight-line body from a per-loop table (net effect and
-one iteration's transitions), and applies `DrainLoop` and `CountedLoop` in
-one place, `_Replay._loop`.  The walk's one record is a list of
-(transitions, count) blocks; the length is summed from it and a
-materialized run expands it.  It raises `PolicyStuckError` as soon as the
-entry of a loop walked stepwise, or the target of a backward goto other
-than a loop's own back goto, comes round with the same counters and
-counted-loop state.
+Where each part lives:
+- `_Packed` packs a configuration into one int and holds the moves from
+  each state: single transitions, or the deterministic chains of
+  `_chain_moves`, each checked against per-counter caps, which
+  `_target_caps` tightens for the searches with a target.
+- `_explore` is the one breadth-first search, and alone handles the source
+  checks, the depth cap and the node budget.  `shortest_halting`,
+  `halting_reachable` and `reachable_configs` run it; `count_halting_runs`
+  is a depth-first search.
+- `_Reachable` is the mapping `reachable_configs` returns, decoded when
+  read, with `_chain_walk` rebuilding the configurations along chains;
+  `final_vectors` reads one state of it.
+- `_Replay` walks the one run a loop policy fixes, for `replay_canonical`.
 """
 
 from __future__ import annotations
@@ -78,7 +33,7 @@ from enum import Enum
 from .compiler import CompiledProgram
 from .errors import BudgetExceededError, ConfigCycleError, PolicyStuckError
 from .expand import LoopSpan
-from .lang import Add, Goto, Halt, Init, Sub
+from .lang import Add, Goto, Halt, Sub
 from .vass import Configuration, Run, Transition, Vass
 
 
@@ -405,12 +360,16 @@ def shortest_halting(
     the bound; BUDGET_EXCEEDED means the node budget, or `max_depth` (a cap
     on run length), cut search off.
 
-    The search drops every configuration that provably cannot reach the
+    The search steps one transition at a time, since it needs per-step
+    levels, and drops every configuration that provably cannot reach the
     target (see `_target_caps`), as halting_reachable does.  Verdicts and
-    runs are those of the search without the rule whenever no budget cuts
-    it.  `stats.expanded` counts the configurations, passing the rule, whose
-    successors were generated, and `max_configs` the configurations stored,
-    all of which pass it.
+    runs, tie-breaks included, are those of the search without the rule
+    whenever no budget cuts it: the rule never drops a configuration on a
+    shortest run, nor the first parent of a configuration it keeps, so each
+    level is the unpruned level with the dropped configurations left out,
+    in the same order.  `stats.expanded` counts the configurations, passing
+    the rule, whose successors were generated, and `max_configs` the
+    configurations stored, all of which pass it.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -461,8 +420,8 @@ def _chain_walk(packed: _Packed, keys: Iterable[int]) -> Iterator[int]:
 class _Reachable(Mapping[str, set[tuple[int, ...]]]):
     """What `reachable_configs` returns: the chain-end keys `_explore`
     stored, and the configurations along the chains from them, decoded when
-    first read (see there).  `_one` caches single reads of states that are
-    no chain's interior, which only stored keys hold; the first full read,
+    read (see there).  A read of a state that is no chain's interior, which
+    only stored keys hold, filters the keys each time; the first full read,
     or the first read of an interior state, walks every chain (see
     `_chain_walk`) to fill `_all` in one pass and releases the keys, and
     from then on `_all` serves every read."""
@@ -471,7 +430,6 @@ class _Reachable(Mapping[str, set[tuple[int, ...]]]):
         self._states = states
         self._packed = packed
         self._keys: dict[int, int] | None = keys
-        self._one: dict[str, set[tuple[int, ...]]] = {}
         self._all: dict[str, set[tuple[int, ...]]] = {}
         # the state indices some chain passes through
         self._interior = {to for ms in packed.moves for *_, steps in ms for _d, _a, to, _t in steps}
@@ -481,15 +439,11 @@ class _Reachable(Mapping[str, set[tuple[int, ...]]]):
         at = self._packed.index.get(state)
         if keys is None or at in self._interior:
             return self._decoded()[state]
-        vectors = self._one.get(state)
-        if vectors is None:
-            if at is None:
-                raise KeyError(state)
-            # one filtering pass over the keys, decoding only those at `at`
-            smask, cmask, shifts = self._packed.smask, self._packed.cmask, self._packed.shifts
-            vectors = self._one[state] = {
-                tuple([(key >> sh) & cmask for sh in shifts]) for key in keys if key & smask == at
-            }
+        # one filtering pass over the keys, decoding only those at `at`
+        smask, cmask, shifts = self._packed.smask, self._packed.cmask, self._packed.shifts
+        vectors = {
+            tuple([(key >> sh) & cmask for sh in shifts]) for key in keys if key & smask == at
+        }
         if not vectors:
             raise KeyError(state)
         return vectors
@@ -526,12 +480,6 @@ class _Reachable(Mapping[str, set[tuple[int, ...]]]):
     def __len__(self) -> int:
         return len(self._decoded())
 
-    def items(self):
-        return self._decoded().items()
-
-    def values(self):
-        return self._decoded().values()
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._decoded()!r})"
 
@@ -554,9 +502,9 @@ def reachable_configs(
     configuration, so it never needs a larger budget to finish than a
     per-transition search would.  The mapping rebuilds the rest when first
     read.  Reading one state that is no chain's interior, such as an
-    absorbing state, filters the stored configurations once and decodes
-    only that state's, a small part of a full read when the state holds few
-    of them.  The first read of every state (iteration, `len`, `items`,
+    absorbing state, filters the stored configurations and decodes only
+    that state's, a small part of a full read when the state holds few of
+    them.  The first read of every state (iteration, `len`, `items`,
     `values`, `==`), or of a state some chain passes through, walks each
     chain from each stored configuration, step by step up to the first step
     that leaves the bound, and decodes every configuration met in that one
@@ -565,7 +513,8 @@ def reachable_configs(
     whose configurations repeat their neighbours' vectors.  States come in
     the order that walk first meets them: stored configurations in the
     order the search stored them, each followed by the configurations along
-    its chains.  Each decode is cached.
+    its chains.  Only that full decode is cached: until it runs, each
+    single-state read filters the stored configurations again.
     """
     unknown = absorbing.difference(v.states)
     if unknown:
@@ -715,7 +664,10 @@ class _Replay:
     next line.  `bodies[entry]` holds, for a loop whose body only moves
     distinct counters, the net effect per counter and one iteration's
     transitions; other loops map to None and are walked stepwise.  `run`
-    walks lines, and `_loop` alone applies `DrainLoop` and `CountedLoop`.
+    reads each line from `table` alone: no next line is a halt, two are a
+    choice goto, decided by `TakeBranch`, and one is a step that moves the
+    line's counter, if any.  A loop's entry goes to `_loop`, which alone
+    applies `DrainLoop` and `CountedLoop`.
 
     The walk's one record is `blocks`, (transitions, count) pairs: a
     stepwise step appends its line's block, a fast-forward one iteration
@@ -791,8 +743,8 @@ class _Replay:
         self.drains = [(cix[c], (transition(s, cix[c], -1, s),), link) for (s, c), link in zip(chain, links)]
 
     def run(self) -> ReplayOutcome:
-        lines, table, spans, checks = self.flat.lines, self.table, self.spans, self.checks
-        n = len(lines)
+        table, spans, checks, counters = self.table, self.spans, self.checks, self.flat.counters
+        n = len(table) - 1
         vec, peak, blocks = self.vec, self.peak, self.blocks
         record = blocks.append
         last_visit: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
@@ -812,27 +764,24 @@ class _Replay:
                         f"{where}: replay does not terminate ({what} reached again with the same counters)"
                     )
                 last_visit[pc] = visit
-            cmd = lines[pc - 1]
             ci, amount, nexts = table[pc]
-            nxt = pc + 1
-            if isinstance(cmd, Halt):
+            if not nexts:  # halt
                 break
             if pc in spans:
                 nxt = self._loop(spans[pc])
-            elif isinstance(cmd, Goto):
-                nxt = cmd.first
-                if cmd.second != nxt:
-                    pol = self.policy.get(pc)
-                    if not isinstance(pol, TakeBranch):
-                        raise PolicyStuckError(f"line {pc}: no branch policy for goto")
-                    nxt = cmd.second if pol.second else nxt
-            elif ci is not None:
-                vec[ci] += amount
-                if vec[ci] < 0:
-                    raise PolicyStuckError(f"line {pc}: counter {cmd.counter!r} would go below zero")
-                peak[ci] = max(peak[ci], vec[ci])
-            elif not isinstance(cmd, Init):
-                raise PolicyStuckError(f"line {pc}: cannot replay {cmd!r}")
+            elif len(nexts) == 2:
+                pol = self.policy.get(pc)
+                if not isinstance(pol, TakeBranch):
+                    raise PolicyStuckError(f"line {pc}: no branch policy for goto")
+                first, second = nexts
+                nxt = second if pol.second else first
+            else:
+                (nxt,) = nexts
+                if ci is not None:
+                    vec[ci] += amount
+                    if vec[ci] < 0:
+                        raise PolicyStuckError(f"line {pc}: counter {counters[ci]!r} would go below zero")
+                    peak[ci] = max(peak[ci], vec[ci])
             record(nexts[nxt])
             pc = nxt
 

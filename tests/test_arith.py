@@ -5,40 +5,12 @@ from functools import reduce
 
 import pytest
 
-from vasskit.arith import (
-    description_size,
-    divisibility_threshold,
-    lcm_range,
-    threshold_index,
-)
+from vasskit.arith import description_size, divisibility_threshold, threshold_index
 
 
 def lcm_fold_oracle(lo, hi):
     # independent of math.lcm: fold a*b // gcd(a,b)
     return reduce(lambda a, b: a * b // math.gcd(a, b), range(lo, hi + 1), 1)
-
-
-class TestLcmRange:
-    def test_single_element(self):
-        assert lcm_range(2, 2) == 2
-
-    def test_examples(self):
-        # oracle: fold gcd/lcm over the range
-        assert lcm_fold_oracle(2, 6) == 60
-        assert lcm_range(2, 6) == 60
-        assert lcm_fold_oracle(2, 7) == 420
-        assert lcm_range(2, 7) == 420
-
-    def test_matches_oracle_up_to_60(self):
-        for lo in range(1, 12):
-            for hi in range(lo, 60):
-                assert lcm_range(lo, hi) == lcm_fold_oracle(lo, hi)
-
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            lcm_range(3, 2)
-        with pytest.raises(ValueError):
-            lcm_range(0, 5)
 
 
 class TestDivisibilityThreshold:

@@ -1,7 +1,8 @@
 import pytest
 
+from vasskit import interp
 from vasskit.compiler import compile_counter_program, compile_program
-from vasskit.errors import ExpansionError
+from vasskit.errors import BudgetExceededError, ExpansionError
 from vasskit.expand import expand
 from vasskit.families import gen_exp, gen_hp, gen_weak, gen_weak_mult, with_initial_values
 from vasskit.interp import reachable_line_configs
@@ -108,3 +109,9 @@ class TestCompilerSemantics:
                 for vec in vectors
             }
             assert got == want
+
+    def test_interpreter_node_budget(self, monkeypatch):
+        # weak(1) reaches 8 (line, vector) pairs at bound 6
+        monkeypatch.setattr(interp, "_MAX_CONFIGS", 5)
+        with pytest.raises(BudgetExceededError, match="^interpreter exploration exceeded 5 configurations$"):
+            reachable_line_configs(expand(gen_weak(1)), 6)

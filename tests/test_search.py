@@ -382,8 +382,22 @@ class TestReplay:
 
     def test_missing_policy(self):
         compiled = compile_counter_program(gen_exp(1))
-        with pytest.raises(PolicyStuckError):
+        entry = compiled.program.loops[0].entry
+        with pytest.raises(PolicyStuckError, match=f"^line {entry}: no policy for loop$"):
             replay_canonical(compiled, {})
+
+    @pytest.mark.parametrize(
+        "body, policy, message",
+        [
+            ("lbl: goto lbl or out\n", {}, "line 2: no branch policy for goto"),
+            ("loop\n  x -= 1\nendloop\n", {2: TakeBranch(True)},
+             r"line 2: policy TakeBranch\(second=True\) does not fit a loop"),
+        ],
+    )
+    def test_policy_that_does_not_fit_the_line(self, body, policy, message):
+        compiled = compile_counter_program(parse(f"counters x\ninit\n{body}out: halt x\n"))
+        with pytest.raises(PolicyStuckError, match=f"^{message}$"):
+            replay_canonical(compiled, policy)
 
     def test_counted_loop_fast_forward_counts_steps(self):
         prog = parse("counters x\ninit\nloop\n  x += 1\nendloop\nhalt\n")
@@ -797,7 +811,7 @@ class TestReachableConfigsDecode:
 
             single_first = reachable_configs(v, budget, absorbing)
             assert single_first[halt] == want[halt]
-            assert single_first.get(halt) is single_first[halt]
+            assert single_first.get(halt) == single_first[halt]
             for state in unreached:
                 assert single_first.get(state) is None
                 with pytest.raises(KeyError):

@@ -4,7 +4,7 @@ full scale), and mutation controls showing that suites can fail."""
 import dataclasses
 from fractions import Fraction
 
-from vasskit import families, verify
+from vasskit import families, interp, verify
 from vasskit.lang import Add, BinOp, For, Lit, Loop, Sub, Var
 
 
@@ -14,7 +14,7 @@ def assert_suite_passes(result):
 
 
 def test_arith_suite():
-    assert_suite_passes(verify.suite_arith(max_pair=60, max_n=40, trials=60))
+    assert_suite_passes(verify.suite_arith(max_n=40))
 
 
 def test_weak_mult_suite_small():
@@ -162,7 +162,7 @@ def test_weak_weakmult_and_hp_suites_fail_on_an_overpaying_rebuild(monkeypatch):
 def test_arith_suite_fails_on_a_perturbed_threshold(monkeypatch):
     original = verify.divisibility_threshold
     monkeypatch.setattr(verify, "divisibility_threshold", lambda n: original(n) + (n == 5))
-    assert failures(verify.suite_arith(20, 10, 10)) == {
+    assert failures(verify.suite_arith(10)) == {
         "threshold(n)*(n+1) divisible by 2..n+1 for n <= 10": "n=5, divisor 4"
     }
 
@@ -202,3 +202,13 @@ def test_semantics_suite_fails_on_a_dropped_transition(monkeypatch):
     failed = failures(result)
     assert len(failed) == len(result.checks) == 9
     assert all(detail.startswith("sets differ; interpreter-only") for detail in failed.values())
+
+
+def test_semantics_suite_fails_on_the_interpreter_node_budget(monkeypatch):
+    monkeypatch.setattr(interp, "_MAX_CONFIGS", 5)
+    result = verify.suite_semantics(bound=6)
+    failed = failures(result)
+    assert len(failed) == len(result.checks) == 9
+    assert set(failed.values()) == {
+        "raised BudgetExceededError: interpreter exploration exceeded 5 configurations"
+    }
