@@ -26,7 +26,8 @@ Where each part lives:
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from collections import deque
+from collections.abc import Iterable, Iterator, Mapping, MutableSequence
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -637,8 +638,9 @@ LoopPolicy = DrainLoop | CountedLoop | TakeBranch
 @dataclass(frozen=True)
 class LoopObservation:
     entry_line: int
-    iterations: tuple[int, ...]  # per activation
-    exit_vectors: tuple[tuple[int, ...], ...]  # counters at each exit
+    iterations: tuple[int, ...]  # the last activation's count, as a 1-tuple
+    exit_vectors: tuple[tuple[int, ...], ...]  # the counters at its exit, as a 1-tuple
+    activations: int  # how many activations ended at the loop's exit
 
 
 @dataclass(frozen=True)
@@ -669,10 +671,14 @@ class _Replay:
     line's counter, if any.  A loop's entry goes to `_loop`, which alone
     applies `DrainLoop` and `CountedLoop`.
 
-    The walk's one record is `blocks`, (transitions, count) pairs: a
-    stepwise step appends its line's block, a fast-forward one iteration
-    with its count, halt completion each drain and link.  The probe's
-    length and a materialized run are both read from it.
+    The length is summed as the walk goes: each visit but the halt's takes
+    one step, and a fast-forward or drain adds its block's length times its
+    count when it is made.  Only a materialized replay records `blocks`,
+    (transitions, count) pairs, that the run is expanded from: a stepwise
+    step appends its line's block, a fast-forward one iteration with its
+    count, halt completion each drain and link.  Otherwise `blocks` keeps
+    nothing, and the walk holds the counters, the peaks and each loop's
+    last activation, whatever the number of activations.
 
     A fast-forward does only the big-integer work its result needs.  A
     drain by 1 takes the counter's value as its count and any other drain
@@ -688,16 +694,18 @@ class _Replay:
     counted-loop state.
     """
 
-    def __init__(self, compiled: CompiledProgram, policy: dict[int, LoopPolicy]):
+    def __init__(self, compiled: CompiledProgram, policy: dict[int, LoopPolicy], materialize: bool):
         flat = compiled.program
         self.compiled, self.flat, self.policy = compiled, flat, policy
         self.cix = cix = {c: i for i, c in enumerate(flat.counters)}
         self.vec = [0] * len(cix)
         self.peak = [0] * len(cix)
-        self.blocks: list[tuple[tuple[Transition, ...], int]] = []
+        # a deque of length 0 drops every block appended to it
+        self.blocks: MutableSequence[tuple[tuple[Transition, ...], int]] = [] if materialize else deque(maxlen=0)
+        self.length = 0  # the steps of fast-forwards, summed as they are made
         self.counted_left: dict[int, int] = {}
         self.iterations: dict[int, int] = {}  # per loop, in its current activation
-        self.observations: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+        self.observations: dict[int, tuple[int, int, tuple[int, ...]]] = {}  # activations, last count, last exit
         # The VASS's own transitions: a materialized run shares them, and a
         # step the VASS lacks is a fresh object that `validate_run` rejects.
         known = {(t.src, t.delta, t.dst): t for t in compiled.vass.transitions}
@@ -786,19 +794,16 @@ class _Replay:
             pc = nxt
 
         halted = pc <= n
+        length = self.length + guard - halted  # every visit but the halt's took one step
         if halted:
             for ci, drain, link in self.drains:
                 record((drain, vec[ci]))
                 blocks += link
+                length += vec[ci] + len(link)
                 vec[ci] = 0
-        # each block size multiplies its summed count once
-        per_size: dict[int, int] = {}
-        for ts, count in blocks:
-            per_size[len(ts)] = per_size.get(len(ts), 0) + count
-        length = sum(size * count for size, count in per_size.items())
         vass = self.compiled.vass
         final = Configuration(vass.target.state if halted else self.compiled.halt_state, tuple(vec))
-        loops = {e: LoopObservation(e, tuple(it), tuple(ex)) for e, (it, ex) in sorted(self.observations.items())}
+        loops = {e: LoopObservation(e, (it,), (ex,), k) for e, (k, it, ex) in sorted(self.observations.items())}
         return ReplayOutcome(None, RunProbe(loops, tuple(peak), length), final == vass.target, final)
 
     def _loop(self, span: LoopSpan) -> int:
@@ -863,11 +868,11 @@ class _Replay:
                             f"underflows after {count} iterations"
                         )
             self.blocks.append((one, count))
-        iterations, exits = self.observations.setdefault(entry, ([], []))
+            self.length += len(one) * count
+        activations = self.observations[entry][0] if entry in self.observations else 0
         # `0 + count` would copy a fast-forward's count, often a counter's big int
         before = self.iterations.pop(entry, 0)
-        iterations.append(before + count if before else count)
-        exits.append(tuple(vec))
+        self.observations[entry] = (activations + 1, before + count if before else count, tuple(vec))
         return span.exit
 
 
@@ -885,11 +890,13 @@ def replay_canonical(
     its quotient by the decrement for any other drain (which must divide
     it), or the counted loop's iterations; the drained counter becomes 0,
     and every other counter moves by the count times its per-iteration
-    amount, each checked for underflow and peak once.  The walk is recorded
-    as blocks of transitions, each run a count of times in a row, and the
-    length is summed from them, so doubly-exponential canonical runs can be
-    measured without materializing them (materialize=False); a materialized
-    run is the blocks expanded.
+    amount, each checked for underflow and peak once.  The length is summed
+    as the walk goes, and the probe keeps each loop's activation count and
+    its last activation's iterations and exit, so with materialize=False
+    doubly-exponential canonical runs are measured in memory that does not
+    grow with their number of activations; a materialized run is the
+    walk's blocks of transitions expanded, each run a count of times in a
+    row.
     Raises PolicyStuckError if the schedule deadlocks, or as soon as the
     entry of a loop walked stepwise, or the target of a backward goto other
     than a loop's own back goto, comes round with nothing changed, since the
@@ -900,7 +907,7 @@ def replay_canonical(
     still emitted, as a new `Transition`, so `validate_run` rejects it:
     replay never vouches for its own steps.
     """
-    replay = _Replay(compiled, policy)
+    replay = _Replay(compiled, policy, materialize)
     out = replay.run()
     if not materialize:
         return out

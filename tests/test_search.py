@@ -262,7 +262,8 @@ def per_step_replay(compiled, policy):
     """Reference for a materialized replay that shares no code with it: walk
     the flat program one line at a time, enter loops one iteration at a
     time and emit a fresh `Transition` per step.  Returns the steps, the
-    probe, the final configuration and whether it is the target."""
+    probe (per loop, its activations and its last activation's count and
+    exit), the final configuration and whether it is the target."""
     flat, vass = compiled.program, compiled.vass
     n, counters = len(flat.lines), flat.counters
     spans = {s.entry: s for s in flat.loops}
@@ -298,9 +299,8 @@ def per_step_replay(compiled, policy):
                 nxt = spans[pc].body_start
             else:
                 left.pop(pc, None)
-                iterations, exits = observed.setdefault(pc, ([], []))
-                iterations.append(running.pop(pc, 0))
-                exits.append(tuple(vec))
+                activations = observed[pc][0] if pc in observed else 0
+                observed[pc] = (activations + 1, running.pop(pc, 0), tuple(vec))
                 nxt = spans[pc].exit
         elif isinstance(cmd, Goto):
             nxt = cmd.second if cmd.first != cmd.second and policy[pc].second else cmd.first
@@ -318,7 +318,7 @@ def per_step_replay(compiled, policy):
             if ix + 1 < len(chain):
                 here = chain[ix + 1][0]
                 step(at, here)
-    loops = {e: LoopObservation(e, tuple(it), tuple(ex)) for e, (it, ex) in sorted(observed.items())}
+    loops = {e: LoopObservation(e, (it,), (ex,), k) for e, (k, it, ex) in sorted(observed.items())}
     final = Configuration(here, tuple(vec))
     return steps, RunProbe(loops, tuple(peak), len(steps)), final, final == vass.target
 
@@ -614,16 +614,19 @@ class TestFastForward:
     @pytest.mark.parametrize("name", FAST_FORWARDS)
     def test_matches_per_step_reference(self, name, materialize):
         compiled, policy = self._compiled(*FAST_FORWARDS[name])
-        bodies = _Replay(compiled, policy).bodies
+        bodies = _Replay(compiled, policy, materialize).bodies
         assert any(bodies[entry] is not None for entry in policy)  # a fast path runs
         out = replay_canonical(compiled, policy, materialize=materialize)
         steps, probe, final, halting = per_step_replay(compiled, policy)
         assert (out.probe, out.final, out.halting) == (probe, final, halting)
         assert halting
         if materialize:
+            # every step, so every intermediate exit, matches the reference
             assert list(out.run.steps) == steps
         else:
+            # both modes walk alike, so they observe the same probe
             assert out.run is None
+            assert out.probe == replay_canonical(compiled, policy).probe
 
     @pytest.mark.parametrize("materialize", [True, False])
     @pytest.mark.parametrize(
@@ -1544,7 +1547,7 @@ def test_halting_reachable_source_is_target_has_no_run():
     assert res.stats == SearchStats(0, 1, 0)
 
 
-class TestAcyclicConfigurations:
+class TestRunCountOverLiveConfigurations:
     """count_halting_runs over the configurations that can reach the
     target: it drops the others, counts the runs when those it keeps form
     no cycle, and raises ConfigCycleError when they do.  A case is
