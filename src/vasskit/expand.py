@@ -79,8 +79,11 @@ def _loop_spans(lines: list[Command]) -> tuple[LoopSpan, ...]:
 
 
 def expand(program: CounterProgram, max_lines: int = DEFAULT_MAX_LINES) -> FlatProgram:
-    """Expand all macros; deterministic, and idempotent on its own output."""
+    """Expand all macros; deterministic, and idempotent on its own output.
+    Past `max_lines` lines, or `max_lines` `for` iterations (a `for` body
+    may emit no line), raises ExpansionError."""
     out: list[Command | None] = []
+    iterations = 0  # `for` iterations so far
     labels: dict[str, int] = {}
     goto_lines: list[int] = []  # 0-based indices of emitted gotos
     declared = set(program.counters)
@@ -100,6 +103,7 @@ def expand(program: CounterProgram, max_lines: int = DEFAULT_MAX_LINES) -> FlatP
             walk_one(cmd, env)
 
     def walk_one(cmd: Command, env: dict[str, int]):
+        nonlocal iterations
         while isinstance(cmd, Labeled):
             if cmd.label in labels:
                 raise ExpansionError(f"duplicate label {cmd.label!r} after expansion")
@@ -140,6 +144,9 @@ def expand(program: CounterProgram, max_lines: int = DEFAULT_MAX_LINES) -> FlatP
             values = range(start, stop - 1, -1) if cmd.downward else range(start, stop + 1)
             for value in values:
                 walk(cmd.body, {**env, cmd.var: value})
+                iterations += 1
+                if iterations > max_lines:
+                    raise ExpansionError(f"expansion exceeds budget of {max_lines} for iterations")
         elif isinstance(cmd, If):
             if eval_cond(cmd.condition, env):
                 walk(cmd.body, env)

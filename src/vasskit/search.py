@@ -18,16 +18,18 @@ Where each part lives:
   `halting_reachable` and `reachable_configs` run it; `count_halting_runs`
   is a depth-first search.
 - `_Reachable` is the mapping `reachable_configs` returns, decoded when
-  read, with `_chain_walk` rebuilding the configurations along chains;
-  `final_vectors` reads one state of it.
+  read: from the stored chain ends for an absorbing state, from one
+  per-transition search for any other; `final_vectors` reads one state of
+  it.
 - `_Replay` walks the one run a loop policy fixes, for `replay_canonical`.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import deque
-from collections.abc import Iterable, Iterator, Mapping, MutableSequence
+from collections.abc import Iterator, Mapping, MutableSequence
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -102,9 +104,7 @@ class _Packed:
     is a maximal deterministic chain of transitions rather than one
     transition, and only the states where chains start get entries.  Every
     chain is monotone in every counter, so checking its end configuration
-    checks every configuration along it.  `moves` keeps each chain's steps
-    into its interior states, which only `reachable_configs` reads, to
-    rebuild the configurations along a chain (see `_Reachable`)."""
+    checks every configuration along it."""
 
     def __init__(
         self,
@@ -115,11 +115,9 @@ class _Packed:
         prune: bool = False,
     ):
         index = self.index = {s: i for i, s in enumerate(v.states)}
-        moves = self.moves = _chain_moves(v, index, absorbing, chains)
+        moves = _chain_moves(v, index, absorbing, chains)
         # a chain's net amount can exceed every single transition's
-        max_amount = max(
-            (abs(d) for ms in moves for delta, _dst, _tix, _steps in ms for d in delta), default=0
-        )
+        max_amount = max((abs(d) for ms in moves for delta, _dst, _tix in ms for d in delta), default=0)
         caps = self.caps = (
             _target_caps(v, index, bound) if prune else [(bound,) * v.dimension] * len(v.states)
         )
@@ -131,7 +129,7 @@ class _Packed:
         # per state: one (packed delta, checks, first transition index) per
         # move into a state that can reach the target state
         self.adj = [
-            [self._move(delta, s, dst, tix) for delta, dst, tix, _steps in ms if caps[dst] is not None]
+            [self._move(delta, s, dst, tix) for delta, dst, tix in ms if caps[dst] is not None]
             for s, ms in enumerate(moves)
         ]
         # a configuration outside its state's caps could overflow its fields:
@@ -182,14 +180,12 @@ class _Packed:
 
 def _chain_moves(
     v: Vass, index: dict[str, int], absorbing: frozenset[str], chains: bool
-) -> list[list[tuple[tuple[int, ...], int, int, list[tuple[tuple[int, ...], int, int, int]]]]]:
+) -> list[list[tuple[tuple[int, ...], int, int]]]:
     """Per state index, one `(net delta, end state index, first transition
-    index, interior steps)` per outgoing transition of a cut state reachable
-    from the source state: the maximal deterministic chain that starts with
-    that transition, and one `(delta, from, to, transition index)` per step
-    of it into an interior state.  States in `absorbing` have no outgoing
-    transitions.  Without `chains` every state is a cut, so each move is one
-    transition.
+    index)` per outgoing transition of a cut state reachable from the source
+    state: the maximal deterministic chain that starts with that transition.
+    States in `absorbing` have no outgoing transitions.  Without `chains`
+    every state is a cut, so each move is one transition.
 
     A chain ends at the first cut state it enters.  The source and target
     states are cuts, and so is every state whose out-degree is not 1.  A
@@ -204,25 +200,23 @@ def _chain_moves(
             out[index[t.src]].append((t.delta, index[t.dst], tix))
     cut = [not chains or len(ts) != 1 for ts in out]
     cut[index[v.source.state]] = cut[index[v.target.state]] = True
-    moves: list[list[tuple[tuple[int, ...], int, int, list]]] = [[] for _ in out]
+    moves: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in out]
     start = index[v.source.state]
     queued = {start}
     todo = [start]
     while todo:
         s = todo.pop()
         for net, cur, first in out[s]:
-            steps = [(net, s, cur, first)]
             seen = {s, cur}
             while not cut[cur]:
-                delta, nxt, tix = out[cur][0]
+                delta, nxt, _ = out[cur][0]
                 if (nxt in seen and not cut[nxt]) or any(a * d < 0 for a, d in zip(net, delta)):
                     cut[cur] = True
                     break
                 net = tuple([a + d for a, d in zip(net, delta)])
-                steps.append((delta, cur, nxt, tix))
                 seen.add(nxt)
                 cur = nxt
-            moves[s].append((net, cur, first, steps[:-1]))
+            moves[s].append((net, cur, first))
             if cur not in queued:
                 queued.add(cur)
                 todo.append(cur)
@@ -395,53 +389,29 @@ def _trace_run(v: Vass, packed: _Packed, parent: dict[int, int]) -> Run:
     return Run(v.source, tuple(steps))
 
 
-def _chain_walk(packed: _Packed, keys: Iterable[int]) -> Iterator[int]:
-    """Each stored key, then every configuration along each chain from it
-    up to the first step that leaves the bound: chains are monotone, so
-    that prefix is what a per-transition search reaches.  A chain's end
-    configuration, if within the bound, is a stored key itself."""
-    smask, cmask = packed.smask, packed.cmask
-    # per state index: the packed steps into the interior of each chain from it
-    walks = [[[packed._move(*step) for step in steps] for *_, steps in ms if steps] for ms in packed.moves]
-    for key in keys:
-        yield key
-        for steps in walks[key & smask]:
-            nk = key
-            for pd, checks, _tix in steps:
-                nk += pd
-                for sh, cap in checks:
-                    if ((nk >> sh) & cmask) > cap:
-                        break
-                else:
-                    yield nk
-                    continue
-                break
-
-
 class _Reachable(Mapping[str, set[tuple[int, ...]]]):
     """What `reachable_configs` returns: the chain-end keys `_explore`
-    stored, and the configurations along the chains from them, decoded when
-    read (see there).  A read of a state that is no chain's interior, which
-    only stored keys hold, filters the keys each time; the first full read,
-    or the first read of an interior state, walks every chain (see
-    `_chain_walk`) to fill `_all` in one pass and releases the keys, and
-    from then on `_all` serves every read."""
+    stored, decoded when read (see there).  A read of an absorbing state
+    filters the keys each time; the first full read, or the first read of
+    any other state, runs the per-transition search once, decodes every key
+    it stores to fill `_all` in one pass and releases the chain-end keys,
+    and from then on `_all` serves every read."""
 
-    def __init__(self, states: tuple[str, ...], packed: _Packed, keys: dict[int, int]):
-        self._states = states
+    def __init__(
+        self, v: Vass, bound: int, absorbing: frozenset[str], packed: _Packed, keys: dict[int, int]
+    ):
+        self._v, self._bound, self._absorbing = v, bound, absorbing
         self._packed = packed
         self._keys: dict[int, int] | None = keys
         self._all: dict[str, set[tuple[int, ...]]] = {}
-        # the state indices some chain passes through
-        self._interior = {to for ms in packed.moves for *_, steps in ms for _d, _a, to, _t in steps}
 
     def __getitem__(self, state: str) -> set[tuple[int, ...]]:
         keys = self._keys
-        at = self._packed.index.get(state)
-        if keys is None or at in self._interior:
+        if keys is None or state not in self._absorbing:
             return self._decoded()[state]
         # one filtering pass over the keys, decoding only those at `at`
-        smask, cmask, shifts = self._packed.smask, self._packed.cmask, self._packed.shifts
+        packed = self._packed
+        at, smask, cmask, shifts = packed.index[state], packed.smask, packed.cmask, packed.shifts
         vectors = {
             tuple([(key >> sh) & cmask for sh in shifts]) for key in keys if key & smask == at
         }
@@ -450,18 +420,20 @@ class _Reachable(Mapping[str, set[tuple[int, ...]]]):
         return vectors
 
     def _decoded(self) -> dict[str, set[tuple[int, ...]]]:
-        """Every state's vectors, walking every chain and decoding every
-        configuration in one pass the first time it is called."""
-        keys = self._keys
-        if keys is None:
+        """Every state's vectors, searching one transition at a time and
+        decoding every configuration in one pass the first time it is
+        called."""
+        if self._keys is None:
             return self._all
-        packed = self._packed
-        states, sbits, smask, cmask = self._states, packed.sbits, packed.smask, packed.cmask
+        packed = _Packed(self._v, self._bound, self._absorbing)
+        # no node budget: the decode holds every configuration anyway
+        keys = _explore(packed, -1, sys.maxsize)[1]
+        states, sbits, smask, cmask = self._v.states, packed.sbits, packed.smask, packed.cmask
         # field shifts within the counter part of a key, `key >> sbits`
         shifts = [sh - sbits for sh in packed.shifts]
         vectors: dict[int, tuple[int, ...]] = {}
         out: dict[str, set[tuple[int, ...]]] = {}
-        for key in _chain_walk(packed, keys):
+        for key in keys:
             state = states[key & smask]
             counters = key >> sbits
             vec = vectors.get(counters)
@@ -471,8 +443,7 @@ class _Reachable(Mapping[str, set[tuple[int, ...]]]):
                 out[state].add(vec)
             else:
                 out[state] = {vec}
-        self._all = out
-        self._keys = None
+        self._all, self._keys = out, None
         return out
 
     def __iter__(self) -> Iterator[str]:
@@ -499,23 +470,18 @@ def reachable_configs(
 
     The search steps along maximal deterministic chains, as in
     halting_reachable, and stores only the configurations where chains
-    start or end; `max_configs` counts those, a subset of every reachable
-    configuration, so it never needs a larger budget to finish than a
-    per-transition search would.  The mapping rebuilds the rest when first
-    read.  Reading one state that is no chain's interior, such as an
-    absorbing state, filters the stored configurations and decodes only
-    that state's, a small part of a full read when the state holds few of
-    them.  The first read of every state (iteration, `len`, `items`,
-    `values`, `==`), or of a state some chain passes through, walks each
-    chain from each stored configuration, step by step up to the first step
-    that leaves the bound, and decodes every configuration met in that one
-    pass, each distinct counter vector once: every state holding it shares
-    that tuple, since compiled programs have many goto and no-op lines,
-    whose configurations repeat their neighbours' vectors.  States come in
-    the order that walk first meets them: stored configurations in the
-    order the search stored them, each followed by the configurations along
-    its chains.  Only that full decode is cached: until it runs, each
-    single-state read filters the stored configurations again.
+    start or end; `max_configs` counts those, so it never needs a larger
+    budget to finish than a per-transition search would.  A read of an
+    absorbing state filters them and decodes only that state's: no chain
+    passes through an absorbing state, so every configuration at one is
+    stored.  The first read of every state (iteration, `len`, `items`,
+    `values`, `==`), or of any other state, searches again one transition
+    at a time with no node budget, so it never raises BudgetExceededError,
+    and decodes every configuration in one pass, each distinct counter
+    vector once and shared by every state holding it (compiled programs
+    have many goto and no-op lines, whose configurations repeat their
+    neighbours' vectors).  States come in the order that search first
+    reaches them.  Only that full decode is cached.
     """
     unknown = absorbing.difference(v.states)
     if unknown:
@@ -524,7 +490,7 @@ def reachable_configs(
     verdict, stored, _stats = _explore(packed, -1, budget.max_configs)
     if verdict == Verdict.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"reachable-set exploration exceeded its budget: {budget}")
-    return _Reachable(v.states, packed, stored)
+    return _Reachable(v, budget.counter_bound, absorbing, packed, stored)
 
 
 def final_vectors(
@@ -534,10 +500,9 @@ def final_vectors(
     target state by default) within the bound, collected before any
     halt-completion drain fires: that state is absorbing.
 
-    A single read of reachable_configs with that one state absorbing.  It
-    has no outgoing transitions, so it is a cut and is no chain's interior:
-    the read filters the stored chain-end configurations once and walks no
-    chain.  `max_configs` and errors are those of reachable_configs, so a
+    A single read of reachable_configs with that one state absorbing: it
+    filters the stored chain-end configurations once and searches no
+    further.  `max_configs` and errors are those of reachable_configs, so a
     state v lacks raises ValueError."""
     state = at_state if at_state is not None else v.target.state
     return frozenset(reachable_configs(v, budget, frozenset({state})).get(state, ()))
@@ -760,7 +725,7 @@ class _Replay:
         guard = 0
         while pc <= n:
             guard += 1
-            # the largest replay any family makes, 2exp(10), takes about 10,250 visits
+            # the largest replay CI makes, 2exp(12), takes about 41,000 visits
             if guard > 2_000_000:
                 raise PolicyStuckError("replay did not terminate (policy loops)")
             if pc in checks:

@@ -326,8 +326,9 @@ def _hp_start(fragment: CounterProgram, c: int, d: int, x0: int, y0: int, z0: in
     return None
 
 
-def suite_hp(max_sum: int = 16, max_z: int = 3, c: int = 3, d: int = 2) -> SuiteResult:
+def suite_hp(max_sum: int = 16, max_z: int = 3) -> SuiteResult:
     t0 = time.perf_counter()
+    c, d = 3, 2
     fragment = families.gen_hp(c, d)
     return _suite("hp", t0, [
         _check(
@@ -463,21 +464,20 @@ def _np_accounting(inst: families.NpInstance) -> str | None:
     return check_np_run_accounting(inst, result.run, compiled, meta)
 
 
-def suite_np(max_value: int = 3, max_k: int = 2, deep_n: int = 4) -> SuiteResult:
+def suite_np() -> SuiteResult:
     t0 = time.perf_counter()
     grid = [
         families.NpInstance(target, values)
-        for k in range(1, max_k + 1)
-        for target in range(1, max_value + 1)
-        for values in itertools.product(range(1, max_value + 1), repeat=k)
+        for k in (1, 2)
+        for target in range(1, 4)
+        for values in itertools.product(range(1, 4), repeat=k)
     ]
     return _suite("np", t0, [
-        _check(f"initializer computes the threshold exactly (n <= {deep_n})",
-               _first, (_np_init_exact(n, k) for n in range(1, deep_n + 1) for k in (1, 2))),
+        _check("initializer computes the threshold exactly (n <= 4)",
+               _first, (_np_init_exact(n, k) for n in range(1, 5) for k in (1, 2))),
         _check("initializer halting run is unique (n <= 2)", _first, map(_np_init_unique, (1, 2))),
         _check(
-            f"halting iff subset-sum on the full grid (k <= {max_k}, values <= {max_value}); "
-            "flat and 7-dimensional",
+            "halting iff subset-sum on the full grid (k <= 2, values <= 3); flat and 7-dimensional",
             _first, map(check_np_instance, grid),
         ),
         _check("per-component f/u accounting on halting runs", _first, map(_np_accounting, grid)),

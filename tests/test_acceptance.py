@@ -90,7 +90,7 @@ class TestAcceptance:
     def test_08_np_reduction_end_to_end(self):
         run_suite(
             "subset-sum reduction end to end (k <= 2, values <= 3)",
-            verify.suite_np(max_value=3, max_k=2, deep_n=4),
+            verify.suite_np(),
             "<10min",
         )
 

@@ -8,6 +8,8 @@ from vasskit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 TIMING = re.compile(r'"(wall_clock_s|elapsed_s)": [0-9.e-]+')
+# the commands that expand a `.cp` program before anything else
+EXPANDING_COMMANDS = [("flat",), ("compile",), ("solve", "--bound", "3")]
 
 
 def run_cli(capsys, *argv):
@@ -199,21 +201,33 @@ class TestPipeline:
         code, out, err = run_cli(capsys, "solve", str(path), "--bound", "3")
         assert (code, out, err) == (2, "", f"vasskit: VASS JSON: {message}\n")
 
+    # the line-budget case runs under `flat` alone: every command maps the
+    # same ExpansionError to exit 2, which the two quick texts show
     @pytest.mark.parametrize(
-        "text, message",
+        "command, text, message",
         [
-            ("", "program expands to no lines"),
-            ("counters x\nx += y\n", "unbound meta-variable 'y'"),
-            ("counters x\ninit\nfor i := 1 to 500001\n  x += 1\nendfor\nhalt x\n",
-             "expansion exceeds budget of 500000 lines"),
-        ],
+            (command, text, message)
+            for command in EXPANDING_COMMANDS
+            for text, message in (
+                ("", "program expands to no lines"),
+                ("counters x\nx += y\n", "unbound meta-variable 'y'"),
+            )
+        ]
+        + [(EXPANDING_COMMANDS[0], "counters x\ninit\nfor i := 1 to 500001\n  x += 1\nendfor\nhalt x\n",
+            "expansion exceeds budget of 500000 lines")],
+        ids=lambda value: f"command{EXPANDING_COMMANDS.index(value)}" if isinstance(value, tuple) else None,
     )
-    @pytest.mark.parametrize("command", [("flat",), ("compile",), ("solve", "--bound", "3")])
-    def test_unexpandable_program_is_a_usage_error(self, capsys, tmp_path, text, message, command):
+    def test_unexpandable_program_is_a_usage_error(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "bad.cp"
         path.write_text(text)
         code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
         assert (code, out, err) == (2, "", f"vasskit: {message}\n")
+
+    def test_for_that_emits_nothing_stops_at_the_budget(self, capsys, tmp_path):
+        path = tmp_path / "bad.cp"
+        path.write_text("counters x\ninit\nfor i := 1 to 500001\n  if i = 0 then\n    x += 1\n  endif\nendfor\nhalt x\n")
+        code, out, err = run_cli(capsys, "flat", str(path))
+        assert (code, out, err) == (2, "", "vasskit: expansion exceeds budget of 500000 for iterations\n")
 
     @pytest.mark.parametrize("command", [("flat",), ("solve", "--bound", "3"), ("size",)])
     def test_negative_source_vector_is_a_usage_error(self, capsys, tmp_path, command):

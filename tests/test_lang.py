@@ -238,6 +238,14 @@ class TestExpand:
         with pytest.raises(ExpansionError, match="budget"):
             expand(p, max_lines=100)
 
+    def test_budget_counts_iterations_that_emit_nothing(self):
+        def program(n):
+            return parse(f"counters x\ninit\nfor i := 1 to {n}\n  if i = 0 then\n    x += 1\n  endif\nendfor\nhalt x\n")
+
+        assert len(expand(program(100), max_lines=100).lines) == 2
+        with pytest.raises(ExpansionError, match="budget of 100 for iterations"):
+            expand(program(1000), max_lines=100)
+
     def test_expand_is_idempotent_via_text(self):
         from vasskit.families import gen_weak
 

@@ -875,7 +875,8 @@ class TestReachableConfigsDecode:
         absorbing = frozenset({compiled.halt_state})
         full = dict(reachable_configs(v, budget, absorbing).items())
         assert full == ref_reachable(v, budget, absorbing)
-        # states where the search stores nothing: only chain walks reach them
+        # states where the search stores nothing: only a full read's
+        # per-transition search reaches them
         packed = _Packed(v, budget.counter_bound, absorbing, chains=True)
         stored = _explore(packed, -1, budget.max_configs)[1]
         assert set(full) - {v.states[key & packed.smask] for key in stored}
@@ -897,6 +898,18 @@ class TestReachableConfigsDecode:
         assert ("x", 2) in at and ("x", 0) not in at
         assert reachable_configs(v, budget)["x"] == {(0,), (2,)}
         assert reachable_configs(v, budget) == ref_reachable(v, budget)
+
+    def test_full_read_is_not_held_to_the_node_budget(self):
+        # one chain through ten states: the search stores its two ends, and a
+        # full read searches again one transition at a time, with no budget
+        states = tuple(f"s{i}" for i in range(10))
+        v = Vass(1, states, tuple(Transition(a, (1,), b) for a, b in zip(states, states[1:])),
+                 Configuration("s0", (0,)), Configuration("s9", (9,)))
+        got = reachable_configs(v, SearchBudget(20, 2))
+        assert got == ref_reachable(v, SearchBudget(20))
+        assert sum(map(len, got.values())) == 10
+        with pytest.raises(BudgetExceededError):
+            reachable_configs(v, SearchBudget(20, 1))
 
     def test_read_only(self):
         got = reachable_configs(
