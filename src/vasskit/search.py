@@ -13,10 +13,10 @@ Where each part lives:
   each state: single transitions, or the deterministic chains of
   `_chain_moves`, each checked against per-counter caps, which
   `_target_caps` tightens for the searches with a target.
-- `_explore` is the one breadth-first search, and alone handles the source
-  checks, the depth cap and the node budget.  `shortest_halting`,
-  `halting_reachable` and `reachable_configs` run it; `count_halting_runs`
-  is a depth-first search.
+- `_explore` is the breadth-first search of `halting_reachable` and
+  `reachable_configs`; `_dial` is the search by step count of
+  `shortest_halting`, and `_lex_least_run` rebuilds its run;
+  `count_halting_runs` is a depth-first search.
 - `_Reachable` is the mapping `reachable_configs` returns, decoded when
   read: from the stored chain ends for an absorbing state, from one
   per-transition search for any other; `final_vectors` reads one state of
@@ -62,6 +62,15 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """What a search did.  In `halting_reachable`, `expanded` counts the
+    stored configurations, not counting a target just found, `frontier_peak`
+    the largest level of chain ends and `depth` the levels expanded.  In
+    `shortest_halting`, `expanded` counts the chain ends taken off and
+    expanded, `frontier_peak` the largest bucket of chain ends queued at one
+    step distance and `depth` the step distance reached: the target's, or
+    that of the chain end the node budget could not hold.  A source outside
+    its caps gives (0, 0, 0), and a source that is the target (0, 1, 0)."""
+
     expanded: int
     frontier_peak: int
     depth: int
@@ -104,7 +113,8 @@ class _Packed:
     is a maximal deterministic chain of transitions rather than one
     transition, and only the states where chains start get entries.  Every
     chain is monotone in every counter, so checking its end configuration
-    checks every configuration along it."""
+    checks every configuration along it.  An entry is `(packed delta,
+    checks, first transition index, length in transitions)`."""
 
     def __init__(
         self,
@@ -117,7 +127,7 @@ class _Packed:
         index = self.index = {s: i for i, s in enumerate(v.states)}
         moves = _chain_moves(v, index, absorbing, chains)
         # a chain's net amount can exceed every single transition's
-        max_amount = max((abs(d) for ms in moves for delta, _dst, _tix in ms for d in delta), default=0)
+        max_amount = max((abs(d) for ms in moves for delta, *_ in ms for d in delta), default=0)
         caps = self.caps = (
             _target_caps(v, index, bound) if prune else [(bound,) * v.dimension] * len(v.states)
         )
@@ -126,10 +136,10 @@ class _Packed:
         self.smask = (1 << self.sbits) - 1
         self.cmask = (1 << self.wbits) - 1
         self.shifts = tuple(self.sbits + self.wbits * i for i in range(v.dimension))
-        # per state: one (packed delta, checks, first transition index) per
-        # move into a state that can reach the target state
+        # per state: one entry per move into a state that can reach the
+        # target state
         self.adj = [
-            [self._move(delta, s, dst, tix) for delta, dst, tix in ms if caps[dst] is not None]
+            [(*self._move(delta, s, dst), tix, n) for delta, dst, tix, n in ms if caps[dst] is not None]
             for s, ms in enumerate(moves)
         ]
         # a configuration outside its state's caps could overflow its fields:
@@ -138,12 +148,12 @@ class _Packed:
         self.tgt = self.encode(v.target) if self.admits(v.target) else -1
 
     def _move(
-        self, delta: tuple[int, ...], src: int, dst: int, tix: int
-    ) -> tuple[int, tuple[tuple[int, int], ...], int]:
-        """The adjacency entry of a move from state index `src` to `dst`:
-        its packed delta; the `(shift, cap)` checks at its end, with caps at
-        `dst`, of every field it touches and every field whose cap is tighter
-        at `dst` than at `src`; and its first transition index."""
+        self, delta: tuple[int, ...], src: int, dst: int
+    ) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """A move from state index `src` to `dst`: its packed delta, and the
+        `(shift, cap)` checks at its end, with caps at `dst`, of every field
+        it touches and every field whose cap is tighter at `dst` than at
+        `src`."""
         pd = dst - src
         checks = []
         for d, shift, cap, was in zip(delta, self.shifts, self.caps[dst], self.caps[src]):
@@ -152,7 +162,7 @@ class _Packed:
             elif cap >= was:
                 continue
             checks.append((shift, cap))
-        return pd, tuple(checks), tix
+        return pd, tuple(checks)
 
     def admits(self, cfg: Configuration) -> bool:
         """Whether cfg is within the caps of its state."""
@@ -169,7 +179,7 @@ class _Packed:
         """Yield the packed successors of `key` within the bound, in
         canonical transition order."""
         cmask = self.cmask
-        for pd, checks, _tix in self.adj[key & self.smask]:
+        for pd, checks, _tix, _n in self.adj[key & self.smask]:
             nk = key + pd
             for sh, cap in checks:
                 if ((nk >> sh) & cmask) > cap:
@@ -180,10 +190,11 @@ class _Packed:
 
 def _chain_moves(
     v: Vass, index: dict[str, int], absorbing: frozenset[str], chains: bool
-) -> list[list[tuple[tuple[int, ...], int, int]]]:
+) -> list[list[tuple[tuple[int, ...], int, int, int]]]:
     """Per state index, one `(net delta, end state index, first transition
-    index)` per outgoing transition of a cut state reachable from the source
-    state: the maximal deterministic chain that starts with that transition.
+    index, length)` per outgoing transition of a cut state reachable from
+    the source state: the maximal deterministic chain that starts with that
+    transition, `length` transitions long.
     States in `absorbing` have no outgoing transitions.  Without `chains`
     every state is a cut, so each move is one transition.
 
@@ -200,7 +211,7 @@ def _chain_moves(
             out[index[t.src]].append((t.delta, index[t.dst], tix))
     cut = [not chains or len(ts) != 1 for ts in out]
     cut[index[v.source.state]] = cut[index[v.target.state]] = True
-    moves: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in out]
+    moves: list[list[tuple[tuple[int, ...], int, int, int]]] = [[] for _ in out]
     start = index[v.source.state]
     queued = {start}
     todo = [start]
@@ -208,6 +219,7 @@ def _chain_moves(
         s = todo.pop()
         for net, cur, first in out[s]:
             seen = {s, cur}
+            n = 1
             while not cut[cur]:
                 delta, nxt, _ = out[cur][0]
                 if (nxt in seen and not cut[nxt]) or any(a * d < 0 for a, d in zip(net, delta)):
@@ -216,7 +228,8 @@ def _chain_moves(
                 net = tuple([a + d for a, d in zip(net, delta)])
                 seen.add(nxt)
                 cur = nxt
-            moves[s].append((net, cur, first))
+                n += 1
+            moves[s].append((net, cur, first, n))
             if cur not in queued:
                 queued.add(cur)
                 todo.append(cur)
@@ -261,7 +274,7 @@ def _target_caps(v: Vass, index: dict[str, int], bound: int) -> list[tuple[int, 
 
 
 def _explore(
-    packed: _Packed, tgt: int, max_configs: int, max_depth: int | None = None
+    packed: _Packed, tgt: int, max_configs: int
 ) -> tuple[Verdict, dict[int, int], SearchStats]:
     """The breadth-first search, level by level from the source, for the
     packed key `tgt` (-1 to exhaust the space).  Returns the verdict, each
@@ -271,10 +284,10 @@ def _explore(
     A source outside its state's caps stores nothing: EXHAUSTED, stats
     (0, 0, 0).  A source that is the target is FOUND, stats (0, 1, 0).  A
     new key is checked against the node budget, then stored, then tested
-    against the target.  `max_depth` caps the levels expanded.  `expanded`
-    counts the keys whose successors were generated, `depth` the levels
-    expanded (a level cut off part-way counts) and `frontier_peak` the
-    largest level generated in full, a level being one move."""
+    against the target.  `expanded` counts the stored keys, not counting a
+    target just found, `depth` the levels expanded (a level cut off
+    part-way counts) and `frontier_peak` the largest level generated in
+    full, a level being one move."""
     src = packed.src
     if src is None:
         return Verdict.EXHAUSTED, {}, SearchStats(0, 0, 0)
@@ -285,16 +298,13 @@ def _explore(
     smask = packed.smask
     cmask = packed.cmask
     frontier = [src]
-    expanded = 0  # over completed levels
     depth = 0
     peak = 1
     while frontier:
-        if depth == max_depth:
-            return Verdict.BUDGET_EXCEEDED, stored, SearchStats(expanded, peak, depth)
         depth += 1
         nxt: list[int] = []
         for key in frontier:
-            for pd, checks, tix in adj[key & smask]:
+            for pd, checks, tix, _n in adj[key & smask]:
                 nk = key + pd
                 for sh, cap in checks:
                     if ((nk >> sh) & cmask) > cap:
@@ -303,20 +313,16 @@ def _explore(
                     if nk in stored:
                         continue
                     if len(stored) >= max_configs:
-                        verdict = Verdict.BUDGET_EXCEEDED
-                    else:
-                        stored[nk] = tix
-                        if nk != tgt:
-                            nxt.append(nk)
-                            continue
-                        verdict = Verdict.FOUND
-                    stats = SearchStats(expanded + frontier.index(key) + 1, peak, depth)
-                    return verdict, stored, stats
-        expanded += len(frontier)
+                        return Verdict.BUDGET_EXCEEDED, stored, SearchStats(len(stored), peak, depth)
+                    stored[nk] = tix
+                    if nk != tgt:
+                        nxt.append(nk)
+                        continue
+                    return Verdict.FOUND, stored, SearchStats(len(stored) - 1, peak, depth)
         frontier = nxt
         if len(frontier) > peak:
             peak = len(frontier)
-    return Verdict.EXHAUSTED, stored, SearchStats(expanded, peak, depth)
+    return Verdict.EXHAUSTED, stored, SearchStats(len(stored), peak, depth)
 
 
 def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
@@ -340,52 +346,145 @@ def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
     stores, so it never needs a larger `max_configs` to exhaust the space;
     when `max_configs` cuts a search, the two may stop at different points."""
     packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
-    verdict, stored, stats = _explore(packed, packed.tgt, budget.max_configs)
-    found = verdict == Verdict.FOUND
-    return ReachResult(verdict, None, replace(stats, expanded=len(stored) - found))
+    verdict, _stored, stats = _explore(packed, packed.tgt, budget.max_configs)
+    return ReachResult(verdict, None, stats)
 
 
 def shortest_halting(
     v: Vass, budget: SearchBudget, max_depth: int | None = None
 ) -> ReachResult:
-    """BFS from the source over configurations within the counter bound.
+    """A shortest halting run within the counter bound.
 
-    FOUND returns a minimum-length halting run (ties broken by canonical
-    transition order); EXHAUSTED certifies that no halting run stays within
+    FOUND returns a minimum-length halting run, the least in canonical
+    transition order; EXHAUSTED certifies that no halting run stays within
     the bound; BUDGET_EXCEEDED means the node budget, or `max_depth` (a cap
     on run length), cut search off.
 
-    The search steps one transition at a time, since it needs per-step
-    levels, and drops every configuration that provably cannot reach the
-    target (see `_target_caps`), as halting_reachable does.  Verdicts and
-    runs, tie-breaks included, are those of the search without the rule
-    whenever no budget cuts it: the rule never drops a configuration on a
-    shortest run, nor the first parent of a configuration it keeps, so each
-    level is the unpruned level with the dropped configurations left out,
-    in the same order.  `stats.expanded` counts the configurations, passing
-    the rule, whose successors were generated, and `max_configs` the
-    configurations stored, all of which pass it.
+    The search (`_dial`) runs over the moves of halting_reachable, chains
+    included, each costing its length.  A run is a sequence of chains, and
+    two runs first differ at a chain's first transition, so whenever no
+    budget cuts it the run is the one a per-transition breadth-first search
+    without the target rule returns.  `max_configs` counts the chain ends
+    met.  The depth cap drops each chain end farther than `max_depth` steps,
+    and gives BUDGET_EXCEEDED only if one it dropped is never stored from a
+    closer start; if every one is, the space is EXHAUSTED.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    packed = _Packed(v, budget.counter_bound, prune=True)
-    verdict, parent, stats = _explore(packed, packed.tgt, budget.max_configs, max_depth)
-    run = _trace_run(v, packed, parent) if verdict == Verdict.FOUND else None
+    packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
+    cap = sys.maxsize if max_depth is None else max_depth
+    verdict, dist, done, stats = _dial(packed, budget.max_configs, cap)
+    run = _lex_least_run(v, packed, dist, done) if verdict == Verdict.FOUND else None
     return ReachResult(verdict, run, stats)
 
 
-def _trace_run(v: Vass, packed: _Packed, parent: dict[int, int]) -> Run:
-    """The run to the target that `_explore`'s parent map records: each key
-    less the packed delta of the transition that reached it is its parent."""
+def _dial(
+    packed: _Packed, max_configs: int, max_depth: int
+) -> tuple[Verdict, dict[int, int], list[tuple[int, list[int]]], SearchStats]:
+    """Dial's bucket queue (CACM 1969): keys come off buckets indexed by
+    step distance, nearest first, and each is stored and expanded when it
+    first comes off, at its shortest distance.  A key is checked against
+    the node budget when first met, and queued again whenever met closer,
+    unless beyond `max_depth`.  The target is found once nothing can reach
+    it sooner: when the buckets reach its distance, or when it is met one
+    step past the current bucket.  Returns the verdict, the least distance
+    found for each key met (exact below the target's), the buckets taken
+    off as `(distance, keys)`, and stats."""
+    src, tgt = packed.src, packed.tgt
+    if src is None:
+        return Verdict.EXHAUSTED, {}, [], SearchStats(0, 0, 0)
+    if src == tgt:
+        return Verdict.FOUND, {src: 0}, [], SearchStats(0, 1, 0)
+    adj, smask, cmask = packed.adj, packed.smask, packed.cmask
+    lengths = {n for ms in adj for *_, n in ms}
+    dist = {src: 0}
+    buckets = {0: [src]}
+    done: list[tuple[int, list[int]]] = []
+    expanded = peak = d = 0
+    while buckets:
+        if dist.get(tgt, d + 1) <= d:
+            return Verdict.FOUND, dist, done, SearchStats(expanded, peak, d)
+        bucket = buckets.pop(d, None)
+        if bucket is None:
+            d += 1
+            continue
+        done.append((d, bucket))
+        peak = max(peak, len(bucket))
+        # one int per distance, shared by every key queued at it, so the
+        # distance map holds no int of its own per key
+        far = {n: d + n for n in lengths}
+        for key in bucket:
+            if dist[key] < d:
+                continue  # stored already, at its shorter distance
+            expanded += 1
+            for pd, checks, _tix, n in adj[key & smask]:
+                nk = key + pd
+                for sh, cap in checks:
+                    if ((nk >> sh) & cmask) > cap:
+                        break
+                else:
+                    nd = far[n]
+                    old = dist.get(nk)
+                    if old is None:
+                        if len(dist) >= max_configs:
+                            stats = SearchStats(expanded, peak, nd)
+                            return Verdict.BUDGET_EXCEEDED, dist, done, stats
+                    elif nd >= old:
+                        continue
+                    dist[nk] = nd
+                    if nd > max_depth:
+                        continue
+                    if nk == tgt and n == 1:
+                        # nothing reaches it sooner; the rest of this bucket
+                        # stays unexpanded, for the run's rebuild
+                        return Verdict.FOUND, dist, done, SearchStats(expanded, peak, nd)
+                    queued = buckets.get(nd)
+                    if queued is None:
+                        buckets[nd] = [nk]
+                    else:
+                        queued.append(nk)
+        d += 1
+    # every queued key was stored, so a key met but not stored was dropped
+    # by the depth cap and never met closer
+    verdict = Verdict.BUDGET_EXCEEDED if len(dist) > expanded else Verdict.EXHAUSTED
+    depth = next(d for d, bucket in reversed(done) if any(dist[k] == d for k in bucket))
+    return verdict, dist, done, SearchStats(expanded, peak, depth)
+
+
+def _lex_least_run(
+    v: Vass, packed: _Packed, dist: dict[int, int], done: list[tuple[int, list[int]]]
+) -> Run:
+    """The least shortest run to the target, once `_dial` has found it.  A
+    move is tight when its start's distance plus its length is its end's.
+    A pass back from the target marks the stored keys that reach it by
+    tight moves; a walk from the source then takes, at each key, the first
+    tight move to a marked key and expands that chain into transitions."""
+    adj, smask, tgt = packed.adj, packed.smask, packed.tgt
+    # a move that leaves the caps ends at no stored key, so needs no checks
+    marked = {tgt}
+    for d, bucket in reversed(done):  # farthest first
+        for key in bucket:
+            if dist[key] == d:  # else a stale entry, stored nearer
+                for pd, _checks, _tix, n in adj[key & smask]:
+                    nk = key + pd
+                    if nk in marked and dist[nk] == d + n:
+                        marked.add(key)
+                        break
+    only = {t.src: t for t in v.transitions}  # the one transition inside a chain
     steps: list[Transition] = []
-    index = packed.index
-    key = packed.tgt
-    while key != packed.src:
-        tix = parent[key]
+    key = packed.src
+    while key != tgt:
+        d = dist[key]
+        for pd, _checks, tix, n in adj[key & smask]:
+            nk = key + pd
+            if nk in marked and dist[nk] == d + n:
+                break
         t = v.transitions[tix]
         steps.append(t)
-        key -= packed._move(t.delta, index[t.src], index[t.dst], tix)[0]
-    steps.reverse()
+        for _ in range(n - 1):
+            t = only[t.dst]
+            steps.append(t)
+        key = nk
     return Run(v.source, tuple(steps))
 
 

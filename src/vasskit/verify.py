@@ -443,7 +443,7 @@ def _np_init_unique(n: int) -> str | None:
 
 def _np_accounting(inst: families.NpInstance) -> str | None:
     """Positive instances: the canonical subset run halts, validates and meters
-    f and u per component, and so does the shortest run the BFS finds."""
+    f and u per component, and so does the run `shortest_halting` finds."""
     chosen = families.subset_sum_witness(inst.target, inst.values)
     if chosen is None:
         return None

@@ -40,20 +40,20 @@ class TestMeasureFamily:
         ]
 
     def test_weak_cut_collection_gives_the_error_row(self):
-        verdict_row, error_row = measure_family("weak", [1, 2], max_configs=5)
-        assert (verdict_row.shortest_verdict, verdict_row.canonical_length) == (
-            Verdict.BUDGET_EXCEEDED.value, 4
-        )
-        assert verdict_row.extra == {"max_final_x": "1"}
-        assert (error_row.parameter, error_row.shortest_verdict) == (
-            "b=2", Verdict.BUDGET_EXCEEDED.value
-        )
-        # the maximal replay needs no budget, so the row keeps its length
-        assert (error_row.shortest_length, error_row.canonical_length) == (None, 14)
-        assert error_row.extra == {
-            "error": "reachable-set exploration exceeded its budget: "
-            "SearchBudget(counter_bound=6, max_configs=5)"
-        }
+        # b=1's collection needs 4 configurations and b=2's needs 11, and at
+        # those budgets the shortest search finishes too: only a budget below
+        # them cuts these rows, in the collection
+        for b, least, length in ((1, 4, 4), (2, 11, 14)):
+            cut, row = (measure_family("weak", [b], max_configs=m)[0] for m in (least - 1, least))
+            assert (cut.parameter, cut.shortest_verdict) == (f"b={b}", Verdict.BUDGET_EXCEEDED.value)
+            # the maximal replay needs no budget, so the row keeps its length
+            assert (cut.shortest_length, cut.canonical_length) == (None, length)
+            assert cut.extra == {
+                "error": "reachable-set exploration exceeded its budget: "
+                f"SearchBudget(counter_bound={2 * b + 2}, max_configs={least - 1})"
+            }
+            assert (row.shortest_verdict, row.canonical_length) == (Verdict.EXHAUSTED.value, length)
+            assert row.extra == {"max_final_x": str(b)}
 
     def test_hp_rows_report_canonical_power(self):
         rows = measure_family("hp", [0, 1, 2])

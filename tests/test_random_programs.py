@@ -26,10 +26,11 @@ from vasskit.expand import expand, pretty_print_flat
 from vasskit.interp import reachable_line_configs
 from vasskit.lang import parse, pretty_print
 from vasskit.search import (
-    SearchBudget, Verdict, _explore, _Packed, _trace_run, final_vectors, halting_reachable,
-    reachable_configs, shortest_halting,
+    SearchBudget, Verdict, final_vectors, halting_reachable, reachable_configs, shortest_halting,
 )
 from vasskit.vass import Vass, validate_run
+
+from test_search import per_transition_shortest
 
 SEEDS = range(1000)
 COUNTERS = ("x", "y", "z")
@@ -215,19 +216,16 @@ def test_vass_json_round_trip():
 
 
 def test_chain_and_per_transition_searches_agree():
-    # halting_reachable steps along chains and returns no run,
-    # shortest_halting steps one transition at a time, and the same
-    # per-transition search without its target rule finds the same run,
-    # expanding no fewer configurations; no budget is reached at this bound
+    # halting_reachable and shortest_halting step along chains, and the
+    # per-transition search without their target rule finds the same run,
+    # storing no fewer configurations; no budget is reached at this bound
     budget = SearchBudget(3, 200_000)
     found = 0
     for seed in SEEDS:
         v = compile_program(expand(parse(random_program(seed)))).vass
         chains, steps = halting_reachable(v, budget), shortest_halting(v, budget)
         assert chains.verdict == steps.verdict != Verdict.BUDGET_EXCEEDED, seed
-        packed = _Packed(v, budget.counter_bound)
-        verdict, parent, stats = _explore(packed, packed.tgt, budget.max_configs)
-        run = _trace_run(v, packed, parent) if verdict == Verdict.FOUND else None
+        verdict, run, stats = per_transition_shortest(v, budget)
         assert (verdict, run) == (steps.verdict, steps.run), seed
         assert steps.stats.expanded <= stats.expanded, seed
         if steps.verdict == Verdict.FOUND:

@@ -45,7 +45,6 @@ from vasskit.search import (
     _Packed,
     _Replay,
     _target_caps,
-    _trace_run,
 )
 from vasskit.vass import (
     Configuration, Run, RunReport, Transition, Vass, is_flat, validate_run,
@@ -150,6 +149,66 @@ class TestShortestHalting:
                 assert len(res.run) == want
             else:
                 assert want is None
+
+    @staticmethod
+    def graph(edges):
+        """A 1-counter VASS with a zero-effect transition along each edge,
+        from s to m, both at counter 0; the edges of a state come in the
+        order of their end states' names."""
+        states = tuple({x for edge in edges for x in edge})
+        ts = tuple(Transition(a, (0,), b) for a, b in edges)
+        return Vass(1, states, ts, Configuration("s", (0,)), Configuration("m", (0,)))
+
+    @staticmethod
+    def edges(run):
+        return [(t.src, t.dst) for t in run.steps]
+
+    def test_closer_reach_after_a_long_chain(self):
+        # the chain s -> c1 -> ... -> m queues m at distance 6 first; b, a
+        # branch, then reaches m at distance 2
+        long = [("s", "c1"), ("c1", "c2"), ("c2", "c3"), ("c3", "c4"), ("c4", "c5"), ("c5", "m")]
+        v = self.graph(long + [("s", "b"), ("b", "m"), ("b", "z")])
+        budget = SearchBudget(1)
+        res = shortest_halting(v, budget)
+        assert self.edges(res.run) == [("s", "b"), ("b", "m")]
+        assert res.run == ref_shortest(v, budget)[1]
+        assert res.stats == SearchStats(2, 1, 2)
+        # with no halting run, the depth cap drops m at distance 6 but
+        # stores it at 2, so every configuration is stored
+        dead = replace(v, target=Configuration("m", (1,)))
+        assert shortest_halting(dead, budget) == ReachResult(
+            Verdict.EXHAUSTED, None, SearchStats(3, 1, 2)
+        )
+        assert shortest_halting(dead, budget, max_depth=5) == shortest_halting(dead, budget)
+        assert shortest_halting(dead, budget, max_depth=1) == ReachResult(
+            Verdict.BUDGET_EXCEEDED, None, SearchStats(2, 1, 1)
+        )
+
+    def test_equal_length_runs_take_the_least_first_chain(self):
+        # s -> a -> u -> m and s -> p -> q -> m both take 3 steps; the first
+        # starts with the lesser transition, though the search queues m
+        # through the second chain, and never again at the same distance
+        v = self.graph([("s", "a"), ("s", "p"), ("a", "u"), ("a", "z"), ("u", "m"),
+                        ("p", "q"), ("q", "m")])
+        budget = SearchBudget(1)
+        res = shortest_halting(v, budget)
+        assert self.edges(res.run) == [("s", "a"), ("a", "u"), ("u", "m")]
+        assert res.run == ref_shortest(v, budget)[1] == per_transition_shortest(v, budget)[1]
+        assert res.stats == SearchStats(2, 1, 3)
+
+    def test_least_run_through_a_key_left_unexpanded(self):
+        # k1 (through the chain s -> c1 -> c2) and k2 (through a -> x) share
+        # the bucket at distance 3, k1 first; expanding k1 meets m one step
+        # on, which ends the search before k2 is expanded, but the least run
+        # goes through k2
+        v = self.graph([("s", "a"), ("s", "c1"), ("c1", "c2"), ("c2", "k1"), ("a", "x"),
+                        ("a", "y"), ("x", "k2"), ("k1", "m"), ("k1", "z"), ("k2", "m"),
+                        ("k2", "z")])
+        budget = SearchBudget(1)
+        res = shortest_halting(v, budget)
+        assert self.edges(res.run) == [("s", "a"), ("a", "x"), ("x", "k2"), ("k2", "m")]
+        assert res.run == ref_shortest(v, budget)[1]
+        assert res.stats == SearchStats(3, 2, 4)
 
     def test_halting_reachable_agrees(self):
         for program in (gen_exp_fixed(2, 2), gen_exp_fixed(2, 3), gen_exp_fixed(3, 4)):
@@ -742,6 +801,24 @@ def ref_shortest(v, budget, max_depth=None, caps=None):
     return (Verdict.BUDGET_EXCEEDED if suppressed else Verdict.EXHAUSTED), None, expanded
 
 
+def per_transition_shortest(v, budget):
+    """The breadth-first search one transition at a time and without the
+    target rule, on packed keys: (verdict, run, stats).  It finds the
+    lexicographically least shortest run: each stored key less the packed
+    delta of the transition that first reached it is its parent."""
+    packed = _Packed(v, budget.counter_bound)
+    verdict, parent, stats = _explore(packed, packed.tgt, budget.max_configs)
+    if verdict != Verdict.FOUND:
+        return verdict, None, stats
+    steps = []
+    key = packed.tgt
+    while key != packed.src:
+        t = v.transitions[parent[key]]
+        steps.append(t)
+        key -= packed._move(t.delta, packed.index[t.src], packed.index[t.dst])[0]
+    return verdict, Run(v.source, tuple(reversed(steps))), stats
+
+
 def ref_reachable(v, budget, absorbing=frozenset()):
     bound = budget.counter_bound
     out = {}
@@ -1097,17 +1174,24 @@ def _chains_finish(got, want, ref, v, budget, *args):
 class TestAgainstTupleReference:
     @staticmethod
     def check_pruned_shortest(v, budget, depth):
-        """shortest_halting equals the reference with the target caps, stats
-        included, and gives the plain reference's verdict and run wherever a
-        budget does not cut that reference.  Returns both references'
-        (verdict, run, expanded), the pruned one first."""
+        """shortest_halting returns the run that the reference with the
+        target caps, and the plain reference, find whenever either finds one
+        under the same budget and depth cap; a run it finds where they are
+        cut is the plain reference's under an ample node budget; and it
+        exhausts only where the plain reference without a depth cap does.
+        Returns both references' (verdict, run, expanded), the pruned one
+        first."""
         want = ref_shortest(v, budget, depth, ref_target_caps(v, budget.counter_bound))
+        plain = ref_shortest(v, budget, depth)
         res = shortest_halting(v, budget, depth)
-        assert (res.verdict, res.run, res.stats.expanded) == want
-        plain = verdict, run, expanded = ref_shortest(v, budget, depth)
-        if verdict != Verdict.BUDGET_EXCEEDED:
-            assert (res.verdict, res.run) == (verdict, run)
-            assert res.stats.expanded <= expanded
+        for verdict, run, _expanded in (want, plain):
+            if verdict == Verdict.FOUND:
+                assert (res.verdict, res.run) == (verdict, run)
+        ample = replace(budget, max_configs=1_000_000)
+        if res.verdict == Verdict.FOUND:
+            assert res.run == ref_shortest(v, ample, depth)[1]
+        elif res.verdict == Verdict.EXHAUSTED:
+            assert ref_shortest(v, ample)[0] == Verdict.EXHAUSTED
         return want, plain
 
     def test_pruned_shortest_keeps_unpruned_runs(self):
@@ -1180,9 +1264,10 @@ class TestAgainstTupleReference:
                 # stores
                 assert a.stats.expanded <= stored_configs(v, budget)
             if a.verdict != b.verdict:
-                # both test the node budget before the target, but chains can
-                # reach the target or exhaust a space on which the
-                # per-transition search runs out of max_configs
+                # both step along the same chains and count each
+                # configuration against the node budget when they first meet
+                # it, but the search by step count meets more of them before
+                # it takes the target off its bucket
                 assert (a.verdict, b.verdict) in {
                     (Verdict.FOUND, Verdict.BUDGET_EXCEEDED),
                     (Verdict.EXHAUSTED, Verdict.BUDGET_EXCEEDED),
@@ -1270,9 +1355,10 @@ class TestPacking:
 
 
 class TestChains:
-    """halting_reachable steps along maximal deterministic chains of
-    transitions; each case is one way a chain could pass a configuration the
-    per-transition reference rejects, or miss one it reaches."""
+    """halting_reachable and shortest_halting step along maximal
+    deterministic chains of transitions; each case is one way a chain could
+    pass a configuration the per-transition reference rejects, or miss one
+    it reaches."""
 
     @staticmethod
     def line(deltas, source, target_state, target_vector, extra=()):
@@ -1389,8 +1475,9 @@ class TestChains:
             for bound in bounds:
                 budget = SearchBudget(bound, 2_000_000)
                 chains = halting_reachable(v, budget)
-                per_step = shortest_halting(v, budget)
-                assert chains.verdict == per_step.verdict != Verdict.BUDGET_EXCEEDED
+                per_step = per_transition_shortest(v, budget)[0]
+                assert chains.verdict == shortest_halting(v, budget).verdict == per_step
+                assert per_step != Verdict.BUDGET_EXCEEDED
                 if chains.verdict != Verdict.FOUND:
                     assert chains.stats.expanded <= stored_configs(v, budget)
                 seen.add(chains.verdict)
@@ -1506,8 +1593,8 @@ class TestTargetCaps:
         )
 
     def test_shortest_runs_on_family_members(self):
-        # shortest_halting against the same search without the rule: the
-        # same verdict and run, and no more configurations expanded
+        # shortest_halting against the per-transition search without the
+        # rule: the same verdict and run, and no more configurations stored
         members = []
         for n in (1, 2, 3):
             compiled = compile_counter_program(gen_exp(n))
@@ -1533,10 +1620,8 @@ class TestTargetCaps:
         seen = Counter()
         for v, bound in members:
             budget = SearchBudget(bound, 2_000_000)
-            packed = _Packed(v, bound)
-            verdict, parent, stats = _explore(packed, packed.tgt, budget.max_configs)
+            verdict, run, stats = per_transition_shortest(v, budget)
             assert verdict != Verdict.BUDGET_EXCEEDED
-            run = _trace_run(v, packed, parent) if verdict == Verdict.FOUND else None
             res = shortest_halting(v, budget)
             assert (res.verdict, res.run) == (verdict, run)
             assert res.stats.expanded <= stats.expanded
