@@ -25,7 +25,8 @@ from .lang import (
     Sub, eval_cond, eval_expr, format_command,
 )
 
-DEFAULT_MAX_LINES = 500_000
+# the most lines, and the most `for` iterations, one expansion makes
+_MAX_LINES = 500_000
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,11 @@ def _loop_spans(lines: list[Command]) -> tuple[LoopSpan, ...]:
     return tuple(sorted(spans, key=lambda s: s.entry))
 
 
-def expand(program: CounterProgram, max_lines: int = DEFAULT_MAX_LINES) -> FlatProgram:
+def expand(program: CounterProgram) -> FlatProgram:
     """Expand all macros; deterministic, and idempotent on its own output.
-    Past `max_lines` lines, or `max_lines` `for` iterations (a `for` body
+    Past `_MAX_LINES` lines, or `_MAX_LINES` `for` iterations (a `for` body
     may emit no line), raises ExpansionError."""
+    max_lines = _MAX_LINES
     out: list[Command | None] = []
     iterations = 0  # `for` iterations so far
     labels: dict[str, int] = {}

@@ -11,8 +11,9 @@ reproducible.
 Where each part lives:
 - `_Packed` packs a configuration into one int and holds the moves from
   each state: single transitions, or the deterministic chains of
-  `_chain_moves`, each checked against per-counter caps, which
-  `_target_caps` tightens for the searches with a target.
+  `_chain_moves`, each tested against per-counter caps by one guard-bit
+  expression; `_target_caps` tightens the caps for the searches with a
+  target.
 - `_explore` is the breadth-first search of `halting_reachable` and
   `reachable_configs`; `_dial` is the search by step count of
   `shortest_halting`, and `_lex_least_run` rebuilds its run;
@@ -95,26 +96,30 @@ class ReachResult:
 
 class _Packed:
     """Configurations packed into single ints: the state index in the low
-    bits, then one fixed-width field per counter.  Fields are wide enough
-    that any over/underflow lands above the bound and is rejected, so a
-    successor is one integer addition plus one masked check per touched
-    counter, against that counter's cap at the move's end state.  States in
-    `absorbing` get no outgoing transitions.
+    bits, then one field of `wbits` bits per counter.  States in `absorbing`
+    get no outgoing transitions.
 
     Caps are the bound, unless `prune` tightens them for the target (see
-    `_target_caps`).  Then moves into states that cannot reach the target
-    state are left out, and a move also checks each untouched counter whose
-    cap is tighter at its end state than at its start.  Caps only tighten
-    along a move into a live state, so every stored configuration is within
-    its own state's caps as long as the source is.
+    `_target_caps`); then moves into states that cannot reach the target
+    state are left out.  A successor is one integer addition and one guard
+    test against the caps at the move's end state: with `top =
+    2^(wbits-1) - 1`, `guard` holds each field's top bit and a move's
+    `off` holds `top - cap` in each field, and `nk` is kept iff `(nk |
+    nk + off) & guard == 0` (Lamport, CACM 1975).  The fields are wide
+    enough that `bound + largest move amount <= top`, so a field in range
+    sets its top bit in neither int, an underflow borrows and sets it in
+    `nk`, and a value above its cap sets it in `nk + off`.  No field below
+    the lowest one out of range carries or borrows into it, so that field
+    shows its top bit and the test is exact.  `nk & guard` alone is nonzero
+    exactly when some counter went below zero.
 
     Adjacency entries are the moves of `_chain_moves`, so only states
     reachable from the source state get entries.  With `chains`, each entry
     is a maximal deterministic chain of transitions rather than one
     transition, and only the states where chains start get entries.  Every
-    chain is monotone in every counter, so checking its end configuration
-    checks every configuration along it.  An entry is `(packed delta,
-    checks, first transition index, length in transitions)`."""
+    chain is monotone in every counter, so testing its end configuration
+    tests every configuration along it.  An entry is `(packed delta, cap
+    offsets, first transition index, length in transitions)`."""
 
     def __init__(
         self,
@@ -136,10 +141,17 @@ class _Packed:
         self.smask = (1 << self.sbits) - 1
         self.cmask = (1 << self.wbits) - 1
         self.shifts = tuple(self.sbits + self.wbits * i for i in range(v.dimension))
-        # per state: one entry per move into a state that can reach the
-        # target state
+        top = self.cmask >> 1
+        self.guard = self._pack([top + 1] * v.dimension)
+        # the cap offsets of each distinct caps tuple; a state whose caps are
+        # None cannot reach the target state, and no move enters it
+        offs = {c: self._pack([top - x for x in c]) for c in set(caps) if c is not None}
         self.adj = [
-            [(*self._move(delta, s, dst), tix, n) for delta, dst, tix, n in ms if caps[dst] is not None]
+            [
+                (dst - s + self._pack(delta), offs[caps[dst]], tix, n)
+                for delta, dst, tix, n in ms
+                if caps[dst] is not None
+            ]
             for s, ms in enumerate(moves)
         ]
         # a configuration outside its state's caps could overflow its fields:
@@ -147,22 +159,9 @@ class _Packed:
         self.src = self.encode(v.source) if self.admits(v.source) else None
         self.tgt = self.encode(v.target) if self.admits(v.target) else -1
 
-    def _move(
-        self, delta: tuple[int, ...], src: int, dst: int
-    ) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """A move from state index `src` to `dst`: its packed delta, and the
-        `(shift, cap)` checks at its end, with caps at `dst`, of every field
-        it touches and every field whose cap is tighter at `dst` than at
-        `src`."""
-        pd = dst - src
-        checks = []
-        for d, shift, cap, was in zip(delta, self.shifts, self.caps[dst], self.caps[src]):
-            if d:
-                pd += d << shift
-            elif cap >= was:
-                continue
-            checks.append((shift, cap))
-        return pd, tuple(checks)
+    def _pack(self, values) -> int:
+        """One value per counter, shifted into its field and summed."""
+        return sum([x << shift for x, shift in zip(values, self.shifts) if x])
 
     def admits(self, cfg: Configuration) -> bool:
         """Whether cfg is within the caps of its state."""
@@ -170,22 +169,7 @@ class _Packed:
         return caps is not None and all(x <= c for x, c in zip(cfg.vector, caps))
 
     def encode(self, cfg: Configuration) -> int:
-        key = self.index[cfg.state]
-        for x, shift in zip(cfg.vector, self.shifts):
-            key += x << shift
-        return key
-
-    def successors(self, key: int):
-        """Yield the packed successors of `key` within the bound, in
-        canonical transition order."""
-        cmask = self.cmask
-        for pd, checks, _tix, _n in self.adj[key & self.smask]:
-            nk = key + pd
-            for sh, cap in checks:
-                if ((nk >> sh) & cmask) > cap:
-                    break
-            else:
-                yield nk
+        return self.index[cfg.state] + self._pack(cfg.vector)
 
 
 def _chain_moves(
@@ -294,9 +278,7 @@ def _explore(
     stored = {src: -1}
     if src == tgt:
         return Verdict.FOUND, stored, SearchStats(0, 1, 0)
-    adj = packed.adj
-    smask = packed.smask
-    cmask = packed.cmask
+    adj, smask, guard = packed.adj, packed.smask, packed.guard
     frontier = [src]
     depth = 0
     peak = 1
@@ -304,21 +286,17 @@ def _explore(
         depth += 1
         nxt: list[int] = []
         for key in frontier:
-            for pd, checks, tix, _n in adj[key & smask]:
+            for pd, off, tix, _n in adj[key & smask]:
                 nk = key + pd
-                for sh, cap in checks:
-                    if ((nk >> sh) & cmask) > cap:
-                        break
-                else:
-                    if nk in stored:
-                        continue
-                    if len(stored) >= max_configs:
-                        return Verdict.BUDGET_EXCEEDED, stored, SearchStats(len(stored), peak, depth)
-                    stored[nk] = tix
-                    if nk != tgt:
-                        nxt.append(nk)
-                        continue
-                    return Verdict.FOUND, stored, SearchStats(len(stored) - 1, peak, depth)
+                if (nk | nk + off) & guard or nk in stored:
+                    continue
+                if len(stored) >= max_configs:
+                    return Verdict.BUDGET_EXCEEDED, stored, SearchStats(len(stored), peak, depth)
+                stored[nk] = tix
+                if nk != tgt:
+                    nxt.append(nk)
+                    continue
+                return Verdict.FOUND, stored, SearchStats(len(stored) - 1, peak, depth)
         frontier = nxt
         if len(frontier) > peak:
             peak = len(frontier)
@@ -395,7 +373,7 @@ def _dial(
         return Verdict.EXHAUSTED, {}, [], SearchStats(0, 0, 0)
     if src == tgt:
         return Verdict.FOUND, {src: 0}, [], SearchStats(0, 1, 0)
-    adj, smask, cmask = packed.adj, packed.smask, packed.cmask
+    adj, smask, guard = packed.adj, packed.smask, packed.guard
     lengths = {n for ms in adj for *_, n in ms}
     dist = {src: 0}
     buckets = {0: [src]}
@@ -417,32 +395,30 @@ def _dial(
             if dist[key] < d:
                 continue  # stored already, at its shorter distance
             expanded += 1
-            for pd, checks, _tix, n in adj[key & smask]:
+            for pd, off, _tix, n in adj[key & smask]:
                 nk = key + pd
-                for sh, cap in checks:
-                    if ((nk >> sh) & cmask) > cap:
-                        break
+                if (nk | nk + off) & guard:
+                    continue
+                nd = far[n]
+                old = dist.get(nk)
+                if old is None:
+                    if len(dist) >= max_configs:
+                        stats = SearchStats(expanded, peak, nd)
+                        return Verdict.BUDGET_EXCEEDED, dist, done, stats
+                elif nd >= old:
+                    continue
+                dist[nk] = nd
+                if nd > max_depth:
+                    continue
+                if nk == tgt and n == 1:
+                    # nothing reaches it sooner; the rest of this bucket
+                    # stays unexpanded, for the run's rebuild
+                    return Verdict.FOUND, dist, done, SearchStats(expanded, peak, nd)
+                queued = buckets.get(nd)
+                if queued is None:
+                    buckets[nd] = [nk]
                 else:
-                    nd = far[n]
-                    old = dist.get(nk)
-                    if old is None:
-                        if len(dist) >= max_configs:
-                            stats = SearchStats(expanded, peak, nd)
-                            return Verdict.BUDGET_EXCEEDED, dist, done, stats
-                    elif nd >= old:
-                        continue
-                    dist[nk] = nd
-                    if nd > max_depth:
-                        continue
-                    if nk == tgt and n == 1:
-                        # nothing reaches it sooner; the rest of this bucket
-                        # stays unexpanded, for the run's rebuild
-                        return Verdict.FOUND, dist, done, SearchStats(expanded, peak, nd)
-                    queued = buckets.get(nd)
-                    if queued is None:
-                        buckets[nd] = [nk]
-                    else:
-                        queued.append(nk)
+                    queued.append(nk)
         d += 1
     # every queued key was stored, so a key met but not stored was dropped
     # by the depth cap and never met closer
@@ -460,12 +436,12 @@ def _lex_least_run(
     tight moves; a walk from the source then takes, at each key, the first
     tight move to a marked key and expands that chain into transitions."""
     adj, smask, tgt = packed.adj, packed.smask, packed.tgt
-    # a move that leaves the caps ends at no stored key, so needs no checks
+    # a move that leaves the caps ends at no stored key, so needs no test
     marked = {tgt}
     for d, bucket in reversed(done):  # farthest first
         for key in bucket:
             if dist[key] == d:  # else a stale entry, stored nearer
-                for pd, _checks, _tix, n in adj[key & smask]:
+                for pd, _off, _tix, n in adj[key & smask]:
                     nk = key + pd
                     if nk in marked and dist[nk] == d + n:
                         marked.add(key)
@@ -475,7 +451,7 @@ def _lex_least_run(
     key = packed.src
     while key != tgt:
         d = dist[key]
-        for pd, _checks, tix, n in adj[key & smask]:
+        for pd, _off, tix, n in adj[key & smask]:
             nk = key + pd
             if nk in marked and dist[nk] == d + n:
                 break
@@ -630,28 +606,31 @@ def count_halting_runs(v: Vass, budget: SearchBudget) -> int:
     packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
     if packed.src is None:
         return 0
-    successors = packed.successors
+    adj, smask, guard = packed.adj, packed.smask, packed.guard
     src, tgt = packed.src, packed.tgt
     max_configs = budget.max_configs
     # configuration -> halting-run count once its subtree is done; -1 while
     # it is on the DFS stack
     counts = {src: -1}
-    stack = [(src, successors(src))]
-    accs = [1 if src == tgt else 0]  # partial count per frame
+    # one frame per configuration on the stack: [key, its moves left, its
+    # partial count]
+    stack = [[src, iter(adj[src & smask]), int(src == tgt)]]
     while stack:
-        key, children = stack[-1]
-        acc = accs[-1]
-        for child in children:
-            c = counts.get(child)
+        frame = stack[-1]
+        key, moves, acc = frame
+        for pd, off, _tix, _n in moves:
+            nk = key + pd
+            if (nk | nk + off) & guard:
+                continue
+            c = counts.get(nk)
             if c is None:
                 if len(counts) >= max_configs:
                     raise BudgetExceededError(
                         f"run counting exceeded {max_configs} configurations"
                     )
-                accs[-1] = acc
-                counts[child] = -1
-                stack.append((child, successors(child)))
-                accs.append(1 if child == tgt else 0)
+                frame[2] = acc
+                counts[nk] = -1
+                stack.append([nk, iter(adj[nk & smask]), int(nk == tgt)])
                 break
             if c < 0:
                 raise ConfigCycleError(
@@ -661,9 +640,8 @@ def count_halting_runs(v: Vass, budget: SearchBudget) -> int:
         else:
             counts[key] = acc
             stack.pop()
-            accs.pop()
-            if accs:
-                accs[-1] += acc
+            if stack:
+                stack[-1][2] += acc
     return counts[src]
 
 

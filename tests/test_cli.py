@@ -69,6 +69,7 @@ class TestGenerate:
             ("counters x x\ninit\nhalt x\n", "line 1: duplicate counter 'x'"),
             ("counters x\ninit\ngoto 4 or 4\nhalt x\n",
              "line 3: goto target '4' falls off the end of a program that ends in halt"),
+            ("counters x\nx += 1\ninit\nhalt x\n", "init at line 2; it may only be the first command"),
         ],
     )
     def test_static_mistakes_are_parse_errors(self, capsys, tmp_path, text, message):
@@ -141,6 +142,11 @@ class TestPipeline:
         code, out, err = run_cli(capsys, *solve, "--max-depth", "-1")
         assert (code, out, err) == (2, "", "vasskit: max_depth must be >= 0\n")
 
+    def test_missing_input_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing.cp"
+        code, out, err = run_cli(capsys, "expand", str(path))
+        assert (code, out, err) == (2, "", f"vasskit: [Errno 2] No such file or directory: '{path}'\n")
+
     def test_flat_exit_codes(self, capsys, tmp_path):
         code, text, _ = run_cli(capsys, "gen", "weak", "--b", "2")
         path = tmp_path / "weak.cp"
@@ -153,7 +159,10 @@ class TestPipeline:
         code, out, _ = run_cli(capsys, "flat", str(path), "--format", "json")
         assert code == 1
         obj = json.loads(out)
-        assert obj["flat"] is False and obj["witness_state"]
+        assert obj["flat"] is False and obj["witness_state"] == "L2"
+        assert run_cli(capsys, "flat", str(path)) == (
+            1, "not flat: state L2 lies on two simple cycles\n", ""
+        )
 
         # complete digraph on 12 states: no cycle budget to run out of
         states = [f"s{i:02d}" for i in range(12)]
@@ -193,6 +202,9 @@ class TestPipeline:
             ({"dimension": 1, "states": ["a"], "transitions": [],
               "source": {"state": "a", "vector": ["0"]}, "target": {"state": "a", "vector": [-2]}},
              "field 'target.vector' must list nonnegative integers"),
+            ({"dimension": 1, "states": ["a"], "transitions": [["a", ["1"], "a"]]},
+             "transitions[0] must be an object"),
+            ({"dimension": 1, "states": ["a", 2], "transitions": []}, "field 'states' must list strings"),
         ],
     )
     def test_malformed_vass_json_is_a_usage_error(self, capsys, tmp_path, doc, message):
@@ -289,6 +301,21 @@ class TestMeasure:
         assert row["extra"]["subset_sum"] is True
         assert row["shortest_verdict"] == "found"
 
+    def test_text_table(self, capsys):
+        assert run_cli(capsys, "measure", "exp", "--to", "2") == (0, (
+            "family  parameter  size_unary  size_binary  flat  shortest  canonical  extra\n"
+            "exp     n=1        73          125          yes   20        20         pump=1\n"
+            "exp     n=2        137         173          yes   58        58         pump=2\n"
+        ), "")
+
+    def test_text_table_of_a_budget_cut_search_exits_3(self, capsys):
+        error = "reachable-set exploration exceeded its budget: SearchBudget(counter_bound=6, max_configs=5)"
+        assert run_cli(capsys, "measure", "weak", "--to", "2", "--max-configs", "5") == (3, (
+            "family  parameter  size_unary  size_binary  flat  shortest                canonical  extra\n"
+            "weak    b=1        35          47           yes   exhausted-within-bound  4          max_final_x=1\n"
+            f"weak    b=2        63          85           yes   budget-exceeded         14         error={error}\n"
+        ), "")
+
     def test_empty_range_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "measure", "weak", "--from", "3", "--to", "1")
         assert (code, out, err) == (
@@ -336,6 +363,11 @@ class TestFractionsCommand:
         obj = json.loads(out)
         assert obj["product"] == "23409/16384"
         assert obj["factors"] == ["18/17", "17/16"]
+
+    def test_text(self, capsys):
+        assert run_cli(capsys, "fractions", "--k", "2") == (0, (
+            "k = 2\nr_1 = 9/8\nr_2 = 17/16\nf_1 = 18/17\nf_2 = 17/16\nproduct = 23409/16384\n"
+        ), "")
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "frac.json"

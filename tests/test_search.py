@@ -119,6 +119,14 @@ class TestShortestHalting:
         res = shortest_halting(compiled.vass, SearchBudget(20), max_depth=len(full.run) // 2)
         assert res.verdict == Verdict.BUDGET_EXCEEDED
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [((-1,), "counter_bound must be >= 0"), ((0, 0), "max_configs must be >= 1")],
+    )
+    def test_budget_rejects_bad_values(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SearchBudget(*args)
+
     def test_negative_max_depth_rejected(self):
         compiled = compile_counter_program(gen_exp_fixed(1, 1))
         with pytest.raises(ValueError, match="max_depth must be >= 0"):
@@ -451,6 +459,8 @@ class TestReplay:
             ("lbl: goto lbl or out\n", {}, "line 2: no branch policy for goto"),
             ("loop\n  x -= 1\nendloop\n", {2: TakeBranch(True)},
              r"line 2: policy TakeBranch\(second=True\) does not fit a loop"),
+            # a straight-line body that never decreases the drained counter
+            ("loop\n  x += 1\nendloop\n", {2: DrainLoop("x")}, "loop at line 2 does not decrease 'x'"),
         ],
     )
     def test_policy_that_does_not_fit_the_line(self, body, policy, message):
@@ -588,6 +598,19 @@ class TestReplay:
         # the outer loop drains z (its own top-level decrement), not the
         # x/y decrements owned by the nested loops
         assert policies[outer.entry] == DrainLoop("z")
+
+    def test_maximal_policy_needs_a_draining_counter(self):
+        # exp's pump loop only increments
+        flat = compile_counter_program(gen_exp(1)).program
+        with pytest.raises(PolicyStuckError, match=r"^loops at lines \[4\] have no draining counter$"):
+            maximal_policy(flat)
+
+    def test_np_policy_needs_take_labels(self):
+        flat = compile_counter_program(
+            parse("counters x\ninit\ngoto skip1 or other\nskip1: x += 1\nother: halt x\n")
+        ).program
+        with pytest.raises(PolicyStuckError, match="^line 2: choice goto does not target a take label$"):
+            np_canonical_policy(flat, set())
 
     def test_final_values_budget_error(self):
         # on chains, weak(6) at bound 12 stores 41 configurations
@@ -815,7 +838,7 @@ def per_transition_shortest(v, budget):
     while key != packed.src:
         t = v.transitions[parent[key]]
         steps.append(t)
-        key -= packed._move(t.delta, packed.index[t.src], packed.index[t.dst])[0]
+        key -= packed.index[t.dst] - packed.index[t.src] + packed._pack(t.delta)
     return verdict, Run(v.source, tuple(reversed(steps))), stats
 
 
@@ -1352,6 +1375,58 @@ class TestPacking:
         for kernel in (shortest_halting, halting_reachable):
             assert kernel(v, SearchBudget(3)).verdict == Verdict.EXHAUSTED
         assert count_halting_runs(v, SearchBudget(3)) == 0
+
+    def test_guard_test_matches_a_field_decode(self):
+        # every move of random VASS, from random keys within the caps of the
+        # move's start state: the guard test keeps a successor iff each
+        # counter lands in [0, its cap at the move's end state], and
+        # `nk & guard` is set iff some counter went below zero
+        rng = random.Random(20261020)
+        states = ("p", "q", "r")
+        seen = Counter()
+        for trial in range(300):
+            dim = trial % 5
+            bound = 0 if trial % 7 == 0 else rng.randint(1, 6)
+            amount = rng.randint(0, 9)
+            ts = tuple(
+                Transition(rng.choice(states), tuple(rng.randint(-amount, amount) for _ in range(dim)),
+                           rng.choice(states))
+                for _ in range(6)
+            )
+            target = Configuration(rng.choice(states), tuple(rng.randint(0, bound) for _ in range(dim)))
+            v = Vass(dim, states, ts, Configuration("p", (0,) * dim), target)
+            packed = _Packed(v, bound, prune=trial % 2 == 1)
+            guard = packed.guard
+            amounts = [abs(d) for ms in packed.adj for *_, tix, _n in ms for d in v.transitions[tix].delta]
+            assert bound + max(amounts, default=0) <= packed.cmask >> 1
+            for s, moves in enumerate(packed.adj):
+                for pd, off, tix, _n in moves:
+                    t = v.transitions[tix]
+                    caps = packed.caps[packed.index[t.dst]]
+                    for _ in range(8):
+                        x = tuple(rng.choice((0, c, rng.randint(0, c))) for c in packed.caps[s])
+                        nk = packed.encode(Configuration(v.states[s], x)) + pd
+                        y = [a + d for a, d in zip(x, t.delta)]
+                        kept = all(0 <= b <= c for b, c in zip(y, caps))
+                        under = [b < 0 for b in y]
+                        over = [b > c for b, c in zip(y, caps)]
+                        assert ((nk | nk + off) & guard == 0) == kept
+                        assert (nk & guard != 0) == any(under)
+                        if dim and under[-1]:
+                            assert nk < 0  # nothing above the top field to borrow from
+                        if kept:
+                            assert nk == packed.encode(Configuration(t.dst, tuple(y)))
+                        seen["dimension 0"] += dim == 0
+                        seen["bound 0"] += bound == 0
+                        seen["kept"] += kept
+                        seen["over a cap only"] += any(over) and not any(under)
+                        seen["several underflows"] += sum(under) > 1
+                        seen["underflow next to a field over its cap"] += any(
+                            (under[i] and over[i + 1]) or (over[i] and under[i + 1])
+                            for i in range(dim - 1)
+                        )
+                        seen["top field underflows"] += dim > 0 and under[-1]
+        assert len(seen) == 7 and min(seen.values()) > 50, seen
 
 
 class TestChains:
