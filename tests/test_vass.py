@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -9,8 +10,8 @@ from vasskit.compiler import compile_counter_program
 from vasskit.errors import NegativeCounterError, WrongStateError
 from vasskit.arith import divisibility_threshold
 from vasskit.families import (
-    NpInstance, exp_canonical_policy, gen_double_exp, gen_exp, gen_hp, gen_np, gen_weak,
-    maximal_policy, np_canonical_policy, with_initial_values,
+    NpInstance, exp_canonical_policy, gen_double_exp, gen_double_exp_fixed, gen_exp, gen_hp,
+    gen_np, gen_weak, maximal_policy, np_canonical_policy, with_initial_values,
 )
 from vasskit.search import replay_canonical
 from vasskit.vass import (
@@ -232,6 +233,126 @@ class TestValidateRunAgainstReference:
             # on compiled members some counters cannot underflow on any run
             # from the source (in exp(2), x <= 3y whenever y is decremented)
             assert underflows == {f"counter {ci} would become negative" for ci in range(3)}
+
+
+@pytest.fixture(scope="module")
+def pumped():
+    """exp(2) with its canonical run at pump 100: 2,606 steps, nearly all of
+    them in six loop activations of 50-150 copies of a 4-step body."""
+    compiled = compile_counter_program(gen_exp(2))
+    run = replay_canonical(compiled, exp_canonical_policy(compiled.program, 100)).run
+    steps = run.steps
+    # steps[400:800] drains x into z, 100 copies from x = 100; the next
+    # activation, steps[801:1001], moves 50 copies of z -= 2 into x
+    assert steps[400:800] == steps[400:404] * 100
+    assert steps[801:1001] == steps[801:805] * 50
+    assert [t.delta for t in steps[400:404]] == [(0, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, 0)]
+    return compiled.vass, steps
+
+
+def fresh(steps):
+    """Equal transitions, each a new object."""
+    return tuple(Transition(t.src, t.delta, t.dst) for t in steps)
+
+
+class TestRepeatedStretches:
+    """Runs that repeat a canonical stretch many times.  `validate_run`
+    checks a stretch that repeats the one just walked by its net effect and
+    lowest prefix; the whole report, failure index and reason included, must
+    be the reference's.  Each case sweeps where the repeat or the fault
+    lies, so that it holds wherever the validator looks back."""
+
+    def assert_reference(self, v, runs):
+        reports = [validate_run(v, r) for r in runs]
+        assert reports == [ref_validate_run(v, r) for r in runs]
+        return reports
+
+    def test_underflow_in_the_first_middle_and_last_copy(self, pumped):
+        # k copies of the x drain: from k = 101 on, x underflows in copy 101
+        # of k, the last at k = 101 and a middle one beyond.  Below k = 100
+        # the drain leaves z = k, and the next activation's 50 copies of
+        # z -= 2 underflow in copy k // 2 + 1: the first at k <= 1, the last
+        # at k >= 98.
+        v, steps = pumped
+        body = steps[400:404]
+        runs = [Run(v.source, steps[:400] + body * k + steps[800:]) for k in range(240)]
+        reports = self.assert_reference(v, runs)
+        assert reports[100] == RunReport(True, None, True)
+        assert reports[101].failure_index == 400 + 4 * 100 + 1
+        assert reports[239].failure_index == 400 + 4 * 100 + 1
+        assert reports[0].failure_index == 400 + 1 + 2
+        assert reports[99].failure_index == 400 + 4 * 99 + 1 + 4 * 49 + 2
+        assert {r.reason.split(": ")[1] for r in reports if not r.ok} == {
+            "counter 0 would become negative", "counter 2 would become negative"}
+
+    @pytest.mark.parametrize("kind", ["foreign", "wrong state"])
+    def test_one_middle_copy_with_a_bad_step(self, pumped, kind):
+        v, steps = pumped
+        runs = []
+        for at in range(404, 796, 3):
+            t = steps[at]
+            bad = Transition(t.src, t.delta, "nowhere") if kind == "foreign" else steps[at + 1]
+            runs.append(Run(v.source, steps[:at] + (bad,) + steps[at + 1:]))
+        reason = "not in the VASS" if kind == "foreign" else "transition leaves"
+        for r, at in zip(self.assert_reference(v, runs), range(404, 796, 3)):
+            assert r.failure_index == at and reason in r.reason
+
+    def test_repeat_that_is_no_cycle(self, pumped):
+        # the 3 steps just walked, again: they lead from one state to
+        # another, so the second copy's first step is in the wrong state
+        v, steps = pumped
+        runs = [Run(v.source, steps[:at] + steps[at - 3:at] * 40) for at in range(404, 800)]
+        for r, at in zip(self.assert_reference(v, runs), range(404, 800)):
+            assert r.failure_index == at and "transition leaves" in r.reason
+
+    def test_repeat_cut_one_step_short(self, pumped):
+        v, steps = pumped
+        body = steps[400:404]
+        # every prefix of the canonical run is valid and stops short of the target
+        for end in range(400, 1010):
+            assert validate_run(v, Run(v.source, steps[:end])) == RunReport(True, None, False)
+        runs = [Run(v.source, steps[:400] + body * k + body[:-1] + steps[800:]) for k in range(95, 100)]
+        assert all("transition leaves" in r.reason for r in self.assert_reference(v, runs))
+
+    def test_equal_but_distinct_transitions(self, pumped):
+        v, steps = pumped
+        body = steps[400:404]
+        runs = [Run(v.source, fresh(steps)),
+                Run(v.source, steps[:600] + fresh(body) * 10 + steps[640:]),
+                Run(v.source, steps[:400] + fresh(body * 101) + steps[800:])]
+        reports = self.assert_reference(v, runs)
+        assert reports[:2] == [RunReport(True, None, True)] * 2
+        assert reports[2].failure_index == 801
+
+    def test_nested_repeat(self):
+        # an outer body a b b c whose inner b b repeats too; x falls by one
+        # per outer copy and dips by two within it.  Two spare transitions
+        # make |T| = 5, so a look back can reach the 4-step outer body.
+        a, b, c = (Transition("p", (0, 0), "q"), Transition("q", (-1, 1), "q"),
+                   Transition("q", (1, -2), "p"))
+        spare = [Transition("p", (0, 0), "r"), Transition("r", (0, 0), "p")]
+        v = tiny_vass([a, b, c, *spare], source=("p", (60, 0)), target=("p", (0, 0)))
+        outer = (a, b, b, c)
+        runs = [Run(v.source, outer * k) for k in range(0, 120, 3)]
+        runs += [Run(v.source, outer * k + (a, b, b, b, c) + outer * 40) for k in range(0, 60, 5)]
+        reports = self.assert_reference(v, runs)
+        # 59 outer copies stay valid; in the 60th x falls from 1 to -1
+        assert reports[19] == RunReport(True, None, False)
+        assert reports[20].failure_index == 59 * 4 + 2
+
+    def test_memory_stays_flat_on_a_long_run(self):
+        # the 1,951,316-step run of 2exp(2) at its least halting pump
+        compiled = compile_counter_program(gen_double_exp_fixed(2, 65_536)[0])
+        run = replay_canonical(compiled, maximal_policy(compiled.program)).run
+        assert len(run) == 1_951_316
+        tracemalloc.start()
+        try:
+            report = validate_run(compiled.vass, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == RunReport(True, None, True)
+        assert peak < 1_000_000
 
 
 class TestFlatness:
