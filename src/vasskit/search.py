@@ -14,10 +14,10 @@ Where each part lives:
   `_chain_moves`, each tested against per-counter caps by one guard-bit
   expression; `_target_caps` tightens the caps for the searches with a
   target.
-- `_explore` is the breadth-first search of `halting_reachable` and
-  `reachable_configs`; `_dial` is the search by step count of
-  `shortest_halting`, and `_lex_least_run` rebuilds its run;
-  `count_halting_runs` is a depth-first search.
+- `_explore` is the breadth-first search of `halting_reachable`,
+  `reachable_configs` and `count_halting_runs`, `_dial` the search by step
+  count of `shortest_halting`; `count_halting_runs` and `_lex_least_run`
+  then walk back from the target over reversed moves (`_Packed.into`).
 - `_Reachable` is the mapping `reachable_configs` returns, decoded when
   read: from the stored chain ends for an absorbing state, from one
   per-transition search for any other; `final_vectors` reads one state of
@@ -170,6 +170,16 @@ class _Packed:
 
     def encode(self, cfg: Configuration) -> int:
         return self.index[cfg.state] + self._pack(cfg.vector)
+
+    def into(self) -> list[list[tuple[int, int]]]:
+        """Per state index, `(packed delta, length)` of each move into it.
+        A stored `key - packed delta` is the move's start: a counter below
+        zero there would set a field's top bit, which no stored key sets."""
+        into: list[list[tuple[int, int]]] = [[] for _ in self.adj]
+        for s, ms in enumerate(self.adj):
+            for pd, _off, _tix, n in ms:
+                into[(s + pd) & self.smask].append((pd, n))
+        return into
 
 
 def _chain_moves(
@@ -351,14 +361,14 @@ def shortest_halting(
         raise ValueError("max_depth must be >= 0")
     packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
     cap = sys.maxsize if max_depth is None else max_depth
-    verdict, dist, done, stats = _dial(packed, budget.max_configs, cap)
-    run = _lex_least_run(v, packed, dist, done) if verdict == Verdict.FOUND else None
+    verdict, dist, stats = _dial(packed, budget.max_configs, cap)
+    run = _lex_least_run(v, packed, dist) if verdict == Verdict.FOUND else None
     return ReachResult(verdict, run, stats)
 
 
 def _dial(
     packed: _Packed, max_configs: int, max_depth: int
-) -> tuple[Verdict, dict[int, int], list[tuple[int, list[int]]], SearchStats]:
+) -> tuple[Verdict, dict[int, int], SearchStats]:
     """Dial's bucket queue (CACM 1969): keys come off buckets indexed by
     step distance, nearest first, and each is stored and expanded when it
     first comes off, at its shortest distance.  A key is checked against
@@ -366,27 +376,24 @@ def _dial(
     unless beyond `max_depth`.  The target is found once nothing can reach
     it sooner: when the buckets reach its distance, or when it is met one
     step past the current bucket.  Returns the verdict, the least distance
-    found for each key met (exact below the target's), the buckets taken
-    off as `(distance, keys)`, and stats."""
+    found for each key met (exact below the target's) and stats."""
     src, tgt = packed.src, packed.tgt
     if src is None:
-        return Verdict.EXHAUSTED, {}, [], SearchStats(0, 0, 0)
+        return Verdict.EXHAUSTED, {}, SearchStats(0, 0, 0)
     if src == tgt:
-        return Verdict.FOUND, {src: 0}, [], SearchStats(0, 1, 0)
+        return Verdict.FOUND, {src: 0}, SearchStats(0, 1, 0)
     adj, smask, guard = packed.adj, packed.smask, packed.guard
     lengths = {n for ms in adj for *_, n in ms}
     dist = {src: 0}
     buckets = {0: [src]}
-    done: list[tuple[int, list[int]]] = []
-    expanded = peak = d = 0
+    expanded = peak = d = last = 0  # `last`: the last distance a key was expanded at
     while buckets:
         if dist.get(tgt, d + 1) <= d:
-            return Verdict.FOUND, dist, done, SearchStats(expanded, peak, d)
+            return Verdict.FOUND, dist, SearchStats(expanded, peak, d)
         bucket = buckets.pop(d, None)
         if bucket is None:
             d += 1
             continue
-        done.append((d, bucket))
         peak = max(peak, len(bucket))
         # one int per distance, shared by every key queued at it, so the
         # distance map holds no int of its own per key
@@ -395,6 +402,7 @@ def _dial(
             if dist[key] < d:
                 continue  # stored already, at its shorter distance
             expanded += 1
+            last = d
             for pd, off, _tix, n in adj[key & smask]:
                 nk = key + pd
                 if (nk | nk + off) & guard:
@@ -403,8 +411,7 @@ def _dial(
                 old = dist.get(nk)
                 if old is None:
                     if len(dist) >= max_configs:
-                        stats = SearchStats(expanded, peak, nd)
-                        return Verdict.BUDGET_EXCEEDED, dist, done, stats
+                        return Verdict.BUDGET_EXCEEDED, dist, SearchStats(expanded, peak, nd)
                 elif nd >= old:
                     continue
                 dist[nk] = nd
@@ -412,8 +419,8 @@ def _dial(
                     continue
                 if nk == tgt and n == 1:
                     # nothing reaches it sooner; the rest of this bucket
-                    # stays unexpanded, for the run's rebuild
-                    return Verdict.FOUND, dist, done, SearchStats(expanded, peak, nd)
+                    # stays unexpanded, its keys at their shortest distance
+                    return Verdict.FOUND, dist, SearchStats(expanded, peak, nd)
                 queued = buckets.get(nd)
                 if queued is None:
                     buckets[nd] = [nk]
@@ -423,29 +430,25 @@ def _dial(
     # every queued key was stored, so a key met but not stored was dropped
     # by the depth cap and never met closer
     verdict = Verdict.BUDGET_EXCEEDED if len(dist) > expanded else Verdict.EXHAUSTED
-    depth = next(d for d, bucket in reversed(done) if any(dist[k] == d for k in bucket))
-    return verdict, dist, done, SearchStats(expanded, peak, depth)
+    return verdict, dist, SearchStats(expanded, peak, last)
 
 
-def _lex_least_run(
-    v: Vass, packed: _Packed, dist: dict[int, int], done: list[tuple[int, list[int]]]
-) -> Run:
+def _lex_least_run(v: Vass, packed: _Packed, dist: dict[int, int]) -> Run:
     """The least shortest run to the target, once `_dial` has found it.  A
     move is tight when its start's distance plus its length is its end's.
     A pass back from the target marks the stored keys that reach it by
     tight moves; a walk from the source then takes, at each key, the first
     tight move to a marked key and expands that chain into transitions."""
-    adj, smask, tgt = packed.adj, packed.smask, packed.tgt
+    adj, into, smask, tgt = packed.adj, packed.into(), packed.smask, packed.tgt
     # a move that leaves the caps ends at no stored key, so needs no test
     marked = {tgt}
-    for d, bucket in reversed(done):  # farthest first
-        for key in bucket:
-            if dist[key] == d:  # else a stale entry, stored nearer
-                for pd, _off, _tix, n in adj[key & smask]:
-                    nk = key + pd
-                    if nk in marked and dist[nk] == d + n:
-                        marked.add(key)
-                        break
+    todo = [tgt]
+    for key in todo:
+        for pd, n in into[key & smask]:
+            pk = key - pd
+            if dist.get(pk) == dist[key] - n and pk not in marked:
+                marked.add(pk)
+                todo.append(pk)
     only = {t.src: t for t in v.transitions}  # the one transition inside a chain
     steps: list[Transition] = []
     key = packed.src
@@ -586,67 +589,65 @@ def final_vectors(
 def count_halting_runs(v: Vass, budget: SearchBudget) -> int:
     """Number of distinct halting paths within the bound, an exact int.
 
-    The depth-first search drops configurations that cannot reach the
-    target by the rule of halting_reachable (see `_target_caps`), and steps
-    along maximal deterministic chains.  Chains are deterministic and the target
-    state is a cut, so halting paths map one to one onto chain paths, and a
-    cycle of configurations shows up as a cycle among chain ends.
+    `_explore` exhausts the space as for halting_reachable, stepping along
+    maximal deterministic chains and dropping configurations that cannot
+    reach the target (see `_target_caps`); the target state is a cut, so
+    halting paths map one to one onto chain paths.  A pass back from the
+    target finds the live configurations, those on a path to it, and the
+    paths to each are summed in Kahn's order (CACM 1962), parallel moves
+    each counted.
 
-    A back edge among the configurations it keeps raises ConfigCycleError.
-    The rule drops no configuration that can reach the target, so a cycle
-    through one is always met: a finite count is never returned where the
-    true count within the bound is infinite.  A cycle among kept
-    configurations that cannot halt raises too.  This is a bounded check,
-    not a proof about unbounded runs.
+    A cycle among the live configurations raises ConfigCycleError, so a
+    finite count is never returned where the true count within the bound is
+    infinite; a cycle that no halting path passes through cannot halt and
+    does not raise.  This is a bounded check, not a proof about unbounded
+    runs.
 
     `max_configs` counts the chain-end configurations stored, a subset of
     every reachable configuration, so it never needs a larger budget to
     finish than a per-transition search would.
     """
     packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
-    if packed.src is None:
-        return 0
-    adj, smask, guard = packed.adj, packed.smask, packed.guard
+    verdict, stored, _stats = _explore(packed, -1, budget.max_configs)
+    if verdict == Verdict.BUDGET_EXCEEDED:
+        raise BudgetExceededError(f"run counting exceeded {budget.max_configs} configurations")
     src, tgt = packed.src, packed.tgt
-    max_configs = budget.max_configs
-    # configuration -> halting-run count once its subtree is done; -1 while
-    # it is on the DFS stack
-    counts = {src: -1}
-    # one frame per configuration on the stack: [key, its moves left, its
-    # partial count]
-    stack = [[src, iter(adj[src & smask]), int(src == tgt)]]
-    while stack:
-        frame = stack[-1]
-        key, moves, acc = frame
-        for pd, off, _tix, _n in moves:
+    if tgt not in stored:
+        return 0
+    adj, into, smask = packed.adj, packed.into(), packed.smask
+    # per live key, its in-edges from stored keys, which are live through it
+    indeg = {tgt: 0}
+    todo = [tgt]
+    for key in todo:
+        for pd, _n in into[key & smask]:
+            pk = key - pd
+            if pk in stored:
+                indeg[key] += 1
+                if pk not in indeg:
+                    indeg[pk] = 0
+                    todo.append(pk)
+    # every live key but the source has a live in-edge, so Kahn's order
+    # starts at the source alone, and misses a live key iff they hold a cycle
+    paths = {src: 1}
+    order = [] if indeg[src] else [src]
+    for key in order:
+        for pd, *_ in adj[key & smask]:
             nk = key + pd
-            if (nk | nk + off) & guard:
-                continue
-            c = counts.get(nk)
-            if c is None:
-                if len(counts) >= max_configs:
-                    raise BudgetExceededError(
-                        f"run counting exceeded {max_configs} configurations"
-                    )
-                frame[2] = acc
-                counts[nk] = -1
-                stack.append([nk, iter(adj[nk & smask]), int(nk == tgt)])
-                break
-            if c < 0:
-                raise ConfigCycleError(
-                    "configuration graph has a cycle; halting-run count undefined"
-                )
-            acc += c
-        else:
-            counts[key] = acc
-            stack.pop()
-            if stack:
-                stack[-1][2] += acc
-    return counts[src]
+            left = indeg.get(nk)
+            if left:  # else not live
+                paths[nk] = paths.get(nk, 0) + paths[key]
+                indeg[nk] = left - 1
+                if left == 1:
+                    order.append(nk)
+    if len(order) < len(indeg):
+        raise ConfigCycleError("configuration graph has a cycle; halting-run count undefined")
+    return paths[tgt]
 
 
 # ---------------------------------------------------------------------------
 # Canonical replay
+
+_MAX_VISITS = 2_000_000  # visits per replay; CI's largest, 2exp(12), makes about 41,000
 
 
 @dataclass(frozen=True)
@@ -802,8 +803,7 @@ class _Replay:
         guard = 0
         while pc <= n:
             guard += 1
-            # the largest replay CI makes, 2exp(12), takes about 41,000 visits
-            if guard > 2_000_000:
+            if guard > _MAX_VISITS:
                 raise PolicyStuckError("replay did not terminate (policy loops)")
             if pc in checks:
                 visit = (tuple(vec), dict(self.counted_left))

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 import re
@@ -49,6 +50,8 @@ from vasskit.search import (
 from vasskit.vass import (
     Configuration, Run, RunReport, Transition, Vass, is_flat, validate_run,
 )
+
+search_module = importlib.import_module("vasskit.search")
 
 
 def iddfs_shortest(v, bound, max_len):
@@ -126,6 +129,22 @@ class TestShortestHalting:
     def test_budget_rejects_bad_values(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             SearchBudget(*args)
+
+    def test_target_met_past_the_bucket_rebuilds_through_unexpanded_keys(self):
+        # s -> d -> b -> t is three one-step moves; s -> u -> c -> t a
+        # two-step chain and one move.  c joins bucket 2 ahead of b, so c's
+        # move meets t one step past it and the search stops with b
+        # unexpanded, though b, on the least run, has a tight move to t too.
+        # s -> a comes first, but a's chain a -> y -> b is one step too long
+        ts = [("s", "a"), ("s", "d"), ("s", "u"), ("u", "c"), ("a", "y"), ("a", "z"),
+              ("y", "b"), ("d", "b"), ("d", "z"), ("b", "t"), ("b", "z"), ("c", "t"), ("c", "z")]
+        v = Vass(1, ("s", "a", "d", "u", "y", "b", "c", "t", "z"),
+                 tuple(Transition(src, (0,), dst) for src, dst in ts),
+                 Configuration("s", (0,)), Configuration("t", (0,)))
+        res = shortest_halting(v, SearchBudget(1))
+        assert res.stats == SearchStats(4, 2, 3)  # s, a, d and c expanded
+        assert [(t.src, t.dst) for t in res.run.steps] == [("s", "d"), ("d", "b"), ("b", "t")]
+        assert res.run == per_transition_shortest(v, SearchBudget(1))[1]
 
     def test_negative_max_depth_rejected(self):
         compiled = compile_counter_program(gen_exp_fixed(1, 1))
@@ -554,8 +573,9 @@ class TestReplay:
         assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("materialize", [True, False])
-    def test_runaway_replay_stops_at_the_visit_guard(self, materialize):
+    def test_runaway_replay_stops_at_the_visit_guard(self, materialize, monkeypatch):
         # the goto re-enters the body, so y grows and no visit repeats
+        monkeypatch.setattr(search_module, "_MAX_VISITS", 20_000)
         text = "counters x y\ninit\nx += 2\nloop\n  x -= 1\n  in: y += 1\nendloop\ngoto in or in\nhalt\n"
         compiled = compile_counter_program(parse(text))
         entry = compiled.program.loops[0].entry
@@ -1722,7 +1742,7 @@ def test_halting_reachable_source_is_target_has_no_run():
 
 class TestRunCountOverLiveConfigurations:
     """count_halting_runs over the configurations that can reach the
-    target: it drops the others, counts the runs when those it keeps form
+    target: it drops the others, counts the runs when the live ones form
     no cycle, and raises ConfigCycleError when they do.  A case is
     certified when the full reference meets no cycle either; there the
     count is the full reference's."""
@@ -1781,6 +1801,30 @@ class TestRunCountOverLiveConfigurations:
         # the full chain search stores 102,979 configurations here
         v = compile_counter_program(gen_exp_fixed(4, 24)).vass
         assert count_halting_runs(v, SearchBudget(144, 50_000)) == 1
+
+    def test_cycle_that_cannot_halt_is_not_counted(self):
+        # p and q pump x up and down, and from p the run ends at t with
+        # x = 2, never at the target (t, 0): the one halting run is s -> t
+        ts = [("s", (0,), "t"), ("s", (2,), "p"), ("p", (1,), "q"), ("q", (-1,), "p"),
+              ("p", (0,), "t")]
+        v = Vass(1, ("s", "p", "q", "t"), tuple(Transition(*t) for t in ts),
+                 Configuration("s", (0,)), Configuration("t", (0,)))
+        budget = SearchBudget(3)
+        assert count_halting_runs(v, budget) == ref_live_count(v, budget) == 1
+        with pytest.raises(ConfigCycleError):
+            ref_count(v, budget)
+
+    def test_parallel_moves_are_counted_twice(self):
+        # p -> a -> q and p -> b -> q are two chains with the same net
+        # effect between the same chain ends, and so are q -> c -> r and
+        # q -> d -> r: four runs
+        ts = [("p", "a"), ("p", "b"), ("a", "q"), ("b", "q"), ("q", "c"), ("q", "d"),
+              ("c", "r"), ("d", "r")]
+        v = Vass(1, ("p", "a", "b", "q", "c", "d", "r"),
+                 tuple(Transition(src, (1,), dst) for src, dst in ts),
+                 Configuration("p", (0,)), Configuration("r", (4,)))
+        budget = SearchBudget(4)
+        assert count_halting_runs(v, budget) == ref_count(v, budget) == 4
 
     def test_zero_effect_self_loop(self):
         # p can halt, so its cycle is kept
