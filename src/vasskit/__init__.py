@@ -14,7 +14,7 @@ from .errors import (
     VasskitError,
     WrongStateError,
 )
-from .expand import FlatProgram, LoopSpan, expand, pretty_print_flat
+from .expansion import FlatProgram, LoopSpan, expand, pretty_print_flat
 from .families import (
     ComponentInfo,
     DoubleExpMeta,

@@ -20,7 +20,7 @@ from . import families, measure, verify
 from .arith import description_size
 from .compiler import compile_counter_program, compile_program
 from .errors import BudgetExceededError, ExpansionError, ParseError, VasskitError
-from .expand import expand, pretty_print_flat
+from .expansion import expand, pretty_print_flat
 from .lang import parse, pretty_print
 from .search import SearchBudget, Verdict, shortest_halting
 from .vass import Vass, is_flat, vass_size

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExpansionError
-from .expand import FlatProgram, expand
+from .expansion import FlatProgram, expand
 from .lang import Add, CounterProgram, Goto, Halt, Init, Sub
 from .vass import Configuration, Transition, Vass
 

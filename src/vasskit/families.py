@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .arith import divisibility_threshold, threshold_index
 from .errors import PolicyStuckError
-from .expand import FlatProgram
+from .expansion import FlatProgram
 from .lang import (
     Add, BinOp, BitTest, Command, CounterProgram, For, Goto, Halt, If, Init,
     Labeled, Lit, Loop, Sub, Var,

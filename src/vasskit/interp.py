@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import BudgetExceededError
-from .expand import FlatProgram
+from .expansion import FlatProgram
 from .lang import Add, Goto, Halt, Init, Sub
 
 # the most (line, vector) pairs one exploration stores

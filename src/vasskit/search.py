@@ -8,12 +8,22 @@ is deterministic: successors are expanded in the canonical transition order
 of the Vass, and results, stats and shortest-run tie-breaks included, are
 reproducible.
 
+The searches with a target also drop every configuration that provably
+cannot reach it, by linear invariants worked out once per search over the
+moves from the target state back (`_invariants`): a weight vector w holds at
+a state when every move on a path from it to the target state has `w·net <=
+0`, so a configuration there with `w·v < w·target` cannot halt.  The unit
+vectors -e_i cap single counters at their target values; the ratio vectors
+`a·e_i - b·e_j`, one per loop that lowers counters i and j, with `a·net_i =
+b·net_j` on it, catch what a cap on one counter cannot: on the exponential
+family, the last loop `x -= n+1; y -= 1` zeroes y only from `x >= (n+1)·y`.
+
 Where each part lives:
 - `_Packed` packs a configuration into one int and holds the moves from
   each state: single transitions, or the deterministic chains of
-  `_chain_moves`, each tested against per-counter caps by one guard-bit
-  expression; `_target_caps` tightens the caps for the searches with a
-  target.
+  `_chain_moves`, each tested against per-field caps by one guard-bit
+  expression; `_invariants` tightens the caps for the searches with a
+  target, and each ratio invariant gets a packed field of its own.
 - `_explore` is the breadth-first search of `halting_reachable`,
   `reachable_configs` and `count_halting_runs`, `_dial` the search by step
   count of `shortest_halting`; `count_halting_runs` and `_lex_least_run`
@@ -28,6 +38,8 @@ Where each part lives:
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import sys
 from collections import deque
 from collections.abc import Iterator, Mapping, MutableSequence
@@ -36,7 +48,7 @@ from enum import Enum
 
 from .compiler import CompiledProgram
 from .errors import BudgetExceededError, ConfigCycleError, PolicyStuckError
-from .expand import LoopSpan
+from .expansion import LoopSpan
 from .lang import Add, Goto, Halt, Sub
 from .vass import Configuration, Run, Transition, Vass
 
@@ -96,22 +108,27 @@ class ReachResult:
 
 class _Packed:
     """Configurations packed into single ints: the state index in the low
-    bits, then one field of `wbits` bits per counter.  States in `absorbing`
-    get no outgoing transitions.
+    bits, then one field per ratio invariant, then one field of `wbits` bits
+    per counter.  States in `absorbing` get no outgoing transitions.
 
     Caps are the bound, unless `prune` tightens them for the target (see
-    `_target_caps`); then moves into states that cannot reach the target
-    state are left out.  A successor is one integer addition and one guard
-    test against the caps at the move's end state: with `top =
-    2^(wbits-1) - 1`, `guard` holds each field's top bit and a move's
-    `off` holds `top - cap` in each field, and `nk` is kept iff `(nk |
-    nk + off) & guard == 0` (Lamport, CACM 1975).  The fields are wide
-    enough that `bound + largest move amount <= top`, so a field in range
-    sets its top bit in neither int, an underflow borrows and sets it in
-    `nk`, and a value above its cap sets it in `nk + off`.  No field below
-    the lowest one out of range carries or borrows into it, so that field
-    shows its top bit and the test is exact.  `nk & guard` alone is nonzero
-    exactly when some counter went below zero.
+    `_invariants`); then moves into states that cannot reach the target
+    state are left out, and each ratio invariant `a·v_i - b·v_j` gets a
+    derived field `u = K + b·v_j - a·v_i`, capped at `K - w·target` at the
+    states of its region and at its field's top elsewhere.  A successor is
+    one integer addition and one guard test against the caps at the move's
+    end state: with `top` a field's largest value with its top bit clear,
+    `guard` holds each field's top bit and a move's `off` holds `top - cap`
+    in each field, and `nk` is kept iff `(nk | nk + off) & guard == 0`
+    (Lamport, CACM 1975).  The counter fields are wide enough that `bound +
+    largest move amount <= top`, so a field in range sets its top bit in
+    neither int, an underflow borrows and sets it in `nk`, and a value above
+    its cap sets it in `nk + off`.  No field below the lowest one out of
+    range carries or borrows into it, so that field shows its top bit and
+    the test is exact.  A derived field's `K` and width leave room for every
+    counter pair in [-amount, bound + amount], so in `nk` it never leaves
+    [0, top] and never borrows from the counters above it: `nk & guard`
+    alone is nonzero exactly when some counter went below zero.
 
     Adjacency entries are the moves of `_chain_moves`, so only states
     reachable from the source state get entries.  With `chains`, each entry
@@ -132,26 +149,56 @@ class _Packed:
         index = self.index = {s: i for i, s in enumerate(v.states)}
         moves = _chain_moves(v, index, absorbing, chains)
         # a chain's net amount can exceed every single transition's
-        max_amount = max((abs(d) for ms in moves for delta, *_ in ms for d in delta), default=0)
-        caps = self.caps = (
-            _target_caps(v, index, bound) if prune else [(bound,) * v.dimension] * len(v.states)
-        )
+        nets = {net for ms in moves for net, *_ in ms}
+        amount = max(map(abs, itertools.chain.from_iterable(nets)), default=0)
+        if prune:
+            caps, ratios = _invariants(moves, index[v.target.state], v.target.vector, bound)
+        else:
+            caps, ratios = [(bound,) * v.dimension] * len(v.states), []
+        self.ratios = ratios
         self.sbits = max(1, (len(v.states) - 1).bit_length())
-        self.wbits = max(1, (2 * (bound + max_amount) + 1).bit_length())
+        self.wbits = max(1, (2 * (bound + amount) + 1).bit_length())
         self.smask = (1 << self.sbits) - 1
         self.cmask = (1 << self.wbits) - 1
-        self.shifts = tuple(self.sbits + self.wbits * i for i in range(v.dimension))
-        top = self.cmask >> 1
-        self.guard = self._pack([top + 1] * v.dimension)
+        # one derived field per ratio invariant, between the state bits and
+        # the counters: u = K + b·v_j - a·v_i over v_i, v_j in [-amount,
+        # bound + amount] spans [0, (a + b)·(bound + 2·amount)]
+        ks, tops, shifts = [], [], []
+        at = self.sbits
+        for i, a, j, b, _r in ratios:
+            ks.append(a * (bound + amount) + b * amount)
+            width = ((a + b) * (bound + 2 * amount)).bit_length() + 1
+            tops.append((1 << (width - 1)) - 1)
+            shifts.append(at)
+            at += width
+        self.shifts = tuple(at + self.wbits * i for i in range(v.dimension))
+        self.field_shifts = self.shifts + tuple(shifts)
+        tops = self.field_tops = [self.cmask >> 1] * v.dimension + tops
+        self.ks = [0] * v.dimension + ks  # each field's K; a counter's is 0
+        self.guard = self._pack([top + 1 for top in tops])
+        self._base = self._pack(self.ks)
+        # per state, every field's cap, counters first: a derived field's
+        # binds inside its invariant's region
+        if ratios:
+            target = self._lin(v.target.vector)[v.dimension:]
+            low = [min(max(k + x, 0), top) for k, x, top in zip(ks, target, tops[v.dimension:])]
+            caps = [
+                None if c is None else c + tuple(
+                    [u if r[s] else top for u, top, (*_w, r) in zip(low, tops[v.dimension:], ratios)]
+                )
+                for s, c in enumerate(caps)
+            ]
+        self.caps = caps
         # the cap offsets of each distinct caps tuple; a state whose caps are
         # None cannot reach the target state, and no move enters it
-        offs = {c: self._pack([top - x for x in c]) for c in set(caps) if c is not None}
+        offs = {c: self._pack([t - x for t, x in zip(tops, c)]) for c in set(caps) if c is not None}
+        packed = {net: self._pack(self._lin(net)) for net in nets}
         self.adj = [
             [
-                (dst - s + self._pack(delta), offs[caps[dst]], tix, n)
+                (dst - s + packed[delta], offs[caps[dst]], tix, n)
                 for delta, dst, tix, n in ms
                 if caps[dst] is not None
-            ]
+            ] if ms else []
             for s, ms in enumerate(moves)
         ]
         # a configuration outside its state's caps could overflow its fields:
@@ -160,16 +207,26 @@ class _Packed:
         self.tgt = self.encode(v.target) if self.admits(v.target) else -1
 
     def _pack(self, values) -> int:
-        """One value per counter, shifted into its field and summed."""
-        return sum([x << shift for x, shift in zip(values, self.shifts) if x])
+        """One value per field, counters first, shifted into place and summed."""
+        return sum([x << shift for x, shift in zip(values, self.field_shifts) if x])
+
+    def _lin(self, vec: tuple[int, ...]) -> tuple[int, ...]:
+        """The counters, then `-(a·v_i - b·v_j)` per ratio invariant: the
+        fields of a vector less their `K`s, or of a move's net effect."""
+        if not self.ratios:
+            return vec
+        return (*vec, *[b * vec[j] - a * vec[i] for i, a, j, b, _r in self.ratios])
 
     def admits(self, cfg: Configuration) -> bool:
-        """Whether cfg is within the caps of its state."""
+        """Whether cfg is within the caps of its state, derived fields
+        included."""
         caps = self.caps[self.index[cfg.state]]
-        return caps is not None and all(x <= c for x, c in zip(cfg.vector, caps))
+        return caps is not None and all(
+            x + k <= c for x, k, c in zip(self._lin(cfg.vector), self.ks, caps)
+        )
 
     def encode(self, cfg: Configuration) -> int:
-        return self.index[cfg.state] + self._pack(cfg.vector)
+        return self.index[cfg.state] + self._base + self._pack(self._lin(cfg.vector))
 
     def into(self) -> list[list[tuple[int, int]]]:
         """Per state index, `(packed delta, length)` of each move into it.
@@ -216,10 +273,10 @@ def _chain_moves(
             n = 1
             while not cut[cur]:
                 delta, nxt, _ = out[cur][0]
-                if (nxt in seen and not cut[nxt]) or any(a * d < 0 for a, d in zip(net, delta)):
+                if (nxt in seen and not cut[nxt]) or min(map(operator.mul, net, delta), default=0) < 0:
                     cut[cur] = True
                     break
-                net = tuple([a + d for a, d in zip(net, delta)])
+                net = tuple(map(operator.add, net, delta))
                 seen.add(nxt)
                 cur = nxt
                 n += 1
@@ -230,41 +287,93 @@ def _chain_moves(
     return moves
 
 
-def _target_caps(v: Vass, index: dict[str, int], bound: int) -> list[tuple[int, ...] | None]:
-    """Per state index, None if the state cannot reach the target state;
-    otherwise one cap per counter: `bound` if some transition on a path from
-    the state to the target state decreases the counter, else
-    `min(bound, target value)`.  Along every run from a state, a counter
-    nothing later decreases only grows, so a configuration holding more than
-    its target value there cannot reach the target.
+def _invariants(
+    moves: list[list[tuple[tuple[int, ...], int, int, int]]],
+    tgt: int,
+    target: tuple[int, ...],
+    bound: int,
+) -> tuple[list[tuple[int, ...] | None], list[tuple[int, int, int, int, list[bool]]]]:
+    """Linear invariants that hold downstream of each state, for the
+    searches with a target.  A weight vector w holds at state s when every
+    move on a path from s to the target state has `w·net <= 0`: along every
+    run from s to the target w·v never grows, so a configuration at s with
+    `w·v < w·target` cannot halt.  The states where w holds, its region,
+    are closed downstream.
 
-    One backward worklist pass from the target state: a state's counters
-    are those its transitions into live states decrease, plus those of
-    their end states.  A state is queued again only when its set grows, so
-    at most `dimension + 1` times."""
-    into: list[list[tuple[int, int]]] = [[] for _ in v.states]
-    for t in v.transitions:
-        into[index[t.dst]].append(
-            (index[t.src], sum(1 << i for i, d in enumerate(t.delta) if d < 0))
-        )
-    tgt = index[v.target.state]
-    # per state: bitmask of the counters a path to the target can decrease
-    dec: list[int | None] = [None] * len(v.states)
-    dec[tgt] = 0
+    Returns, per state index, None if the state cannot reach the target
+    state, else one cap per counter: w = -e_i, which holds where no move on
+    such a path decreases counter i, caps the counter at `min(bound, target
+    value)`, and elsewhere the cap is `bound`.  Also returns the ratio
+    invariants `(i, a, j, b, region)`, w = a·e_i - b·e_j, region a flag per
+    state: each loop (a move from a state back to itself) that decreases
+    counters i and j gives `a = |net_j| / g` and `b = |net_i| / g`, g their
+    gcd, so that the loop itself has `w·net = 0`, and w is kept when the
+    loop's state is in its region.
+
+    One backward worklist pass from the target state gives each state the
+    bitmask of the distinct nets on its paths to the target state: those of
+    its moves into live states, plus those of their end states'.  A state
+    is queued again only when its mask grows, so at most once per distinct
+    net.  An invariant holds at a state whose mask has none of the nets
+    that break it."""
+    bits: dict[tuple[int, ...], int] = {}
+    into: list[list[tuple[int, int]]] = [[] for _ in moves]
+    loops = []
+    for s, ms in enumerate(moves):
+        for net, d, _tix, _n in ms:
+            into[d].append((s, bits.setdefault(net, 1 << len(bits))))
+            if d == s:
+                loops.append((s, net))
+    down: list[int | None] = [None] * len(moves)
+    down[tgt] = 0
     todo = [tgt]
     while todo:
         d = todo.pop()
-        for s, neg in into[d]:
-            old = dec[s]
-            new = dec[d] | neg | (old or 0)
+        for s, bit in into[d]:
+            old = down[s]
+            new = down[d] | bit | (old or 0)
             if new != old:
-                dec[s] = new
+                down[s] = new
                 todo.append(s)
-    tight = [min(bound, x) for x in v.target.vector]
-    return [
-        None if m is None else tuple(bound if m >> i & 1 else c for i, c in enumerate(tight))
-        for m in dec
-    ]
+
+    # per counter, the masks of the nets that raise and that lower it
+    nets = list(bits)
+    rises = [sum([1 << k for k, net in enumerate(nets) if net[i] > 0]) for i in range(len(target))]
+    falls = [sum([1 << k for k, net in enumerate(nets) if net[i] < 0]) for i in range(len(target))]
+    tight = [min(bound, x) for x in target]
+    by_mask = {
+        m: tuple([bound if m & fall else c for fall, c in zip(falls, tight)])
+        for m in set(down) if m is not None
+    }
+    caps = [None if m is None else by_mask[m] for m in down]
+
+    ratios: list[tuple[int, int, int, int, list[bool]]] = []
+    breaking: dict[tuple[int, int, int, int], int] = {}  # per w, the nets that break it
+    kept = set()
+    for s, net in loops:
+        here = down[s]
+        if here is None:
+            continue
+        for i, j in itertools.permutations([i for i, x in enumerate(net) if x < 0], 2):
+            # the nets with a·x_i > b·x_j by their signs alone
+            signed = rises[i] & ~rises[j] | falls[j] & ~falls[i]
+            if here & signed:
+                continue
+            g = math.gcd(net[i], net[j])
+            a, b = -net[j] // g, -net[i] // g
+            w = (i, a, j, b)
+            if w in kept:
+                continue
+            if w not in breaking:
+                both = rises[i] & rises[j] | falls[i] & falls[j]
+                breaking[w] = signed | sum(
+                    [1 << k for k, x in enumerate(nets) if both >> k & 1 and a * x[i] > b * x[j]]
+                )
+            bad = breaking[w]
+            if not here & bad:
+                kept.add(w)
+                ratios.append((*w, [m is not None and not m & bad for m in down]))
+    return caps, ratios
 
 
 def _explore(
@@ -322,11 +431,14 @@ def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
     The search steps along maximal deterministic chains of transitions and
     stores only the configurations where chains start or end, which include
     every place where runs can branch.  It also drops every configuration
-    that provably cannot reach the target (see `_target_caps`): one at a
-    state with no path to the target state, or one holding more than its
-    target value in a counter that no transition on a path from its state to
-    the target state decreases; that counter can only grow from there.  The
-    rule rejects no configuration that can reach the target, so verdicts stay
+    that provably cannot reach the target (see `_invariants`): one at a
+    state with no path to the target state; one holding more than its
+    target value in a counter that no move on a path from its state to the
+    target state decreases, since that counter can only grow from there; and
+    one where `a·v_i - b·v_j` is below its target value for a ratio
+    invariant that no move on such a path raises, taken from a loop that
+    lowers counters i and j and holding at that loop's state.  The rule
+    rejects no configuration that can reach the target, so verdicts stay
     exact, and it is not a bound rejection.  `stats.expanded` counts the
     stored configurations, which pass the rule, not counting a target just
     found, and `depth` and `frontier_peak` count chain levels.  It stores a
@@ -591,10 +703,12 @@ def count_halting_runs(v: Vass, budget: SearchBudget) -> int:
 
     `_explore` exhausts the space as for halting_reachable, stepping along
     maximal deterministic chains and dropping configurations that cannot
-    reach the target (see `_target_caps`); the target state is a cut, so
-    halting paths map one to one onto chain paths.  A pass back from the
-    target finds the live configurations, those on a path to it, and the
-    paths to each are summed in Kahn's order (CACM 1962), parallel moves
+    reach the target by the counter caps and ratio invariants of
+    `_invariants` (on `gen_exp_fixed(4, 24)` at bound 144 it stores 7,215
+    chain ends, where the caps alone leave 38,687); the target state is a
+    cut, so halting paths map one to one onto chain paths.  A pass back from
+    the target finds the live configurations, those on a path to it, and
+    the paths to each are summed in Kahn's order (CACM 1962), parallel moves
     each counted.
 
     A cycle among the live configurations raises ConfigCycleError, so a

@@ -26,7 +26,7 @@ from . import families
 from .arith import description_size, divisibility_threshold
 from .compiler import CompiledProgram, compile_counter_program, compile_program
 from .errors import VasskitError
-from .expand import expand
+from .expansion import expand
 from .interp import reachable_line_configs
 from .lang import CounterProgram, Sub
 from .search import (

@@ -3,7 +3,7 @@ import pytest
 from vasskit import interp
 from vasskit.compiler import compile_counter_program, compile_program
 from vasskit.errors import BudgetExceededError, ExpansionError
-from vasskit.expand import expand
+from vasskit.expansion import expand
 from vasskit.families import gen_exp, gen_hp, gen_weak, gen_weak_mult, with_initial_values
 from vasskit.interp import reachable_line_configs
 from vasskit.lang import parse
@@ -62,7 +62,7 @@ class TestStructure:
         assert len(outgoing) == 1
 
     def test_unexpanded_program_rejected(self):
-        from vasskit.expand import FlatProgram
+        from vasskit.expansion import FlatProgram
         from vasskit.lang import Goto, Init
 
         bogus = FlatProgram(("x",), (Init(), Goto("nowhere", "nowhere")))

@@ -8,7 +8,7 @@ import pytest
 from vasskit.arith import description_size
 from vasskit.compiler import compile_counter_program
 from vasskit.errors import PolicyStuckError
-from vasskit.expand import expand
+from vasskit.expansion import expand
 from vasskit.families import (
     NpInstance,
     double_exp_canonical_policy,

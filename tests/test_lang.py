@@ -1,9 +1,8 @@
-import importlib
-
 import pytest
 
+from vasskit import expansion
 from vasskit.errors import ExpansionError, ParseError
-from vasskit.expand import LoopSpan, expand, pretty_print_flat
+from vasskit.expansion import LoopSpan, expand, pretty_print_flat
 from vasskit.lang import (
     Add, BinOp, BitTest, Compare, CounterProgram, For, Goto, Halt, If, Init,
     Labeled, Lit, Loop, Pow, Sub, Var, eval_cond, eval_expr, parse, pretty_print,
@@ -20,9 +19,6 @@ loop
   y -= 2
 endloop
 """
-
-# the module itself: `vasskit.expand` is also the package's name for the function
-expand_module = importlib.import_module("vasskit.expand")
 
 
 class TestParse:
@@ -238,8 +234,16 @@ class TestExpand:
         with pytest.raises(ExpansionError, match="non-positive"):
             expand(p)
 
+    def test_module_and_function_names(self, monkeypatch):
+        # the submodule is `vasskit.expansion`; `vasskit.expand` is the function
+        import vasskit
+
+        assert vasskit.expansion is expansion and vasskit.expand is expand is expansion.expand
+        monkeypatch.setattr("vasskit.expansion._MAX_LINES", 100)
+        assert expansion._MAX_LINES == 100
+
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(expand_module, "_MAX_LINES", 100)
+        monkeypatch.setattr(expansion, "_MAX_LINES", 100)
         p = parse("counters x\nfor i := 1 to 1000\n  x += 1\nendfor\n")
         with pytest.raises(ExpansionError, match="budget of 100 lines"):
             expand(p)
@@ -248,7 +252,7 @@ class TestExpand:
         def program(n):
             return parse(f"counters x\ninit\nfor i := 1 to {n}\n  if i = 0 then\n    x += 1\n  endif\nendfor\nhalt x\n")
 
-        monkeypatch.setattr(expand_module, "_MAX_LINES", 100)
+        monkeypatch.setattr(expansion, "_MAX_LINES", 100)
         assert len(expand(program(100)).lines) == 2
         with pytest.raises(ExpansionError, match="budget of 100 for iterations"):
             expand(program(1000))

@@ -22,7 +22,7 @@ import random
 import re
 
 from vasskit.compiler import compile_program
-from vasskit.expand import expand, pretty_print_flat
+from vasskit.expansion import expand, pretty_print_flat
 from vasskit.interp import reachable_line_configs
 from vasskit.lang import parse, pretty_print
 from vasskit.search import (

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from vasskit import lang
-from vasskit.expand import expand
+from vasskit.expansion import expand
 from vasskit.lang import parse
 
 README = Path(__file__).resolve().parent.parent / "README.md"

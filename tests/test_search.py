@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import random
 import re
 import time
@@ -45,7 +46,6 @@ from vasskit.search import (
     _explore,
     _Packed,
     _Replay,
-    _target_caps,
 )
 from vasskit.vass import (
     Configuration, Run, RunReport, Transition, Vass, is_flat, validate_run,
@@ -797,18 +797,127 @@ def ref_target_caps(v, bound):
     }
 
 
-def ref_shortest(v, budget, max_depth=None, caps=None):
+def ref_caps_rule(v, bound):
+    """ref_target_caps as a rule on (state, vector): whether the
+    configuration lies outside its state's caps."""
+    caps = ref_target_caps(v, bound)
+
+    def dead(cfg):
+        state, vec = cfg
+        return caps[state] is None or any(x > c for x, c in zip(vec, caps[state]))
+
+    return dead
+
+
+def reach_from(v, state):
+    """The states a path of transitions leads to from `state`, itself
+    included."""
+    seen = {state}
+    todo = [state]
+    while todo:
+        here = todo.pop()
+        for t in v.transitions:
+            if t.src == here and t.dst not in seen:
+                seen.add(t.dst)
+                todo.append(t.dst)
+    return seen
+
+
+def ref_cycle_nets(v):
+    """The net effect of each strongly connected component with a
+    transition inside it: for a flat VASS, of each simple cycle."""
+    reach = {state: reach_from(v, state) for state in v.states}
+    nets = []
+    done = set()
+    for state in v.states:
+        if state in done:
+            continue
+        comp = {other for other in reach[state] if state in reach[other]}
+        done |= comp
+        inside = [t.delta for t in v.transitions if t.src in comp and t.dst in comp]
+        if inside:
+            nets.append(tuple(map(sum, zip(*inside))) if v.dimension else ())
+    return nets
+
+
+def ref_most_gain(v, weight):
+    """Per state with a path to the target state, the most that
+    `weight(delta)` summed along such a path can be; states with no path,
+    and states from which a cycle of positive weight on such a path makes
+    it unbounded, are left out.  Bellman-Ford for longest paths, then as
+    many rounds again to find the states that can still gain."""
+    gain = {v.target.state: 0}
+    for _ in range(len(v.states)):
+        changed = False
+        for t in reversed(v.transitions):
+            if t.dst in gain:
+                g = weight(t.delta) + gain[t.dst]
+                if t.src not in gain or g > gain[t.src]:
+                    gain[t.src] = g
+                    changed = True
+        if not changed:
+            return gain
+    unbounded = set()
+    for _ in range(len(v.states)):
+        for t in v.transitions:
+            if t.dst in gain and (
+                t.dst in unbounded or t.src not in gain or weight(t.delta) + gain[t.dst] > gain[t.src]
+            ):
+                unbounded.add(t.src)
+    return {state: g for state, g in gain.items() if state not in unbounded}
+
+
+def ref_ratio_rule(v, bound):
+    """ref_caps_rule plus ratio invariants, worked out over single
+    transitions and without the search module: per cycle net that lowers
+    counters i and j, w = |net_j|·e_i - |net_i|·e_j over their gcd (both
+    orientations), and per state the most a path from it to the target
+    state raises w·v (ref_most_gain).  A configuration at a state where
+    w·v plus that gain is below w·target cannot halt, whatever w is, and
+    it is dropped at every state, inside chains too."""
+    capped = ref_caps_rule(v, bound)
+    target = v.target.vector
+    rules = set()
+    for net in ref_cycle_nets(v):
+        for i, j in itertools.permutations([k for k, x in enumerate(net) if x < 0], 2):
+            g = math.gcd(net[i], net[j])
+            rules.add((i, -net[j] // g, j, -net[i] // g))
+    rules = [
+        (i, a, j, b, a * target[i] - b * target[j],
+         ref_most_gain(v, lambda d, i=i, a=a, j=j, b=b: a * d[i] - b * d[j]))
+        for i, a, j, b in sorted(rules)
+    ]
+
+    def dead(cfg):
+        state, vec = cfg
+        return capped(cfg) or any(
+            state in gain and a * vec[i] - b * vec[j] + gain[state] < low
+            for i, a, j, b, low, gain in rules
+        )
+
+    return dead
+
+
+class Passing:
+    """The configurations a rule keeps, as a container for ref_count."""
+
+    def __init__(self, dead):
+        self.dead = dead
+
+    def __contains__(self, cfg):
+        return not self.dead(cfg)
+
+
+def ref_shortest(v, budget, max_depth=None, dead=None):
     """Deque BFS on tuple keys: (verdict, run, expanded).  `expanded` counts
     configurations whose successors were generated; the node budget is
-    checked before the target test, as in shortest_halting.  With `caps`
-    (per state, as `ref_target_caps` gives them), a configuration outside
-    its state's caps is never stored, and such a source is not searched."""
+    checked before the target test, as in shortest_halting.  With `dead` (a
+    rule on (state, vector), as `ref_caps_rule` and `ref_ratio_rule` give
+    them), a configuration it holds for is never stored, and such a source
+    is not searched."""
 
     def outside(cfg):
-        state, vec = cfg
-        return caps is not None and (
-            caps[state] is None or any(x > c for x, c in zip(vec, caps[state]))
-        )
+        return dead is not None and dead(cfg)
 
     bound = budget.counter_bound
     src = (v.source.state, v.source.vector)
@@ -1195,6 +1304,31 @@ def random_flat_vass(rng):
     return Vass(dim, states, tuple(transitions), source, target)
 
 
+def random_lowering_vass(rng):
+    """A flat VASS like random_flat_vass's, but each cycle moves every
+    counter one way only, so it is one deterministic chain, and it often
+    lowers two counters at once: the loops that ratio invariants come
+    from."""
+    dim = rng.randint(2, 3)
+    comps = [
+        [f"c{c}s{i}" for i in range(rng.randint(1, 3))] for c in range(rng.randint(2, 4))
+    ]
+    transitions = []
+    for comp in comps:
+        signs = [rng.choice((-1, -1, 0, 1)) for _ in range(dim)]
+        for a, b in zip(comp, comp[1:] + comp[:1]):
+            transitions.append(Transition(a, tuple(sg * rng.randint(0, 2) for sg in signs), b))
+    for _ in range(rng.randint(1, 5)):
+        i = rng.randrange(len(comps) - 1)
+        j = rng.randrange(i + 1, len(comps))
+        delta = tuple(rng.randint(-2, 2) for _ in range(dim))
+        transitions.append(Transition(rng.choice(comps[i]), delta, rng.choice(comps[j])))
+    states = tuple(s for comp in comps for s in comp)
+    source = Configuration(rng.choice(comps[0]), tuple(rng.randint(0, 4) for _ in range(dim)))
+    target = Configuration(rng.choice(comps[-1]), tuple(rng.randint(0, 2) for _ in range(dim)))
+    return Vass(dim, states, tuple(transitions), source, target)
+
+
 def random_budget(rng):
     """A node budget, and a depth cap for shortest_halting alone."""
     budget = SearchBudget(rng.randint(0, 5), rng.choice((1, 2, 5, 20, 1_000_000)))
@@ -1214,6 +1348,11 @@ def _chains_finish(got, want, ref, v, budget, *args):
     )
 
 
+# Subset-Sum members and bounds at which the plain tuple reference stays
+# small: (target, values, bound)
+NP_GRID = ((1, (1,), 4), (1, (1,), 16), (3, (1, 2), 4), (2, (1, 1), 4))
+
+
 class TestAgainstTupleReference:
     @staticmethod
     def check_pruned_shortest(v, budget, depth):
@@ -1224,7 +1363,7 @@ class TestAgainstTupleReference:
         exhausts only where the plain reference without a depth cap does.
         Returns both references' (verdict, run, expanded), the pruned one
         first."""
-        want = ref_shortest(v, budget, depth, ref_target_caps(v, budget.counter_bound))
+        want = ref_shortest(v, budget, depth, ref_caps_rule(v, budget.counter_bound))
         plain = ref_shortest(v, budget, depth)
         res = shortest_halting(v, budget, depth)
         for verdict, run, _expanded in (want, plain):
@@ -1235,7 +1374,102 @@ class TestAgainstTupleReference:
             assert res.run == ref_shortest(v, ample, depth)[1]
         elif res.verdict == Verdict.EXHAUSTED:
             assert ref_shortest(v, ample)[0] == Verdict.EXHAUSTED
+        # the reference with the ratio rule keeps the plain reference's run
+        ruled = ref_shortest(v, ample, None, ref_ratio_rule(v, budget.counter_bound))
+        assert ruled[:2] == ref_shortest(v, ample)[:2]
         return want, plain
+
+    @staticmethod
+    def check_ratio_rule(v, bound):
+        """Under an ample node budget: the reference with the ratio rule
+        keeps the plain reference's verdict and least run, and so do
+        shortest_halting and halting_reachable; count_halting_runs gives the
+        live reference's count, and the count over what the reference rule
+        keeps wherever that meets no cycle; and on a flat VASS, no chain end
+        the plain reference reaches and the reference rule keeps is outside
+        the caps of the searches.  Returns how many fewer configurations the
+        reference rule expands, and how many ratio fields the searches
+        carry."""
+        budget = SearchBudget(bound, 2_000_000)
+        dead = ref_ratio_rule(v, bound)
+        plain = ref_shortest(v, budget)
+        ruled = ref_shortest(v, budget, None, dead)
+        assert ruled[:2] == plain[:2]
+        res = shortest_halting(v, budget)
+        assert (res.verdict, res.run) == plain[:2]
+        assert halting_reachable(v, budget).verdict == plain[0]
+        got = check_count(v, budget)
+        pruned = _outcome(ref_count, v, budget, Passing(dead))
+        if pruned is not ConfigCycleError:
+            assert got == pruned
+        packed = _Packed(v, bound, chains=True, prune=True)
+        if is_flat(v).is_flat:
+            # the chain ends the searches drop are ones the reference drops
+            for state, vectors in ref_reachable(v, budget).items():
+                if packed.caps[packed.index[state]] is not None:
+                    for vec in vectors:
+                        cfg = Configuration(state, vec)
+                        assert dead((state, vec)) or packed.admits(cfg), cfg
+        return plain[2] - ruled[2], len(packed.ratios)
+
+    @staticmethod
+    def family_members():
+        """exp(n), n <= 3, at twice its canonical peak; exp_fixed members
+        around their thresholds; Subset-Sum members at bounds where the
+        plain reference stays small."""
+        for n in (1, 2, 3):
+            compiled = compile_counter_program(gen_exp(n))
+            policy = exp_canonical_policy(compiled.program, divisibility_threshold(n))
+            peak = replay_canonical(compiled, policy, materialize=False).probe.peak
+            yield compiled.vass, 2 * max(peak)
+        for n, x0 in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)):
+            yield compile_counter_program(gen_exp_fixed(n, x0)).vass, (n + 2) * x0
+        for target, values, bound in NP_GRID:
+            yield compile_counter_program(gen_np(NpInstance(target, values))[0]).vass, bound
+
+    def test_ratio_rule_on_random_flat_vass(self):
+        rng = random.Random(20261021)
+        seen = Counter()
+        for _ in range(200):
+            for v in (random_flat_vass(rng), random_lowering_vass(rng)):
+                assert is_flat(v).is_flat
+                for bound in range(5):
+                    dropped, fields = self.check_ratio_rule(v, bound)
+                    seen["the reference rule drops"] += dropped > 0
+                    seen["ratio fields"] += fields > 0
+        assert min(seen.values()) > 20, seen
+
+    def test_ratio_rule_on_family_members(self):
+        seen = Counter()
+        for v, bound in self.family_members():
+            dropped, fields = self.check_ratio_rule(v, bound)
+            seen["the reference rule drops"] += dropped > 0
+            seen["ratio fields"] += fields > 0
+        assert seen == {"the reference rule drops": 13, "ratio fields": 13}, seen
+
+    def test_widened_region_is_caught(self, monkeypatch):
+        # mutation control: the first ratio invariant also holds, wrongly, at
+        # one state with a move into its region
+        real = search_module._invariants
+        widened = []
+
+        def wider(moves, tgt, target, bound):
+            caps, ratios = real(moves, tgt, target, bound)
+            for *_w, region in ratios[:1]:
+                upstream = [
+                    s for s, ms in enumerate(moves)
+                    if caps[s] is not None and not region[s] and any(region[d] for _n, d, *_ in ms)
+                ]
+                if upstream:
+                    region[upstream[0]] = True
+                    widened.append(upstream[0])
+            return caps, ratios
+
+        monkeypatch.setattr(search_module, "_invariants", wider)
+        with pytest.raises(AssertionError):
+            for v, bound in self.family_members():
+                self.check_ratio_rule(v, bound)
+        assert widened
 
     def test_pruned_shortest_keeps_unpruned_runs(self):
         rng = random.Random(20261019)
@@ -1399,8 +1633,10 @@ class TestPacking:
     def test_guard_test_matches_a_field_decode(self):
         # every move of random VASS, from random keys within the caps of the
         # move's start state: the guard test keeps a successor iff each
-        # counter lands in [0, its cap at the move's end state], and
-        # `nk & guard` is set iff some counter went below zero
+        # counter lands in [0, its cap at the move's end state] and each
+        # ratio invariant whose region holds that state stays at or above its
+        # target value, `nk & guard` is set iff some counter went below zero,
+        # and every derived field of `nk` holds its exact value, top bit clear
         rng = random.Random(20261020)
         states = ("p", "q", "r")
         seen = Counter()
@@ -1414,26 +1650,40 @@ class TestPacking:
                 for _ in range(6)
             )
             target = Configuration(rng.choice(states), tuple(rng.randint(0, bound) for _ in range(dim)))
+            if trial % 4 == 3 and dim >= 2:
+                # a loop at the target state that lowers two counters gives a
+                # ratio invariant whose region holds at least the target state
+                ts += (Transition(target.state, (-rng.randint(1, 3), -rng.randint(1, 3), *[0] * (dim - 2)),
+                                  target.state),)
             v = Vass(dim, states, ts, Configuration("p", (0,) * dim), target)
             packed = _Packed(v, bound, prune=trial % 2 == 1)
             guard = packed.guard
             amounts = [abs(d) for ms in packed.adj for *_, tix, _n in ms for d in v.transitions[tix].delta]
             assert bound + max(amounts, default=0) <= packed.cmask >> 1
+            fields = list(zip(packed.field_shifts, packed.field_tops))[dim:]
             for s, moves in enumerate(packed.adj):
                 for pd, off, tix, _n in moves:
                     t = v.transitions[tix]
-                    caps = packed.caps[packed.index[t.dst]]
+                    dst = packed.index[t.dst]
+                    caps = packed.caps[dst][:dim]
                     for _ in range(8):
-                        x = tuple(rng.choice((0, c, rng.randint(0, c))) for c in packed.caps[s])
+                        x = tuple(rng.choice((0, c, rng.randint(0, c))) for c in packed.caps[s][:dim])
                         nk = packed.encode(Configuration(v.states[s], x)) + pd
                         y = [a + d for a, d in zip(x, t.delta)]
-                        kept = all(0 <= b <= c for b, c in zip(y, caps))
+                        within = all(0 <= b <= c for b, c in zip(y, caps))
+                        ratios_hold = all(
+                            a * y[i] - b * y[j] >= a * target.vector[i] - b * target.vector[j]
+                            for i, a, j, b, region in packed.ratios if region[dst]
+                        )
+                        kept = within and ratios_hold
                         under = [b < 0 for b in y]
                         over = [b > c for b, c in zip(y, caps)]
                         assert ((nk | nk + off) & guard == 0) == kept
                         assert (nk & guard != 0) == any(under)
                         if dim and under[-1]:
                             assert nk < 0  # nothing above the top field to borrow from
+                        for (i, a, j, b, _region), k, (sh, top) in zip(packed.ratios, packed.ks[dim:], fields):
+                            assert (nk >> sh) & (2 * top + 1) == k + b * y[j] - a * y[i] <= top
                         if kept:
                             assert nk == packed.encode(Configuration(t.dst, tuple(y)))
                         seen["dimension 0"] += dim == 0
@@ -1446,7 +1696,9 @@ class TestPacking:
                             for i in range(dim - 1)
                         )
                         seen["top field underflows"] += dim > 0 and under[-1]
-        assert len(seen) == 7 and min(seen.values()) > 50, seen
+                        seen["a ratio invariant alone rejects"] += within and not ratios_hold
+                        seen["derived fields next to an underflow"] += bool(packed.ratios) and any(under)
+        assert len(seen) == 9 and min(seen.values()) > 50, seen
 
 
 class TestChains:
@@ -1602,50 +1854,60 @@ def ref_coreachable(v, bound):
     return seen
 
 
-def cap_rejects(caps, index, cfg):
-    state, vec = cfg
-    cap = caps[index[state]]
-    return cap is None or any(x > c for x, c in zip(vec, cap))
-
-
 class TestTargetCaps:
     """halting_reachable drops configurations that cannot reach the target:
-    those at states with no path to the target state, and those holding more
-    than the target value in a counter nothing on such a path decreases."""
+    those at states with no path to the target state, those holding more
+    than the target value in a counter nothing on such a path decreases, and
+    those below the target in a ratio invariant."""
 
     @staticmethod
     def check_sound(v, bound):
-        """The cap rule rejects no configuration that can reach the target,
-        every configuration the pruned search stores passes it, and the
-        verdict is the reference's.  Returns the caps by state."""
-        index = {s: i for i, s in enumerate(v.states)}
-        caps = _target_caps(v, index, bound)
-        assert dict(zip(v.states, caps)) == ref_target_caps(v, bound)
-        for cfg in ref_coreachable(v, bound):
-            assert not cap_rejects(caps, index, cfg), cfg
+        """At every state the source state reaches, the counter caps are
+        ref_target_caps'.  The caps and ratio invariants reject no
+        configuration that can reach the target, over single transitions
+        and at chain ends; every configuration the pruned chain search
+        stores passes them, and the verdict is the reference's.  Returns
+        the counter caps by state, and how many configurations within them
+        at the states the source state reaches a ratio invariant rejects."""
+        reached = reach_from(v, v.source.state)
+        want = ref_target_caps(v, bound)
+        per_step = _Packed(v, bound, prune=True)
+        chains = _Packed(v, bound, chains=True, prune=True)
+        caps = {s: c and c[:v.dimension] for s, c in zip(v.states, per_step.caps)}
+        assert {s: caps[s] for s in reached} == {s: want[s] for s in reached}
+        for state, vec in ref_coreachable(v, bound):
+            if state not in reached:
+                continue
+            assert per_step.admits(Configuration(state, vec)), (state, vec)
+            if chains.caps[chains.index[state]] is not None:  # a live chain end
+                assert chains.admits(Configuration(state, vec)), (state, vec)
         budget = SearchBudget(bound, 1_000_000)
         assert halting_reachable(v, budget).verdict == ref_shortest(v, budget)[0]
-        source = (v.source.state, v.source.vector)
-        if not cap_rejects(caps, index, source):
+        if chains.src is not None:
             # exhaust the pruned chain search (no configuration is the target)
-            packed = _Packed(v, bound, chains=True, prune=True)
-            _verdict, stored, _stats = _explore(packed, -1, budget.max_configs)
+            _verdict, stored, _stats = _explore(chains, -1, budget.max_configs)
             for key in stored:
-                vec = tuple((key >> sh) & packed.cmask for sh in packed.shifts)
-                assert not cap_rejects(caps, index, (v.states[key & packed.smask], vec))
-        return dict(zip(v.states, caps))
+                vec = tuple((key >> sh) & chains.cmask for sh in chains.shifts)
+                assert chains.admits(Configuration(v.states[key & chains.smask], vec))
+        by_ratio = sum(
+            not per_step.admits(Configuration(state, vec))
+            for state in reached if caps[state] is not None
+            for vec in itertools.product(*(range(c + 1) for c in caps[state]))
+        )
+        return caps, by_ratio
 
     def test_random_vass(self):
         rng = random.Random(20260118)
-        rejected = {"dead": 0, "capped": 0}
+        rejected = {"dead": 0, "capped": 0, "ratio": 0}
         for _ in range(300):
-            for v in (random_vass(rng), random_dag_vass(rng)):
+            for v in (random_vass(rng), random_dag_vass(rng), random_flat_vass(rng)):
                 bound = rng.randint(0, 4)
-                caps = self.check_sound(v, bound).values()
-                rejected["dead"] += sum(cap is None for cap in caps)
-                rejected["capped"] += sum(c < bound for cap in caps if cap for c in cap)
-        # the corpus exercises both halves of the rule
-        assert min(rejected.values()) > 50
+                caps, by_ratio = self.check_sound(v, bound)
+                rejected["dead"] += sum(cap is None for cap in caps.values())
+                rejected["capped"] += sum(c < bound for cap in caps.values() if cap for c in cap)
+                rejected["ratio"] += by_ratio
+        # the corpus exercises every part of the rule
+        assert min(rejected.values()) > 50, rejected
 
     def test_state_that_cannot_reach_the_target_state(self):
         # r pumps x forever but never leads to q
@@ -1654,7 +1916,7 @@ class TestTargetCaps:
             Transition("p", (1,), "q"), Transition("q", (-1,), "q"),
         ), Configuration("p", (0,)), Configuration("q", (0,)))
         for bound in (1, 3):
-            assert self.check_sound(v, bound) == {"p": (bound,), "q": (bound,), "r": None}
+            assert self.check_sound(v, bound)[0] == {"p": (bound,), "q": (bound,), "r": None}
         # r's configurations are never stored
         assert halting_reachable(v, SearchBudget(3)).stats == SearchStats(2, 1, 2)
         # a source at a state that cannot reach the target is rejected at once
@@ -1667,7 +1929,7 @@ class TestTargetCaps:
         # only the target state's own self-loop brings x back down to 0
         v = Vass(1, ("p", "q"), (Transition("p", (3,), "q"), Transition("q", (-1,), "q")),
                  Configuration("p", (0,)), Configuration("q", (0,)))
-        assert self.check_sound(v, 3) == {"p": (3,), "q": (3,)}
+        assert self.check_sound(v, 3)[0] == {"p": (3,), "q": (3,)}
         assert halting_reachable(v, SearchBudget(3)).verdict == Verdict.FOUND
 
     def test_counter_that_only_increments_after_a_branch(self):
@@ -1680,7 +1942,7 @@ class TestTargetCaps:
         ), Configuration("p", (0, 0)), Configuration("t", (2, 1)))
         bound = 4
         caps = {"p": (4, 1), "a": (4, 1), "b": (2, 1), "t": (2, 1)}
-        assert self.check_sound(v, bound) == caps
+        assert self.check_sound(v, bound)[0] == caps
         # the move p -> b leaves x alone but must still check it: b is
         # entered with x <= 2 only, so (b, (3, 1)) is never stored
         assert halting_reachable(v, SearchBudget(bound)) == ReachResult(
@@ -1798,9 +2060,11 @@ class TestRunCountOverLiveConfigurations:
             assert count_halting_runs(v, budget) == want
 
     def test_pruned_count_fits_a_smaller_budget(self):
-        # the full chain search stores 102,979 configurations here
+        # the full chain search stores 102,979 configurations here, and with
+        # the counter caps alone 38,687; the ratio invariant x - 5y >= 0 at
+        # the last loop leaves 7,215
         v = compile_counter_program(gen_exp_fixed(4, 24)).vass
-        assert count_halting_runs(v, SearchBudget(144, 50_000)) == 1
+        assert count_halting_runs(v, SearchBudget(144, 7_300)) == 1
 
     def test_cycle_that_cannot_halt_is_not_counted(self):
         # p and q pump x up and down, and from p the run ends at t with
