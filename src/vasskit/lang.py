@@ -5,8 +5,8 @@ decrements, nondeterministic two-way gotos, an `init` that zeroes all
 counters, and a final `halt` that zero-tests a chosen subset.  Two
 preprocessing macros, `for` over a meta-variable and `if` over a compile-time
 condition, plus the `loop` shorthand for a nondeterministically repeated
-block, make repetitive programs writable; `expand` (see expand.py) removes
-them.
+block, make repetitive programs writable; `expand` (see expansion.py)
+removes them.
 
 Concrete syntax is line oriented, one command per line:
 
@@ -41,7 +41,7 @@ block commands `loop`, `for` and `if` share one rule for a body and its end
 line, keyed by their end keyword in `_END`.
 
 `format_command` prints a ground command (init, halt, increment, decrement,
-goto); `pretty_print` and `expand.pretty_print_flat` both use it, and the
+goto); `pretty_print` and `expansion.pretty_print_flat` both use it, and the
 block commands share one rule for printing a body.
 """
 

@@ -2,8 +2,8 @@
 
 Each suite returns a SuiteResult listing named checks with pass/fail and a
 counterexample string on failure.  The CLI `verify` command drives these;
-the acceptance tests call the same functions with the acceptance-scale
-parameters.  All arithmetic is exact; no tolerances anywhere.
+the acceptance tests run the same suites.  Each suite states its scale once
+and names it in its checks.  All arithmetic is exact; no tolerances anywhere.
 
 A check is a function that returns its first counterexample string, or None
 when the claim holds.  A check over a grid of instances is `_first` of the
@@ -91,8 +91,9 @@ def _threshold_divisible(n: int) -> str | None:
     return _first(f"n={n}, divisor {i}" for i in range(2, n + 2) if value % i)
 
 
-def suite_arith(max_n: int = 100) -> SuiteResult:
+def suite_arith() -> SuiteResult:
     t0 = time.perf_counter()
+    max_n = 100
     return _suite("arith", t0, [
         _check(f"threshold(n)*(n+1) divisible by 2..n+1 for n <= {max_n}",
                _first, map(_threshold_divisible, range(1, max_n + 1))),
@@ -146,17 +147,15 @@ def _weak_mult_start(c: int, d: int, x0: int, y0: int) -> str | None:
     return None
 
 
-def suite_weak_mult(
-    pairs: tuple[tuple[int, int], ...] = ((2, 1), (3, 2), (5, 3), (7, 4)),
-    max_sum: int = 30,
-) -> SuiteResult:
+def suite_weak_mult() -> SuiteResult:
     t0 = time.perf_counter()
+    max_sum = 30
     return _suite("weakmult", t0, [
         _check(f"weak multiplication by {c}/{d}, sums <= {max_sum}", _first, (
             _weak_mult_start(c, d, x0, total - x0)
             for total in range(max_sum + 1) for x0 in range(total + 1)
         ))
-        for c, d in pairs
+        for c, d in ((2, 1), (3, 2), (5, 3), (7, 4))
     ])
 
 
@@ -176,8 +175,9 @@ def _weak_attains(b: int) -> str | None:
     return None
 
 
-def suite_weak(max_b: int = 12) -> SuiteResult:
+def suite_weak() -> SuiteResult:
     t0 = time.perf_counter()
+    max_b = 12
     return _suite("weak", t0, [
         _check(f"weak(b) attains exactly b and never more, b <= {max_b}",
                _first, map(_weak_attains, range(1, max_b + 1))),
@@ -222,8 +222,9 @@ def _exp_trend(trend_ns: tuple[int, ...]) -> str | None:
     return None
 
 
-def suite_exp(max_n: int = 4, trend_ns: tuple[int, ...] = (1, 2, 3)) -> SuiteResult:
+def suite_exp() -> SuiteResult:
     t0 = time.perf_counter()
+    max_n, trend_ns = 4, (1, 2, 3)
     return _suite("exp", t0, [
         _check(f"halting iff threshold divides the pump, at most one run (n <= {max_n})", _first, (
             _exp_fixed_start(n, x0)
@@ -276,8 +277,9 @@ def _fraction_examples() -> str | None:
     return None if examples_ok else "values differ"
 
 
-def suite_fractions(max_k: int = 16) -> SuiteResult:
+def suite_fractions() -> SuiteResult:
     t0 = time.perf_counter()
+    max_k = 16
     return _suite("fractions", t0, [
         _check(f"sequence invariants for k <= {max_k}",
                _first, map(_fraction_invariants, range(1, max_k + 1))),
@@ -326,9 +328,9 @@ def _hp_start(fragment: CounterProgram, c: int, d: int, x0: int, y0: int, z0: in
     return None
 
 
-def suite_hp(max_sum: int = 16, max_z: int = 3) -> SuiteResult:
+def suite_hp() -> SuiteResult:
     t0 = time.perf_counter()
-    c, d = 3, 2
+    c, d, max_sum, max_z = 3, 2, 16, 3
     fragment = families.gen_hp(c, d)
     return _suite("hp", t0, [
         _check(
@@ -368,13 +370,6 @@ def check_np_instance(inst: families.NpInstance) -> str | None:
     return None
 
 
-def _component_spans(compiled: CompiledProgram, meta: families.NpMeta):
-    labels = compiled.program.labels
-    starts = [labels[c.label] for c in meta.components]
-    ends = starts[1:] + [labels["end"]]
-    return list(zip(meta.components, starts, ends))
-
-
 def check_np_run_accounting(
     inst: families.NpInstance, run, compiled: CompiledProgram, meta: families.NpMeta
 ) -> str | None:
@@ -383,7 +378,9 @@ def check_np_run_accounting(
     counters = compiled.program.counters
     f_ix = counters.index("f")
     u_ix = counters.index("u")
-    spans = _component_spans(compiled, meta)
+    labels = compiled.program.labels
+    starts = [labels[c.label] for c in meta.components]
+    spans = list(zip(meta.components, starts, starts[1:] + [labels["end"]]))
     f_drop = {info.label: 0 for info, _s, _e in spans}
     u_hits = {info.label: 0 for info, _s, _e in spans}
     visited = set()
@@ -534,7 +531,7 @@ def _stage_exits(k: int) -> str | None:
     return None
 
 
-def _double_exp_k1(pump_sweep: int) -> str | None:
+def _double_exp_k1() -> str | None:
     """gen_double_exp(1) is not flat and halts; with a fixed pump it halts iff
     the forced divisor divides the pump; the canonical run is shortest."""
     program, meta = families.gen_double_exp(1)
@@ -547,7 +544,7 @@ def _double_exp_k1(pump_sweep: int) -> str | None:
     res = halting_reachable(compiled.vass, SearchBudget(bound, 8_000_000))
     if res.verdict != Verdict.FOUND:
         return f"k=1: no halting run found ({res.verdict.value})"
-    for pump in range(1, pump_sweep + 1):
+    for pump in range(1, 33):
         fixed, _ = families.gen_double_exp_fixed(1, pump)
         cf = compile_counter_program(fixed)
         bound = 2 * (pump * numer // denom) + 4
@@ -564,15 +561,16 @@ def _double_exp_k1(pump_sweep: int) -> str | None:
     return None
 
 
-def suite_double_exp(flow_max_k: int = 3, probe_max_k: int = 8, pump_sweep: int = 32) -> SuiteResult:
+def suite_double_exp() -> SuiteResult:
     t0 = time.perf_counter()
+    flow_max_k, probe_max_k = 3, 8
     return _suite("2exp", t0, [
         _check(f"tower product maximal exactly at full exponents (k <= {flow_max_k})",
                _first, map(_tower_maximal, range(1, flow_max_k + 1))),
         _check(f"canonical run halts and stage exits match the closed form (k <= {probe_max_k})",
                _first, map(_stage_exits, range(1, probe_max_k + 1))),
         _check("k=1: not flat; halting iff pump divisible by the forced divisor; "
-               "shortest equals canonical", _double_exp_k1, pump_sweep),
+               "shortest equals canonical", _double_exp_k1),
     ])
 
 
@@ -589,8 +587,9 @@ def _size_within(gen, encoding: str, param: str, base: int, power: int, top: int
     return None
 
 
-def suite_sizes(max_n: int = 8, max_k: int = 8) -> SuiteResult:
+def suite_sizes() -> SuiteResult:
     t0 = time.perf_counter()
+    max_n = max_k = 8
     exp, double_exp = families.gen_exp, lambda k: families.gen_double_exp(k)[0]
     base = vass_size(compile_counter_program(exp(1)).vass, "unary")
     base_k = vass_size(compile_counter_program(double_exp(1)).vass, "binary")
@@ -641,8 +640,9 @@ def check_compiler_semantics(program: CounterProgram, bound: int) -> str | None:
     return None
 
 
-def suite_semantics(bound: int = 20) -> SuiteResult:
+def suite_semantics() -> SuiteResult:
     t0 = time.perf_counter()
+    bound = 20
     return _suite("semantics", t0, [
         _check(f"interpreter == compiled VASS on {name} (B={bound})",
                check_compiler_semantics, program, bound)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import itertools
 import math
 import random
@@ -1061,6 +1062,40 @@ class TestReachableConfigsDecode:
                 with pytest.raises(KeyError):
                     full_first[state]
         assert unreached_seen
+
+    def test_absorbing_reads_are_served_from_the_chain_ends(self, monkeypatch):
+        """Reads of the absorbing halt state, and final_vectors, pack only
+        chains and search once per reachable_configs call; only the first
+        full read packs single transitions and searches again."""
+        calls = []
+        packed_cls, explore = search_module._Packed, search_module._explore
+        signature = inspect.signature(packed_cls)
+
+        def packed(*args, **kwargs):
+            chains = signature.bind(*args, **kwargs).arguments.get("chains", False)
+            calls.append(("pack", "chains" if chains else "transitions"))
+            return packed_cls(*args, **kwargs)
+
+        def exploring(*args):
+            calls.append(("search",))
+            return explore(*args)
+
+        monkeypatch.setattr(search_module, "_Packed", packed)
+        monkeypatch.setattr(search_module, "_explore", exploring)
+        for program, budget in self.members():
+            compiled = compile_counter_program(program)
+            v, halt = compiled.vass, compiled.halt_state
+            calls.clear()
+            got = reachable_configs(v, budget, frozenset({halt}))
+            assert got[halt] and got.get(halt) == got[halt]
+            assert final_vectors(v, budget, halt) == got[halt]
+            assert calls == [("pack", "chains"), ("search",)] * 2
+            calls.clear()
+            full = dict(got.items())
+            assert calls == [("pack", "transitions"), ("search",)]
+            calls.clear()
+            assert dict(got.items()) == full and got[halt] == full[halt]
+            assert calls == []
 
     def test_states_in_first_seen_order(self):
         # states sort as a, b, c, d; the search from c first reaches d, then a, then b

@@ -1,5 +1,5 @@
-"""The verify suites at reduced scale (the acceptance module runs them at
-full scale), and mutation controls showing that suites can fail."""
+"""Mutation controls showing that each verify suite can fail, each naming
+the first counterexample; the acceptance module shows that they pass."""
 
 import dataclasses
 from fractions import Fraction
@@ -8,50 +8,17 @@ from vasskit import families, interp, verify
 from vasskit.lang import Add, BinOp, For, Lit, Loop, Sub, Var
 
 
-def assert_suite_passes(result):
-    failed = [c for c in result.checks if not c.passed]
-    assert not failed, f"{result.suite}: {[(c.name, c.detail) for c in failed]}"
-
-
-def test_arith_suite():
-    assert_suite_passes(verify.suite_arith(max_n=40))
-
-
-def test_weak_mult_suite_small():
-    assert_suite_passes(verify.suite_weak_mult(pairs=((2, 1), (3, 2)), max_sum=12))
-
-
-def test_weak_suite():
-    assert_suite_passes(verify.suite_weak(max_b=8))
-
-
-def test_exp_suite_small():
-    assert_suite_passes(verify.suite_exp(max_n=2, trend_ns=(1, 2)))
-
-
-def test_fractions_suite():
-    assert_suite_passes(verify.suite_fractions(max_k=8))
-
-
-def test_hp_suite_small():
-    assert_suite_passes(verify.suite_hp(max_sum=8, max_z=2))
-
-
-def test_double_exp_suite_small():
-    assert_suite_passes(verify.suite_double_exp(flow_max_k=2, probe_max_k=1, pump_sweep=17))
-
-
 def test_double_exp_stage_exits_match_the_closed_form_to_k_10():
     for k in range(1, 11):
         assert verify._stage_exits(k) is None
 
 
-def test_sizes_suite():
-    assert_suite_passes(verify.suite_sizes(max_n=6, max_k=6))
-
-
 def test_semantics_suite():
-    assert_suite_passes(verify.suite_semantics(bound=12))
+    """Bound 12 cuts the runs of three corpus members, against one at the
+    suite's bound of 20; the interpreter and the compiled VASS must cut
+    them alike."""
+    for name, program in verify._semantics_corpus():
+        assert verify.check_compiler_semantics(program, 12) is None, name
 
 
 def test_run_suites_rejects_unknown():
@@ -62,7 +29,7 @@ def test_run_suites_rejects_unknown():
 
 
 def test_suite_result_json_shape():
-    result = verify.suite_weak(max_b=3)
+    result = verify.suite_weak()
     obj = result.to_json_obj()
     assert obj["suite"] == "weak"
     assert obj["passed"] is True
@@ -89,13 +56,13 @@ def mutated_cascade(n):
 
 def test_exp_suite_fails_on_a_mutated_cascade(monkeypatch):
     monkeypatch.setattr(families, "_cascade", mutated_cascade)
-    failed = failures(verify.suite_exp(max_n=2, trend_ns=(1, 2)))
-    assert failed["halting iff threshold divides the pump, at most one run (n <= 2)"] == (
+    failed = failures(verify.suite_exp())
+    assert failed["halting iff threshold divides the pump, at most one run (n <= 4)"] == (
         "n=1, x0=2: 2 halting runs"
     )
     # the canonical policy cannot drain the mutated cascade: the replay
     # raises, which fails the trend check instead of aborting the suite
-    trend = failed["shortest = canonical length and strictly increasing for n in (1, 2)"]
+    trend = failed["shortest = canonical length and strictly increasing for n in (1, 2, 3)"]
     assert trend.startswith("raised PolicyStuckError: ")
 
 
@@ -104,12 +71,12 @@ def test_exp_suite_fails_on_a_second_pump_loop(monkeypatch):
     monkeypatch.setattr(
         families, "_cascade", lambda n: (Loop((Add("z", Lit(1)),)),) + original(n)
     )
-    failed = failures(verify.suite_exp(max_n=1, trend_ns=(1,)))
-    assert failed["halting iff threshold divides the pump, at most one run (n <= 1)"] == (
+    failed = failures(verify.suite_exp())
+    assert failed["halting iff threshold divides the pump, at most one run (n <= 4)"] == (
         "n=1, x0=1: 6 halting runs"
     )
     # building the canonical schedule fails the trend check, not the suite
-    assert failed["shortest = canonical length and strictly increasing for n in (1,)"] == (
+    assert failed["shortest = canonical length and strictly increasing for n in (1, 2, 3)"] == (
         "raised PolicyStuckError: expected exactly one pump loop, found entries [4, 8]"
     )
 
@@ -125,9 +92,9 @@ def test_fractions_suite_fails_on_a_perturbed_factor(monkeypatch):
         return dataclasses.replace(seq, factors=(f1,) + seq.factors[1:])
 
     monkeypatch.setattr(families, "fraction_sequence", perturbed)
-    failed = failures(verify.suite_fractions(max_k=4))
-    assert list(failed) == ["sequence invariants for k <= 4"]
-    assert failed["sequence invariants for k <= 4"].startswith("k=3:")
+    failed = failures(verify.suite_fractions())
+    assert list(failed) == ["sequence invariants for k <= 16"]
+    assert failed["sequence invariants for k <= 16"].startswith("k=3:")
 
 
 def test_weak_weakmult_and_hp_suites_fail_on_an_overpaying_rebuild(monkeypatch):
@@ -143,18 +110,17 @@ def test_weak_weakmult_and_hp_suites_fail_on_an_overpaying_rebuild(monkeypatch):
         )
 
     monkeypatch.setattr(families, "gen_weak_mult", overpaying)
-    assert failures(verify.suite_weak(max_b=4)) == {
-        "weak(b) attains exactly b and never more, b <= 4": "b=2: final x values [0, 1, 3]"
+    assert failures(verify.suite_weak()) == {
+        "weak(b) attains exactly b and never more, b <= 12": "b=2: final x values [0, 1, 3]"
     }
-    # 3/2 first fails at y0 = 2: from y0 = 1 the rebuild loop cannot run
-    assert failures(verify.suite_weak_mult(((2, 1), (3, 2)), 6)) == {
-        "weak multiplication by 2/1, sums <= 6":
-            "(x0,y0)=(0,1): BFS finals differ from analytic enumeration",
-        "weak multiplication by 3/2, sums <= 6":
-            "(x0,y0)=(0,2): BFS finals differ from analytic enumeration",
+    # c/d first fails at y0 = d: from y0 < d the rebuild loop cannot run
+    assert failures(verify.suite_weak_mult()) == {
+        f"weak multiplication by {c}/{d}, sums <= 30":
+            f"(x0,y0)=(0,{d}): BFS finals differ from analytic enumeration"
+        for c, d in ((2, 1), (3, 2), (5, 3), (7, 4))
     }
-    assert failures(verify.suite_hp(4, 2)) == {
-        "weak exponentiation by 3/2: bound, exactness iff divisibility (sums <= 4, z0 <= 2)":
+    assert failures(verify.suite_hp()) == {
+        "weak exponentiation by 3/2: bound, exactness iff divisibility (sums <= 16, z0 <= 3)":
             "(x0,y0,z0)=(0,2,1): final (4,0,0) above bound"
     }
 
@@ -162,8 +128,8 @@ def test_weak_weakmult_and_hp_suites_fail_on_an_overpaying_rebuild(monkeypatch):
 def test_arith_suite_fails_on_a_perturbed_threshold(monkeypatch):
     original = verify.divisibility_threshold
     monkeypatch.setattr(verify, "divisibility_threshold", lambda n: original(n) + (n == 5))
-    assert failures(verify.suite_arith(10)) == {
-        "threshold(n)*(n+1) divisible by 2..n+1 for n <= 10": "n=5, divisor 4"
+    assert failures(verify.suite_arith()) == {
+        "threshold(n)*(n+1) divisible by 2..n+1 for n <= 100": "n=5, divisor 4"
     }
 
 
@@ -173,8 +139,8 @@ def test_double_exp_suite_fails_on_a_raised_stage_ratio(monkeypatch):
     form and its canonical run is no longer the shortest."""
     original = families.gen_hp
     monkeypatch.setattr(families, "gen_hp", lambda c, d: original(c + d, d))
-    assert failures(verify.suite_double_exp(2, 3, 8)) == {
-        "canonical run halts and stage exits match the closed form (k <= 3)":
+    assert failures(verify.suite_double_exp()) == {
+        "canonical run halts and stage exits match the closed form (k <= 8)":
             "k=1: stage exit x=81, closed form 25",
         "k=1: not flat; halting iff pump divisible by the forced divisor; "
         "shortest equals canonical": "k=1: shortest != canonical (found vs 338)",
@@ -184,8 +150,8 @@ def test_double_exp_suite_fails_on_a_raised_stage_ratio(monkeypatch):
 def test_sizes_suite_fails_on_a_squared_parameter(monkeypatch):
     original = families.gen_exp
     monkeypatch.setattr(families, "gen_exp", lambda n: original(n * n))
-    assert failures(verify.suite_sizes(4, 2)) == {
-        "exponential family: unary size within 73*n^2 for n <= 4": "n=2: unary size 325 > 73*n^2"
+    assert failures(verify.suite_sizes()) == {
+        "exponential family: unary size within 73*n^2 for n <= 8": "n=2: unary size 325 > 73*n^2"
     }
 
 
@@ -198,7 +164,7 @@ def test_semantics_suite_fails_on_a_dropped_transition(monkeypatch):
         return dataclasses.replace(compiled, vass=vass)
 
     monkeypatch.setattr(verify, "compile_program", dropping)
-    result = verify.suite_semantics(bound=6)
+    result = verify.suite_semantics()
     failed = failures(result)
     assert len(failed) == len(result.checks) == 9
     assert all(detail.startswith("sets differ; interpreter-only") for detail in failed.values())
@@ -206,7 +172,7 @@ def test_semantics_suite_fails_on_a_dropped_transition(monkeypatch):
 
 def test_semantics_suite_fails_on_the_interpreter_node_budget(monkeypatch):
     monkeypatch.setattr(interp, "_MAX_CONFIGS", 5)
-    result = verify.suite_semantics(bound=6)
+    result = verify.suite_semantics()
     failed = failures(result)
     assert len(failed) == len(result.checks) == 9
     assert set(failed.values()) == {
