@@ -10,7 +10,7 @@ correct build red.
 
 import math
 import time
-from functools import reduce
+from functools import cache, reduce
 
 from vasskit import verify
 from vasskit.arith import divisibility_threshold
@@ -36,8 +36,23 @@ def run_suite(suite_result, budget):
     report(suite_result.suite, not failures, suite_result.elapsed_s, budget)
 
 
+@cache
+def exp_result():
+    """`suite_exp` run once; its two checks are reported by two tests."""
+    return verify.suite_exp()
+
+
+def exp_part(prefix):
+    """The one `suite_exp` check whose name starts with `prefix`."""
+    result = exp_result()
+    checks = [c for c in result.checks if c.name.startswith(prefix)]
+    assert len(checks) == 1, [c.name for c in result.checks]
+    return verify.SuiteResult(f"{result.suite}: {prefix}", checks, result.elapsed_s)
+
+
 class TestAcceptance:
-    """Each test runs one suite of `vasskit verify all`, as the CLI does."""
+    """Each test runs one suite of `vasskit verify all`, as the CLI does;
+    `test_05` and `test_06` each report one check of the same `suite_exp` run."""
 
     def test_01_fraction_identity(self):
         run_suite(verify.suite_fractions(), "<10s")
@@ -68,7 +83,10 @@ class TestAcceptance:
         run_suite(verify.suite_weak(), "<60s")
 
     def test_05_exponential_characterization(self):
-        run_suite(verify.suite_exp(), "<5min")
+        run_suite(exp_part("halting iff threshold divides the pump"), "<5min")
+
+    def test_06_exponential_trend(self):
+        run_suite(exp_part("shortest = canonical length and strictly increasing"), "<5min")
 
     def test_06_threshold_divisibility(self):
         run_suite(verify.suite_arith(), "<5s")
