@@ -831,7 +831,7 @@ class _Replay:
     The length is summed as the walk goes: each visit but the halt's takes
     one step, and a fast-forward or drain adds its block's length times its
     count when it is made.  Only a materialized replay records `blocks`,
-    (transitions, count) pairs, that the run is expanded from: a stepwise
+    (transitions, count) pairs, that the run is made of: a stepwise
     step appends its line's block, a fast-forward one iteration with its
     count, halt completion each drain and link.  Otherwise `blocks` keeps
     nothing, and the walk holds the counters, the peaks and each loop's
@@ -1050,9 +1050,9 @@ def replay_canonical(
     as the walk goes, and the probe keeps each loop's activation count and
     its last activation's iterations and exit, so with materialize=False
     doubly-exponential canonical runs are measured in memory that does not
-    grow with their number of activations; a materialized run is the
-    walk's blocks of transitions expanded, each run a count of times in a
-    row.
+    grow with their number of activations; a materialized run is
+    `Run.from_blocks` of the walk's blocks, (transitions, count) pairs,
+    which `validate_run` checks block by block.
     Raises PolicyStuckError if the schedule deadlocks, or as soon as the
     entry of a loop walked stepwise, or the target of a backward goto other
     than a loop's own back goto, comes round with nothing changed, since the
@@ -1067,5 +1067,4 @@ def replay_canonical(
     out = replay.run()
     if not materialize:
         return out
-    steps = itertools.chain.from_iterable(ts * count for ts, count in replay.blocks)
-    return replace(out, run=Run(compiled.vass.source, tuple(steps)))
+    return replace(out, run=Run.from_blocks(compiled.vass.source, replay.blocks))

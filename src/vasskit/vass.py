@@ -13,9 +13,9 @@ CLI's flatness witness are built from them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import repeat
-from operator import is_
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import NegativeCounterError, WrongStateError
 
@@ -153,10 +153,26 @@ def _json_ints(obj, key: str, where: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Run:
-    """A run given by its initial configuration and its path (transitions)."""
+    """A run given by its initial configuration and its path (transitions).
+
+    A run made by `from_blocks` also keeps `blocks`, its path as
+    (transitions, count) pairs, each transition sequence taken count times
+    in a row; `steps` is their expansion.  `blocks` is None on any other
+    run, and equality, hashing and repr ignore it.
+    """
 
     initial: Configuration
     steps: tuple[Transition, ...]
+    blocks: tuple[tuple[tuple[Transition, ...], int], ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
+
+    @classmethod
+    def from_blocks(cls, initial: Configuration,
+                    blocks: Iterable[tuple[tuple[Transition, ...], int]]) -> "Run":
+        blocks = tuple(blocks)
+        run = cls(initial, tuple(chain.from_iterable(ts * count for ts, count in blocks)))
+        object.__setattr__(run, "blocks", blocks)
+        return run
 
     def configurations(self):
         """Yield the configuration sequence, applying each step in turn."""
@@ -204,102 +220,56 @@ def validate_run(v: Vass, r: Run) -> RunReport:
     """Check that r starts at v.source and every step is a legal transition
     of v; report separately whether the final configuration equals v.target.
 
-    Steps are walked one by one on a mutable vector, each moving only the
-    counters its transition touches, except where a stretch repeats.  At a
-    step i due for a look back (see below) that starts at the current state,
-    the walk looks back at most |T| steps for the last time step i's object
-    was taken, at i - p, and counts the m copies of s = steps[i-p:i] that
-    follow at i.  Those copies are legal transitions that lead from this
-    state back to it: s was just validated, it starts with step i's
-    transition and ends here, and equal transitions are interchangeable.
-    Copy k starts at x + k*net, where x is the vector now and net is s's
-    effect, and it is lowest at x + k*net + low, where low is s's lowest
-    prefix sum.  That is linear in k, so the copies keep a counter
-    nonnegative iff x + low >= 0 and x + (m-1)*net + low >= 0.  Valid copies
-    are added as m*net at once and invalid ones are walked step by step, so
-    failures carry the reasons `step` would raise, at the same index and in
-    the same order (membership, state, counters).
-
-    Copies are compared in slices of at most `_SLICE` steps, so the extra
-    memory stays bounded.  After a look back at i the next waits until
-    i + max(m*p, 2|T| + 64): looking back and comparing then add O(1) work
-    per step walked or skipped, and on runs with no repeats they add at most
-    about a third to the walk.
+    The walk goes over r's blocks, or over the single block (r.steps, 1) of
+    a run that has none, on a mutable vector, each step moving only the
+    counters its transition touches.  A block's first copy is walked step
+    by step.  If it leads back to the state it started from, copies 2..m
+    are legal transitions from that state back to it, and copy k starts at
+    x + (k-2)*net, where x is the vector after the first copy and net is
+    one copy's effect; it is lowest at x + (k-2)*net + low, where low is the
+    copy's lowest prefix sum.  That is linear in k, so those copies keep a
+    counter nonnegative iff x + low >= 0 and x + (m-2)*net + low >= 0, and
+    they are then added as (m-1)*net at once.  Otherwise they are walked
+    step by step, so failures carry the reasons `step` would raise, at the
+    same index and in the same order (membership, state, counters).
     """
     if r.initial != v.source:
         return RunReport(False, -1, False, "initial configuration differs from source")
     touched = {t: tuple((ci, d) for ci, d in enumerate(t.delta) if d) for t in v.transitions}
     # Runs repeat a few step objects many times; hash each one once.  The
-    # ids stay valid because r.steps keeps the objects alive.
+    # ids stay valid because r keeps the objects alive.
     by_id: dict[int, tuple[tuple[int, int], ...]] = {}
-    steps, span, look, i = r.steps, len(touched), 0, 0
-    state, vec = r.initial.state, list(r.initial.vector)
-    while True:
-        for i in range(i, len(steps)):
-            t = steps[i]
-            moves = by_id.get(id(t))
-            if moves is None:
-                moves = touched.get(t)
+    state, vec, i = r.initial.state, list(r.initial.vector), 0
+    for ts, m in r.blocks if r.blocks is not None else ((r.steps, 1),):
+        start = state
+        for k in range(m):
+            for j, t in enumerate(ts, i):
+                moves = by_id.get(id(t))
                 if moves is None:
-                    return RunReport(False, i, False, f"step {i} uses a transition not in the VASS")
-                by_id[id(t)] = moves
-            if t.src != state:
-                return RunReport(False, i, False, f"step {i}: {_wrong_state(t, state)}")
-            if i >= look:
-                p, m = _copies(steps, i, span)
-                look = i + max(m * p, 2 * span + 64)
-                if m:
-                    net, low = [0] * len(vec), [0] * len(vec)
-                    for u in steps[i - p:i]:
-                        for ci, d in touched[u]:
-                            net[ci] += d
-                            low[ci] = min(low[ci], net[ci])
-                    if all(x + lo >= 0 and x + (m - 1) * d + lo >= 0
-                           for x, d, lo in zip(vec, net, low)):
-                        vec = [x + m * d for x, d in zip(vec, net)]
-                        i += m * p
-                        break
-            for ci, d in moves:
-                x = vec[ci] + d
-                if x < 0:
-                    return RunReport(False, i, False, f"step {i}: {NegativeCounterError(ci)}")
-                vec[ci] = x
-            state = t.dst
-        else:
-            return RunReport(True, None, Configuration(state, tuple(vec)) == v.target)
-
-
-_SLICE = 4096
-
-
-def _copies(steps, i: int, span: int) -> tuple[int, int]:
-    """(p, m): steps[i] itself was last taken p <= span steps back, and m
-    whole copies of steps[i-p:i] follow at i; (0, 0) if it was not taken.
-    The number of copies compared at once doubles until a comparison fails,
-    then halves."""
-    back = list(map(is_, reversed(steps[max(0, i - span):i]), repeat(steps[i])))
-    if True not in back:
-        return 0, 0
-    p = back.index(True) + 1
-    m, c = 0, 1
-    while _follows(steps, i + m * p, p, c * p):
-        m, c = m + c, 2 * c
-    while c > 1:
-        c //= 2
-        if _follows(steps, i + m * p, p, c * p):
-            m += c
-    return p, m
-
-
-def _follows(steps, k: int, p: int, n: int) -> bool:
-    """Whether steps[k:k+n] == steps[k-p:k+n-p], in slices of at most _SLICE."""
-    if k + n > len(steps):
-        return False
-    for a in range(k, k + n, _SLICE):
-        b = min(a + _SLICE, k + n)
-        if steps[a:b] != steps[a - p:b - p]:
-            return False
-    return True
+                    moves = touched.get(t)
+                    if moves is None:
+                        return RunReport(False, j, False, f"step {j} uses a transition not in the VASS")
+                    by_id[id(t)] = moves
+                if t.src != state:
+                    return RunReport(False, j, False, f"step {j}: {_wrong_state(t, state)}")
+                for ci, d in moves:
+                    x = vec[ci] + d
+                    if x < 0:
+                        return RunReport(False, j, False, f"step {j}: {NegativeCounterError(ci)}")
+                    vec[ci] = x
+                state = t.dst
+            i += len(ts)
+            if k == 0 and m > 1 and state == start:
+                net, low = [0] * len(vec), [0] * len(vec)
+                for t in ts:
+                    for ci, d in by_id[id(t)]:
+                        net[ci] += d
+                        low[ci] = min(low[ci], net[ci])
+                if all(x + lo >= 0 and x + (m - 2) * d + lo >= 0 for x, d, lo in zip(vec, net, low)):
+                    vec = [x + (m - 1) * d for x, d in zip(vec, net)]
+                    i += (m - 1) * len(ts)
+                    break
+    return RunReport(True, None, Configuration(state, tuple(vec)) == v.target)
 
 
 @dataclass(frozen=True)

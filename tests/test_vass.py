@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -236,11 +237,19 @@ class TestValidateRunAgainstReference:
 
 
 @pytest.fixture(scope="module")
-def pumped():
-    """exp(2) with its canonical run at pump 100: 2,606 steps, nearly all of
-    them in six loop activations of 50-150 copies of a 4-step body."""
+def pumped_replay():
+    """exp(2), its canonical policy at pump 100, and the replay's run:
+    2,606 steps, nearly all of them in six loop activations of 50-150
+    copies of a 4-step body, each activation one block."""
     compiled = compile_counter_program(gen_exp(2))
-    run = replay_canonical(compiled, exp_canonical_policy(compiled.program, 100)).run
+    policy = exp_canonical_policy(compiled.program, 100)
+    return compiled, policy, replay_canonical(compiled, policy).run
+
+
+@pytest.fixture(scope="module")
+def pumped(pumped_replay):
+    """The VASS of `pumped_replay` and its run's steps."""
+    compiled, _, run = pumped_replay
     steps = run.steps
     # steps[400:800] drains x into z, 100 copies from x = 100; the next
     # activation, steps[801:1001], moves 50 copies of z -= 2 into x
@@ -256,11 +265,11 @@ def fresh(steps):
 
 
 class TestRepeatedStretches:
-    """Runs that repeat a canonical stretch many times.  `validate_run`
-    checks a stretch that repeats the one just walked by its net effect and
-    lowest prefix; the whole report, failure index and reason included, must
+    """Plain runs, with no blocks, that repeat a canonical stretch many
+    times.  `validate_run` walks such a run step by step as one block of
+    count 1, and the whole report, failure index and reason included, must
     be the reference's.  Each case sweeps where the repeat or the fault
-    lies, so that it holds wherever the validator looks back."""
+    lies."""
 
     def assert_reference(self, v, runs):
         reports = [validate_run(v, r) for r in runs]
@@ -327,7 +336,7 @@ class TestRepeatedStretches:
     def test_nested_repeat(self):
         # an outer body a b b c whose inner b b repeats too; x falls by one
         # per outer copy and dips by two within it.  Two spare transitions
-        # make |T| = 5, so a look back can reach the 4-step outer body.
+        # are never taken.
         a, b, c = (Transition("p", (0, 0), "q"), Transition("q", (-1, 1), "q"),
                    Transition("q", (1, -2), "p"))
         spare = [Transition("p", (0, 0), "r"), Transition("r", (0, 0), "p")]
@@ -341,18 +350,162 @@ class TestRepeatedStretches:
         assert reports[20].failure_index == 59 * 4 + 2
 
     def test_memory_stays_flat_on_a_long_run(self):
-        # the 1,951,316-step run of 2exp(2) at its least halting pump
+        # the 1,951,316-step run of 2exp(2) at its least halting pump, in
+        # the replay's block form and as a plain run.  Tracing makes the
+        # plain walk about 25 times slower, so its memory is traced on the
+        # first 300,000 steps, whose step list alone takes 2.4 MB.
         compiled = compile_counter_program(gen_double_exp_fixed(2, 65_536)[0])
         run = replay_canonical(compiled, maximal_policy(compiled.program)).run
         assert len(run) == 1_951_316
-        tracemalloc.start()
-        try:
-            report = validate_run(compiled.vass, run)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report == RunReport(True, None, True)
-        assert peak < 1_000_000
+        plain = Run(run.initial, run.steps)
+        assert validate_run(compiled.vass, plain) == RunReport(True, None, True)
+        for form, halting in ((run, True), (Run(run.initial, run.steps[:300_000]), False)):
+            tracemalloc.start()
+            try:
+                report = validate_run(compiled.vass, form)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report == RunReport(True, None, halting)
+            assert peak < 1_000_000
+
+
+def with_count(blocks, at, count):
+    return blocks[:at] + [(blocks[at][0], count)] + blocks[at + 1:]
+
+
+class TestBlockRuns:
+    """Runs made by `Run.from_blocks`.  `validate_run` walks a block's first
+    copy step by step and checks the copies after it by their net effect
+    and lowest prefix; its report on the block form and on the plain form of
+    each run must both be the reference's, failure index and reason
+    included.  In the canonical blocks of exp(2) at pump 100, block 5 drains
+    x = 100 into z, 100 copies of a 4-step body, and block 7 moves z back
+    into x, 50 copies of z -= 2."""
+
+    def assert_reference(self, v, runs):
+        reports = []
+        for r in runs:
+            plain = Run(r.initial, r.steps)
+            want = ref_validate_run(v, plain)
+            assert (validate_run(v, r), validate_run(v, plain)) == (want, want)
+            reports.append(want)
+        return reports
+
+    @pytest.fixture
+    def canonical(self, pumped_replay):
+        compiled, _, run = pumped_replay
+        blocks = list(run.blocks)
+        assert [(len(ts), m) for ts, m in blocks[5:8]] == [(4, 100), (1, 1), (4, 50)]
+        assert blocks[5][0] == run.steps[400:404]
+        return compiled.vass, run.initial, blocks
+
+    def test_from_blocks_is_the_plain_run(self, pumped_replay):
+        _, _, run = pumped_replay
+        plain = Run(run.initial, run.steps)
+        assert run.steps == tuple(t for ts, m in run.blocks for t in ts * m)
+        assert run == plain and hash(run) == hash(plain) and repr(run) == repr(plain)
+        assert run.blocks is not None and plain.blocks is None
+        assert Run.from_blocks(run.initial, iter(run.blocks)) == run
+
+    def test_underflow_in_the_first_middle_and_last_copy(self, canonical):
+        # block 5 of k copies: from k = 101 on, x underflows in copy 101, the
+        # last at k = 101 and a middle one beyond.  Below k = 100 the drain
+        # leaves z = k, and block 7 underflows in copy k // 2 + 1: the first
+        # at k <= 1, the last at k >= 98.  Block 7 alone, from z = 100,
+        # underflows in its last copy at 51.
+        v, initial, blocks = canonical
+        edits = [(5, k) for k in (0, 1, 2, 3, 50, 97, 98, 99, 100, 101, 102, 150, 239)]
+        edits += [(7, m) for m in (49, 50, 51, 52, 80)]
+        runs = [Run.from_blocks(initial, with_count(blocks, at, m)) for at, m in edits]
+        reports = dict(zip(edits, self.assert_reference(v, runs)))
+        assert reports[5, 100] == reports[7, 50] == RunReport(True, None, True)
+        assert reports[5, 101].failure_index == reports[5, 239].failure_index == 400 + 4 * 100 + 1
+        assert reports[5, 0].failure_index == 400 + 1 + 2
+        assert reports[5, 1].failure_index == 400 + 4 + 1 + 2
+        assert reports[5, 50].failure_index == 400 + 4 * 50 + 1 + 4 * 25 + 2
+        assert reports[5, 99].failure_index == 400 + 4 * 99 + 1 + 4 * 49 + 2
+        assert reports[7, 51].failure_index == reports[7, 80].failure_index == 801 + 4 * 50 + 2
+        assert {r.reason.split(": ")[1] for r in reports.values() if not r.ok} == {
+            "counter 0 would become negative", "counter 2 would become negative"}
+
+    def test_body_that_does_not_return(self, canonical):
+        # a block of the first n steps of the drain body leads from one
+        # state to another, so its second copy starts in the wrong state
+        v, initial, blocks = canonical
+        body = blocks[5][0]
+        runs = [Run.from_blocks(initial, blocks[:5] + [(body[:n], m)] + blocks[6:])
+                for n in (1, 2, 3) for m in (2, 40)]
+        for r, n in zip(self.assert_reference(v, runs), (1, 1, 2, 2, 3, 3)):
+            assert r.failure_index == 400 + n and "transition leaves" in r.reason
+
+    @pytest.mark.parametrize("kind", ["foreign", "wrong state"])
+    def test_one_middle_copy_with_a_bad_step(self, canonical, kind):
+        # the drain block split into a copies, one bad copy and the rest
+        v, initial, blocks = canonical
+        body = blocks[5][0]
+        cases = [(a, j) for a in (1, 37, 98) for j in range(4)]
+        runs = []
+        for a, j in cases:
+            t = body[j]
+            bad = Transition(t.src, t.delta, "nowhere") if kind == "foreign" else body[(j + 1) % 4]
+            split = [(body, a), (body[:j] + (bad,) + body[j + 1:], 1), (body, 99 - a)]
+            runs.append(Run.from_blocks(initial, blocks[:5] + split + blocks[6:]))
+        reason = "not in the VASS" if kind == "foreign" else "transition leaves"
+        for r, (a, j) in zip(self.assert_reference(v, runs), cases):
+            assert r.failure_index == 400 + 4 * a + j and reason in r.reason
+
+    def test_counts_zero_and_one(self, canonical):
+        v, initial, blocks = canonical
+        runs = [Run.from_blocks(initial, with_count(blocks, at, m))
+                for at in range(len(blocks)) for m in (0, 1)]
+        reports = self.assert_reference(v, runs)
+        assert any(r.ok for r in reports) and not all(r.ok for r in reports)
+        assert self.assert_reference(v, [Run.from_blocks(initial, [])]) == [RunReport(True, None, False)]
+
+    def test_equal_but_distinct_transitions(self, canonical):
+        v, initial, blocks = canonical
+        runs = [Run.from_blocks(initial, [(fresh(ts), m) for ts, m in blocks]),
+                Run.from_blocks(initial, blocks[:5] + [(fresh(blocks[5][0]), 101)] + blocks[6:])]
+        reports = self.assert_reference(v, runs)
+        assert reports[0] == RunReport(True, None, True)
+        assert reports[1].failure_index == 801
+
+    def test_step_missing_from_vass_fails_at_the_same_index(self, pumped_replay):
+        # replay emits a fresh object for a step the VASS lacks
+        compiled, policy, run = pumped_replay
+        for gone in (run.steps[401], run.steps[-1]):
+            v = compiled.vass
+            kept = tuple(t for t in v.transitions if t is not gone)
+            crippled = replace(compiled, vass=Vass(v.dimension, v.states, kept, v.source, v.target))
+            again = replay_canonical(crippled, policy).run
+            first = run.steps.index(gone)
+            assert self.assert_reference(crippled.vass, [again]) == [
+                RunReport(False, first, False, f"step {first} uses a transition not in the VASS")]
+
+    @pytest.mark.parametrize("name", ["weak(3)", "exp(2)", "hp(3,2)", "NP(3;{1,2})"])
+    def test_random_block_mutations(self, name):
+        # one to three edits of the canonical blocks: a count off by one, a
+        # transition dropped from a block, or two blocks swapped
+        v, canonical = _family_run(name)
+        rng = random.Random(name)
+        outcomes = Counter()
+        for _ in range(600):
+            blocks = list(canonical.blocks)
+            for _ in range(rng.randint(1, 3)):
+                at, kind = rng.randrange(len(blocks)), rng.random()
+                ts, m = blocks[at]
+                if kind < 0.5 or not ts:
+                    blocks[at] = (ts, max(0, m + rng.choice((-1, 1))))
+                elif kind < 0.75:
+                    cut = rng.randrange(len(ts))
+                    blocks[at] = (ts[:cut] + ts[cut + 1:], m)
+                else:
+                    other = rng.randrange(len(blocks))
+                    blocks[at], blocks[other] = blocks[other], blocks[at]
+            (report,) = self.assert_reference(v, [Run.from_blocks(canonical.initial, blocks)])
+            outcomes["ok" if report.ok else report.reason.split(": ")[-1].split(" ")[0]] += 1
+        assert {"ok", "transition", "counter"} <= set(outcomes)
 
 
 class TestFlatness:
