@@ -1050,9 +1050,9 @@ def replay_canonical(
     as the walk goes, and the probe keeps each loop's activation count and
     its last activation's iterations and exit, so with materialize=False
     doubly-exponential canonical runs are measured in memory that does not
-    grow with their number of activations; a materialized run is
-    `Run.from_blocks` of the walk's blocks, (transitions, count) pairs,
-    which `validate_run` checks block by block.
+    grow with their number of activations; a materialized run is the walk's
+    blocks, (transitions, count) pairs, never expanded here, which
+    `validate_run` checks block by block.
     Raises PolicyStuckError if the schedule deadlocks, or as soon as the
     entry of a loop walked stepwise, or the target of a backward goto other
     than a loop's own back goto, comes round with nothing changed, since the

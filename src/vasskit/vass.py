@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from .errors import NegativeCounterError, WrongStateError
@@ -151,46 +151,48 @@ def _json_ints(obj, key: str, where: str) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Run:
-    """A run given by its initial configuration and its path (transitions).
-
-    A run made by `from_blocks` also keeps `blocks`, its path as
-    (transitions, count) pairs, each transition sequence taken count times
-    in a row; `steps` is their expansion.  `blocks` is None on any other
-    run, and equality, hashing and repr ignore it.
-    """
+    """A run: its initial configuration and its path as `blocks`,
+    (transitions, count) pairs, each sequence taken count times in a row;
+    `Run(initial, steps)` is the one block (steps, 1).  `steps` expands the
+    blocks each time it is read.  Equality compares the initial
+    configurations, the summed lengths (`len()` stops at `sys.maxsize`),
+    then the expansions, so runs too long to expand are not compared;
+    hashing takes the first two."""
 
     initial: Configuration
-    steps: tuple[Transition, ...]
-    blocks: tuple[tuple[tuple[Transition, ...], int], ...] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    blocks: tuple[tuple[tuple[Transition, ...], int], ...]
+
+    def __init__(self, initial: Configuration, steps: Iterable[Transition]):
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "blocks", ((tuple(steps), 1),))
 
     @classmethod
     def from_blocks(cls, initial: Configuration,
                     blocks: Iterable[tuple[tuple[Transition, ...], int]]) -> "Run":
-        blocks = tuple(blocks)
-        run = cls(initial, tuple(chain.from_iterable(ts * count for ts, count in blocks)))
-        object.__setattr__(run, "blocks", blocks)
+        run = cls(initial, ())
+        object.__setattr__(run, "blocks", tuple(blocks))
         return run
 
-    def configurations(self):
-        """Yield the configuration sequence, applying each step in turn."""
-        cfg = self.initial
-        yield cfg
-        for t in self.steps:
-            cfg = step(cfg, t)
-            yield cfg
-
     @property
-    def final(self) -> Configuration:
-        cfg = self.initial
-        for t in self.steps:
-            cfg = step(cfg, t)
-        return cfg
+    def steps(self) -> tuple[Transition, ...]:
+        return tuple(chain.from_iterable(ts * count for ts, count in self.blocks))
+
+    def _key(self) -> tuple[Configuration, int]:
+        return self.initial, sum(len(ts) * count for ts, count in self.blocks)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self._key()[1]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Run) and self._key() == other._key() and self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Run(initial={self.initial!r}, steps={self.steps!r})"
 
 
 def _wrong_state(t: Transition, state: str) -> WrongStateError:
@@ -220,9 +222,8 @@ def validate_run(v: Vass, r: Run) -> RunReport:
     """Check that r starts at v.source and every step is a legal transition
     of v; report separately whether the final configuration equals v.target.
 
-    The walk goes over r's blocks, or over the single block (r.steps, 1) of
-    a run that has none, on a mutable vector, each step moving only the
-    counters its transition touches.  A block's first copy is walked step
+    The walk goes over r's blocks on a mutable vector, each step moving only
+    the counters its transition touches.  A block's first copy is walked step
     by step.  If it leads back to the state it started from, copies 2..m
     are legal transitions from that state back to it, and copy k starts at
     x + (k-2)*net, where x is the vector after the first copy and net is
@@ -240,7 +241,7 @@ def validate_run(v: Vass, r: Run) -> RunReport:
     # ids stay valid because r keeps the objects alive.
     by_id: dict[int, tuple[tuple[int, int], ...]] = {}
     state, vec, i = r.initial.state, list(r.initial.vector), 0
-    for ts, m in r.blocks if r.blocks is not None else ((r.steps, 1),):
+    for ts, m in r.blocks:
         start = state
         for k in range(m):
             for j, t in enumerate(ts, i):

@@ -15,8 +15,10 @@ with the error as its counterexample, and the suite goes on.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import random
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
@@ -374,37 +376,30 @@ def check_np_run_accounting(
     inst: families.NpInstance, run, compiled: CompiledProgram, meta: families.NpMeta
 ) -> str | None:
     """Verify on a concrete halting run that every visited component moved f
-    down by exactly the threshold and touched u exactly `amount` times."""
-    counters = compiled.program.counters
-    f_ix = counters.index("f")
-    u_ix = counters.index("u")
+    down by exactly the threshold and touched u exactly `amount` times.
+    Metered per block of the run: each transition of one copy counts its
+    block's count times, for the component that holds its source line."""
+    f_ix, u_ix = map(compiled.program.counters.index, ("f", "u"))
     labels = compiled.program.labels
-    starts = [labels[c.label] for c in meta.components]
-    spans = list(zip(meta.components, starts, starts[1:] + [labels["end"]]))
-    f_drop = {info.label: 0 for info, _s, _e in spans}
-    u_hits = {info.label: 0 for info, _s, _e in spans}
-    visited = set()
-    for t in run.steps:
-        line = compiled.line_of_state[t.src]
-        for info, start, end in spans:
-            if start <= line < end:
-                visited.add(info.label)
-                f_drop[info.label] -= t.delta[f_ix]
-                if t.delta[u_ix]:
-                    u_hits[info.label] += 1
-                break
-    for info, _s, _e in spans:
-        if info.label not in visited:
+    starts, end = [labels[c.label] for c in meta.components], labels["end"]
+    f_drop, u_hits, visited = [0] * len(starts), [0] * len(starts), set()
+    for ts, m in run.blocks:
+        for t in ts:
+            line = compiled.line_of_state[t.src]
+            at = bisect.bisect_right(starts, line) - 1
+            if m and at >= 0 and line < end:
+                visited.add(at)
+                f_drop[at] -= m * t.delta[f_ix]
+                u_hits[at] += m * (t.delta[u_ix] != 0)
+    for at, info in enumerate(meta.components):
+        if at not in visited:
             continue
-        if f_drop[info.label] != meta.threshold:
-            return (
-                f"{inst}: component {info.label} moved f by {f_drop[info.label]}, "
-                f"expected {meta.threshold}"
-            )
+        if f_drop[at] != meta.threshold:
+            return f"{inst}: component {info.label} moved f by {f_drop[at]}, expected {meta.threshold}"
         expected_hits = info.amount if info.active else 0
-        if u_hits[info.label] != expected_hits:
+        if u_hits[at] != expected_hits:
             return (
-                f"{inst}: component {info.label} touched u {u_hits[info.label]} times, "
+                f"{inst}: component {info.label} touched u {u_hits[at]} times, "
                 f"expected {expected_hits}"
             )
     return None
@@ -438,27 +433,48 @@ def _np_init_unique(n: int) -> str | None:
     return None
 
 
-def _np_accounting(inst: families.NpInstance) -> str | None:
-    """Positive instances: the canonical subset run halts, validates and meters
-    f and u per component, and so does the run `shortest_halting` finds."""
-    chosen = families.subset_sum_witness(inst.target, inst.values)
-    if chosen is None:
-        return None
-    program, meta = families.gen_np(inst)
-    compiled = compile_counter_program(program)
+def _np_subset_run(
+    inst: families.NpInstance, chosen: set[int], compiled: CompiledProgram, meta: families.NpMeta
+) -> str | None:
+    """The canonical run that takes the values at positions `chosen` halts,
+    validates and meters f and u per component."""
     out = replay_canonical(compiled, families.np_canonical_policy(compiled.program, chosen))
     if not out.halting:
         return f"{inst}: canonical subset run does not halt"
     report = validate_run(compiled.vass, out.run)
     if not (report.ok and report.halting):
         return f"{inst}: canonical subset run fails validation"
-    counterexample = check_np_run_accounting(inst, out.run, compiled, meta)
+    return check_np_run_accounting(inst, out.run, compiled, meta)
+
+
+def _np_accounting(inst: families.NpInstance) -> str | None:
+    """Positive instances: the canonical subset run and the run
+    `shortest_halting` finds both meter f and u per component."""
+    chosen = families.subset_sum_witness(inst.target, inst.values)
+    if chosen is None:
+        return None
+    program, meta = families.gen_np(inst)
+    compiled = compile_counter_program(program)
+    counterexample = _np_subset_run(inst, chosen, compiled, meta)
     if counterexample is not None:
         return counterexample
     result = shortest_halting(compiled.vass, SearchBudget(meta.search_bound, 8_000_000))
     if result.verdict != Verdict.FOUND:
         return f"{inst}: BFS finds no run but oracle is positive"
     return check_np_run_accounting(inst, result.run, compiled, meta)
+
+
+def _np_yes_instances(ks: Iterable[int], max_value: int) -> Iterable[str | None]:
+    """Seeded yes-instances, one per k in `ks`: k values drawn below
+    `max_value`, and as target the sum of a drawn nonempty subset of them,
+    whose canonical run `_np_subset_run` checks."""
+    rng = random.Random(2015)
+    for k in ks:
+        values = tuple(rng.randrange(1, max_value) for _ in range(k))
+        chosen = set(rng.sample(range(1, k + 1), rng.randint(1, k)))
+        inst = families.NpInstance(sum(values[i - 1] for i in chosen), values)
+        program, meta = families.gen_np(inst)
+        yield _np_subset_run(inst, chosen, compile_counter_program(program), meta)
 
 
 def suite_np() -> SuiteResult:
@@ -469,6 +485,7 @@ def suite_np() -> SuiteResult:
         for target in range(1, 4)
         for values in itertools.product(range(1, 4), repeat=k)
     ]
+    yes_ks, value_bits = (2, 4, 8, 16), 12
     return _suite("np", t0, [
         _check("initializer computes the threshold exactly (n <= 4)",
                _first, (_np_init_exact(n, k) for n in range(1, 5) for k in (1, 2))),
@@ -478,6 +495,9 @@ def suite_np() -> SuiteResult:
             _first, map(check_np_instance, grid),
         ),
         _check("per-component f/u accounting on halting runs", _first, map(_np_accounting, grid)),
+        _check(f"yes-instances: the canonical subset run halts, validates and meters f and u "
+               f"(k <= {max(yes_ks)}, values < 2^{value_bits})",
+               _first, _np_yes_instances(yes_ks, 2**value_bits)),
     ])
 
 
@@ -503,13 +523,18 @@ def _tower_maximal(k: int) -> str | None:
     return None
 
 
-def _stage_exits(k: int) -> str | None:
-    """The canonical run of gen_double_exp(k) halts with x at each stage exit
-    equal to the closed form pump * prod f_i^(2^i)."""
+def _double_exp_replay(k: int, materialize: bool):
+    """gen_double_exp(k) compiled, its meta, and its canonical replay."""
     program, meta = families.gen_double_exp(k)
     compiled = compile_counter_program(program)
     policy = families.double_exp_canonical_policy(compiled.program, meta.canonical_pump)
-    out = replay_canonical(compiled, policy, materialize=False)
+    return compiled, meta, replay_canonical(compiled, policy, materialize)
+
+
+def _stage_exits(k: int) -> str | None:
+    """The canonical run of gen_double_exp(k) halts with x at each stage exit
+    equal to the closed form pump * prod f_i^(2^i)."""
+    compiled, meta, out = _double_exp_replay(k, materialize=False)
     if not out.halting:
         return f"k={k}: canonical run does not halt"
     outer_entries = [
@@ -528,6 +553,18 @@ def _stage_exits(k: int) -> str | None:
         got = out.probe.loops[entry].exit_vectors[-1][x_ix]
         if want.denominator != 1 or got != want.numerator:
             return f"k={k}: stage exit x={got}, closed form {want}"
+    return None
+
+
+def _canonical_validates(k: int) -> str | None:
+    """The canonical run of gen_double_exp(k), held as the replay's blocks,
+    is a halting run of the compiled VASS, checked by `validate_run`."""
+    compiled, _, out = _double_exp_replay(k, materialize=True)
+    report = validate_run(compiled.vass, out.run)
+    if not report.ok:
+        return f"k={k}: canonical run fails validation: {report.reason}"
+    if not report.halting:
+        return f"k={k}: canonical run validates but does not halt"
     return None
 
 
@@ -569,6 +606,8 @@ def suite_double_exp() -> SuiteResult:
                _first, map(_tower_maximal, range(1, flow_max_k + 1))),
         _check(f"canonical run halts and stage exits match the closed form (k <= {probe_max_k})",
                _first, map(_stage_exits, range(1, probe_max_k + 1))),
+        _check(f"canonical run validates (k <= {probe_max_k})",
+               _first, map(_canonical_validates, range(1, probe_max_k + 1))),
         _check("k=1: not flat; halting iff pump divisible by the forced divisor; "
                "shortest equals canonical", _double_exp_k1),
     ])

@@ -49,7 +49,7 @@ from vasskit.search import (
     _Replay,
 )
 from vasskit.vass import (
-    Configuration, Run, RunReport, Transition, Vass, is_flat, validate_run,
+    Configuration, Run, RunReport, Transition, Vass, is_flat, step, validate_run,
 )
 
 search_module = importlib.import_module("vasskit.search")
@@ -449,7 +449,10 @@ class TestReplay:
         assert len(out.run) == out.probe.length
         report = validate_run(compiled.vass, out.run)
         assert report.ok and report.halting
-        assert out.run.final == compiled.vass.target
+        cfg = out.run.initial
+        for t in out.run.steps:
+            cfg = step(cfg, t)
+        assert cfg == compiled.vass.target
 
     @pytest.mark.parametrize("name", CANONICAL)
     def test_unmaterialized_matches_materialized(self, name):
@@ -514,7 +517,9 @@ class TestReplay:
         compiled = compile_counter_program(gen_exp_fixed(2, 2))
         out = replay_canonical(compiled, maximal_policy(compiled.program))
         explicit_peak = [0] * compiled.vass.dimension
-        for cfg in out.run.configurations():
+        cfg = out.run.initial
+        for t in out.run.steps:
+            cfg = step(cfg, t)
             for i, value in enumerate(cfg.vector):
                 explicit_peak[i] = max(explicit_peak[i], value)
         assert tuple(explicit_peak) == out.probe.peak

@@ -381,7 +381,8 @@ class TestBlockRuns:
     each run must both be the reference's, failure index and reason
     included.  In the canonical blocks of exp(2) at pump 100, block 5 drains
     x = 100 into z, 100 copies of a 4-step body, and block 7 moves z back
-    into x, 50 copies of z -= 2."""
+    into x, 50 copies of z -= 2.  A run too long to expand is checked
+    against its replay's probe instead."""
 
     def assert_reference(self, v, runs):
         reports = []
@@ -405,7 +406,7 @@ class TestBlockRuns:
         plain = Run(run.initial, run.steps)
         assert run.steps == tuple(t for ts, m in run.blocks for t in ts * m)
         assert run == plain and hash(run) == hash(plain) and repr(run) == repr(plain)
-        assert run.blocks is not None and plain.blocks is None
+        assert len(run.blocks) > 1 and plain.blocks == ((run.steps, 1),)
         assert Run.from_blocks(run.initial, iter(run.blocks)) == run
 
     def test_underflow_in_the_first_middle_and_last_copy(self, canonical):
@@ -506,6 +507,28 @@ class TestBlockRuns:
             (report,) = self.assert_reference(v, [Run.from_blocks(canonical.initial, blocks)])
             outcomes["ok" if report.ok else report.reason.split(": ")[-1].split(" ")[0]] += 1
         assert {"ok", "transition", "counter"} <= set(outcomes)
+
+    def test_run_that_cannot_be_expanded(self):
+        # the canonical run of 2exp(8): 3,598 blocks whose summed length has
+        # 11,491 bits, past what `len()` or an expansion could hold
+        program, meta = gen_double_exp(8)
+        compiled = compile_counter_program(program)
+        out = replay_canonical(compiled, exp_canonical_policy(compiled.program, meta.canonical_pump))
+        run = out.run
+        assert len(run.blocks) == 3_598
+        assert sum(len(ts) * m for ts, m in run.blocks) == out.probe.length
+        assert out.probe.length.bit_length() == 11_491
+        with pytest.raises(OverflowError):
+            len(run)
+        assert hash(run) == hash(Run.from_blocks(run.initial, iter(run.blocks)))
+        tracemalloc.start()
+        try:
+            report = validate_run(compiled.vass, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == RunReport(True, None, True)
+        assert peak < 1_000_000
 
 
 class TestFlatness:

@@ -147,6 +147,51 @@ def test_double_exp_suite_fails_on_a_raised_stage_ratio(monkeypatch):
     }
 
 
+def test_double_exp_suite_fails_on_a_dropped_run_transition(monkeypatch):
+    """Each compiled VASS loses the transitions out of its source state,
+    which every canonical run takes first.  The replay emits the step
+    anyway and `validate_run` rejects it; the probe-based stage exits
+    still hold, and k = 1 no longer halts."""
+    original = verify.compile_counter_program
+
+    def dropping(program):
+        compiled = original(program)
+        v = compiled.vass
+        kept = tuple(t for t in v.transitions if t.src != v.source.state)
+        return dataclasses.replace(compiled, vass=dataclasses.replace(v, transitions=kept))
+
+    monkeypatch.setattr(verify, "compile_counter_program", dropping)
+    assert failures(verify.suite_double_exp()) == {
+        "canonical run validates (k <= 8)":
+            "k=1: canonical run fails validation: step 0 uses a transition not in the VASS",
+        "k=1: not flat; halting iff pump divisible by the forced divisor; "
+        "shortest equals canonical": "k=1: no halting run found (exhausted-within-bound)",
+    }
+
+
+def test_np_suite_fails_on_a_one_off_load_amount(monkeypatch):
+    """Each reduction's meta declares its `load` component's amount one
+    above the target the program loads.  The runs still halt and validate,
+    so only the meter fails, at the first yes-instance of each line."""
+    original = families.gen_np
+
+    def one_off(inst):
+        program, meta = original(inst)
+        load, *rest = meta.components
+        load = dataclasses.replace(load, amount=load.amount + 1)
+        return program, dataclasses.replace(meta, components=(load, *rest))
+
+    monkeypatch.setattr(families, "gen_np", one_off)
+    assert failures(verify.suite_np()) == {
+        "per-component f/u accounting on halting runs":
+            "NpInstance(target=1, values=(1,)): component load touched u 1 times, expected 2",
+        "yes-instances: the canonical subset run halts, validates and meters f and u "
+        "(k <= 16, values < 2^12)":
+            "NpInstance(target=2977, values=(2977, 316)): component load touched u 2977 times, "
+            "expected 2978",
+    }
+
+
 def test_sizes_suite_fails_on_a_squared_parameter(monkeypatch):
     original = families.gen_exp
     monkeypatch.setattr(families, "gen_exp", lambda n: original(n * n))
