@@ -44,46 +44,43 @@ def compile_program(flat: FlatProgram) -> CompiledProgram:
     dim = len(flat.counters)
     cix = {c: i for i, c in enumerate(flat.counters)}
     zero = (0,) * dim
+    units: dict[tuple[int, int], tuple[int, ...]] = {}  # one delta per (counter, amount)
 
     def unit(counter: str, scale: int) -> tuple[int, ...]:
-        d = [0] * dim
-        d[cix[counter]] = scale
-        return tuple(d)
+        i = cix[counter]
+        return units.setdefault((i, scale), zero[:i] + (scale,) + zero[i + 1:])
 
     # Every state of line l is L<l>, line n + 1 included when control can
     # fall off the end; the last of them is where halting completes.
     last = n if flat.halt is not None else n + 1
     states = [f"L{line}" for line in range(1, last + 1)]
     line_states = tuple(states[:n])
-    line_of_state = {s: line for line, s in enumerate(states, start=1)}
-
-    def state_of(line: int) -> str:
-        return states[line - 1]
-
+    line_of_state = dict(zip(states, range(1, last + 1)))
     transitions: list[Transition] = []
     halt_state = target_state = states[-1]
     drain_chain: tuple[tuple[str, str], ...] = ()
 
-    for ln, cmd in enumerate(flat.lines, start=1):
-        src = state_of(ln)
-        if isinstance(cmd, Init):
-            transitions.append(Transition(src, zero, state_of(ln + 1)))
-        elif isinstance(cmd, Add):
-            transitions.append(Transition(src, unit(cmd.counter, cmd.amount), state_of(ln + 1)))
+    # line ln + 1 moves from states[ln] to states[ln + 1]
+    for ln, cmd in enumerate(flat.lines):
+        src = states[ln]
+        if isinstance(cmd, Add):
+            transitions.append(Transition(src, unit(cmd.counter, cmd.amount), states[ln + 1]))
         elif isinstance(cmd, Sub):
-            transitions.append(Transition(src, unit(cmd.counter, -cmd.amount), state_of(ln + 1)))
+            transitions.append(Transition(src, unit(cmd.counter, -cmd.amount), states[ln + 1]))
         elif isinstance(cmd, Goto):
             for target in {cmd.first, cmd.second}:
                 if not isinstance(target, int):
                     raise ExpansionError(f"unresolved goto target {target!r}; expand first")
-                transitions.append(Transition(src, zero, state_of(target)))
+                transitions.append(Transition(src, zero, states[target - 1]))
+        elif isinstance(cmd, Init):
+            transitions.append(Transition(src, zero, states[ln + 1]))
         elif isinstance(cmd, Halt):
             untested = [c for c in flat.counters if c not in cmd.tested]
             chain = [src]
             for c in untested[1:]:
                 extra = f"{src}__drain_{c}"
                 states.append(extra)
-                line_of_state[extra] = ln
+                line_of_state[extra] = ln + 1
                 chain.append(extra)
             for where, c in zip(chain, untested):
                 transitions.append(Transition(where, unit(c, -1), where))
@@ -92,13 +89,13 @@ def compile_program(flat: FlatProgram) -> CompiledProgram:
             target_state = chain[-1]
             drain_chain = tuple(zip(chain, untested))
         else:
-            raise ExpansionError(f"non-ground command at line {ln}: {cmd!r}; expand first")
+            raise ExpansionError(f"non-ground command at line {ln + 1}: {cmd!r}; expand first")
 
     vass = Vass(
         dimension=dim,
         states=tuple(states),
         transitions=tuple(transitions),
-        source=Configuration(state_of(1), zero),
+        source=Configuration(states[0], zero),
         target=Configuration(target_state, zero),
     )
     return CompiledProgram(

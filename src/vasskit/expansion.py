@@ -89,6 +89,8 @@ def expand(program: CounterProgram) -> FlatProgram:
     labels: dict[str, int] = {}
     goto_lines: list[int] = []  # 0-based indices of emitted gotos
     declared = set(program.counters)
+    # one ground Add or Sub per (kind, counter, amount), shared by its lines
+    ground: dict[tuple[type, str, int], Command] = {}
 
     def emit(cmd: Command | None) -> int:
         if len(out) >= max_lines:
@@ -101,59 +103,58 @@ def expand(program: CounterProgram) -> FlatProgram:
             raise ExpansionError(f"undeclared counter {name!r}")
 
     def walk(commands, env: dict[str, int]):
-        for cmd in commands:
-            walk_one(cmd, env)
-
-    def walk_one(cmd: Command, env: dict[str, int]):
         nonlocal iterations
-        while isinstance(cmd, Labeled):
-            if cmd.label in labels:
-                raise ExpansionError(f"duplicate label {cmd.label!r} after expansion")
-            labels[cmd.label] = len(out) + 1
-            cmd = cmd.command
-        if isinstance(cmd, Init):
-            emit(cmd)
-        elif isinstance(cmd, Halt):
-            for c in cmd.tested:
-                check_counter(c)
-            emit(cmd)
-        elif isinstance(cmd, (Add, Sub)):
-            check_counter(cmd.counter)
-            amount = cmd.amount if isinstance(cmd.amount, int) else eval_expr(cmd.amount, env)
-            if amount <= 0:
-                raise ExpansionError(
-                    f"{'increment' if isinstance(cmd, Add) else 'decrement'} of "
-                    f"{cmd.counter!r} by non-positive amount {amount}"
-                )
-            emit(type(cmd)(cmd.counter, amount))
-        elif isinstance(cmd, Goto):
-            goto_lines.append(len(out))
-            emit(cmd)
-        elif isinstance(cmd, Loop):
-            if not cmd.body:
-                raise ExpansionError("loop body is empty")
-            entry_ix = len(out)
-            emit(None)  # patched below once the exit line is known
-            walk(cmd.body, env)
-            if len(out) == entry_ix + 1:
-                # an empty body would leave a control cycle with no effect
-                raise ExpansionError(f"loop at line {entry_ix + 1}: body expands to no lines")
-            back = emit(Goto(entry_ix + 1, entry_ix + 1))
-            out[entry_ix] = Goto(back + 1, entry_ix + 2)
-        elif isinstance(cmd, For):
-            start = eval_expr(cmd.start, env)
-            stop = eval_expr(cmd.stop, env)
-            values = range(start, stop - 1, -1) if cmd.downward else range(start, stop + 1)
-            for value in values:
-                walk(cmd.body, {**env, cmd.var: value})
-                iterations += 1
-                if iterations > max_lines:
-                    raise ExpansionError(f"expansion exceeds budget of {max_lines} for iterations")
-        elif isinstance(cmd, If):
-            if eval_cond(cmd.condition, env):
+        for cmd in commands:
+            while isinstance(cmd, Labeled):
+                if cmd.label in labels:
+                    raise ExpansionError(f"duplicate label {cmd.label!r} after expansion")
+                labels[cmd.label] = len(out) + 1
+                cmd = cmd.command
+            if isinstance(cmd, (Add, Sub)):
+                check_counter(cmd.counter)
+                amount = cmd.amount if isinstance(cmd.amount, int) else eval_expr(cmd.amount, env)
+                if amount <= 0:
+                    raise ExpansionError(
+                        f"{'increment' if isinstance(cmd, Add) else 'decrement'} of "
+                        f"{cmd.counter!r} by non-positive amount {amount}"
+                    )
+                key = (type(cmd), cmd.counter, amount)
+                emit(ground.get(key) or ground.setdefault(key, type(cmd)(cmd.counter, amount)))
+            elif isinstance(cmd, Init):
+                emit(cmd)
+            elif isinstance(cmd, Halt):
+                for c in cmd.tested:
+                    check_counter(c)
+                emit(cmd)
+            elif isinstance(cmd, Goto):
+                goto_lines.append(len(out))
+                emit(cmd)
+            elif isinstance(cmd, Loop):
+                if not cmd.body:
+                    raise ExpansionError("loop body is empty")
+                entry_ix = len(out)
+                emit(None)  # patched below once the exit line is known
                 walk(cmd.body, env)
-        else:
-            raise ExpansionError(f"cannot expand command {cmd!r}")
+                if len(out) == entry_ix + 1:
+                    # an empty body would leave a control cycle with no effect
+                    raise ExpansionError(f"loop at line {entry_ix + 1}: body expands to no lines")
+                back = emit(Goto(entry_ix + 1, entry_ix + 1))
+                out[entry_ix] = Goto(back + 1, entry_ix + 2)
+            elif isinstance(cmd, For):
+                start = eval_expr(cmd.start, env)
+                stop = eval_expr(cmd.stop, env)
+                values = range(start, stop - 1, -1) if cmd.downward else range(start, stop + 1)
+                for value in values:
+                    walk(cmd.body, {**env, cmd.var: value})
+                    iterations += 1
+                    if iterations > max_lines:
+                        raise ExpansionError(
+                            f"expansion exceeds budget of {max_lines} for iterations")
+            elif isinstance(cmd, If):
+                if eval_cond(cmd.condition, env):
+                    walk(cmd.body, env)
+            else:
+                raise ExpansionError(f"cannot expand command {cmd!r}")
 
     walk(program.body, {})
     if not out:

@@ -138,24 +138,21 @@ class _Packed:
     tests every configuration along it.  An entry is `(packed delta, cap
     offsets, first transition index, length in transitions)`."""
 
-    def __init__(
-        self,
-        v: Vass,
-        bound: int,
-        absorbing: frozenset[str] = frozenset(),
-        chains: bool = False,
-        prune: bool = False,
-    ):
-        index = self.index = {s: i for i, s in enumerate(v.states)}
+    def __init__(self, v: Vass, bound: int, absorbing: frozenset[str] = frozenset(),
+                 chains: bool = False, prune: bool = False):
+        index = self.index = dict(zip(v.states, itertools.count()))
         moves = _chain_moves(v, index, absorbing, chains)
         # a chain's net amount can exceed every single transition's
-        nets = {net for ms in moves for net, *_ in ms}
+        nets = {m[0] for ms in moves for m in ms}
         amount = max(map(abs, itertools.chain.from_iterable(nets)), default=0)
+        # per state its mask, per mask its caps (see `_invariants`)
         if prune:
-            caps, ratios = _invariants(moves, index[v.target.state], v.target.vector, bound)
+            down, caps, ratios = _invariants(moves, index[v.target.state], v.target.vector, bound)
         else:
-            caps, ratios = [(bound,) * v.dimension] * len(v.states), []
-        self.ratios = ratios
+            down, caps, ratios = [0] * len(v.states), {0: (bound,) * v.dimension}, []
+        # each ratio invariant's region: the states whose mask holds no net that breaks it
+        self.ratios = [(i, a, j, b, list(map({m: not m & bad for m in caps}.get, down, itertools.repeat(False))))
+                       for i, a, j, b, bad in ratios]
         self.sbits = max(1, (len(v.states) - 1).bit_length())
         self.wbits = max(1, (2 * (bound + amount) + 1).bit_length())
         self.smask = (1 << self.sbits) - 1
@@ -177,27 +174,26 @@ class _Packed:
         self.ks = [0] * v.dimension + ks  # each field's K; a counter's is 0
         self.guard = self._pack([top + 1 for top in tops])
         self._base = self._pack(self.ks)
-        # per state, every field's cap, counters first: a derived field's
+        # per mask, every field's cap, counters first: a derived field's
         # binds inside its invariant's region
         if ratios:
             target = self._lin(v.target.vector)[v.dimension:]
             low = [min(max(k + x, 0), top) for k, x, top in zip(ks, target, tops[v.dimension:])]
-            caps = [
-                None if c is None else c + tuple(
-                    [u if r[s] else top for u, top, (*_w, r) in zip(low, tops[v.dimension:], ratios)]
-                )
-                for s, c in enumerate(caps)
-            ]
-        self.caps = caps
-        # the cap offsets of each distinct caps tuple; a state whose caps are
-        # None cannot reach the target state, and no move enters it
-        offs = {c: self._pack([t - x for t, x in zip(tops, c)]) for c in set(caps) if c is not None}
+            caps = {
+                m: c + tuple([top if m & bad else u for u, top, (*_w, bad) in zip(low, tops[v.dimension:], ratios)])
+                for m, c in caps.items()
+            }
+        self.caps = list(map(caps.get, down))
+        # the cap offsets per mask; a state whose mask is None cannot reach
+        # the target state, and no move enters it
+        top = self._pack(tops)
+        offs = {m: top - self._pack(c) for m, c in caps.items()}
         packed = {net: self._pack(self._lin(net)) for net in nets}
         self.adj = [
             [
-                (dst - s + packed[delta], offs[caps[dst]], tix, n)
+                (dst - s + packed[delta], offs[down[dst]], tix, n)
                 for delta, dst, tix, n in ms
-                if caps[dst] is not None
+                if down[dst] is not None
             ] if ms else []
             for s, ms in enumerate(moves)
         ]
@@ -208,7 +204,7 @@ class _Packed:
 
     def _pack(self, values) -> int:
         """One value per field, counters first, shifted into place and summed."""
-        return sum([x << shift for x, shift in zip(values, self.field_shifts) if x])
+        return sum(map(operator.lshift, values, self.field_shifts))
 
     def _lin(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """The counters, then `-(a·v_i - b·v_j)` per ratio invariant: the
@@ -239,9 +235,8 @@ class _Packed:
         return into
 
 
-def _chain_moves(
-    v: Vass, index: dict[str, int], absorbing: frozenset[str], chains: bool
-) -> list[list[tuple[tuple[int, ...], int, int, int]]]:
+def _chain_moves(v: Vass, index: dict[str, int], absorbing: frozenset[str],
+                 chains: bool) -> list[list[tuple[tuple[int, ...], int, int, int]]]:
     """Per state index, one `(net delta, end state index, first transition
     index, length)` per outgoing transition of a cut state reachable from
     the source state: the maximal deterministic chain that starts with that
@@ -273,10 +268,11 @@ def _chain_moves(
             n = 1
             while not cut[cur]:
                 delta, nxt, _ = out[cur][0]
-                if (nxt in seen and not cut[nxt]) or min(map(operator.mul, net, delta), default=0) < 0:
+                if (nxt in seen and not cut[nxt]) or any(delta) and min(map(operator.mul, net, delta)) < 0:
                     cut[cur] = True
                     break
-                net = tuple(map(operator.add, net, delta))
+                if any(delta):  # a zero delta leaves the net as it is
+                    net = tuple(map(operator.add, net, delta))
                 seen.add(nxt)
                 cur = nxt
                 n += 1
@@ -287,12 +283,8 @@ def _chain_moves(
     return moves
 
 
-def _invariants(
-    moves: list[list[tuple[tuple[int, ...], int, int, int]]],
-    tgt: int,
-    target: tuple[int, ...],
-    bound: int,
-) -> tuple[list[tuple[int, ...] | None], list[tuple[int, int, int, int, list[bool]]]]:
+def _invariants(moves: list[list[tuple[tuple[int, ...], int, int, int]]], tgt: int, target: tuple[int, ...],
+                bound: int) -> tuple[list[int | None], dict[int, tuple[int, ...]], list[tuple[int, int, int, int, int]]]:
     """Linear invariants that hold downstream of each state, for the
     searches with a target.  A weight vector w holds at state s when every
     move on a path from s to the target state has `w·net <= 0`: along every
@@ -300,22 +292,22 @@ def _invariants(
     `w·v < w·target` cannot halt.  The states where w holds, its region,
     are closed downstream.
 
-    Returns, per state index, None if the state cannot reach the target
-    state, else one cap per counter: w = -e_i, which holds where no move on
-    such a path decreases counter i, caps the counter at `min(bound, target
-    value)`, and elsewhere the cap is `bound`.  Also returns the ratio
-    invariants `(i, a, j, b, region)`, w = a·e_i - b·e_j, region a flag per
-    state: each loop (a move from a state back to itself) that decreases
-    counters i and j gives `a = |net_j| / g` and `b = |net_i| / g`, g their
-    gcd, so that the loop itself has `w·net = 0`, and w is kept when the
-    loop's state is in its region.
-
     One backward worklist pass from the target state gives each state the
     bitmask of the distinct nets on its paths to the target state: those of
     its moves into live states, plus those of their end states'.  A state
     is queued again only when its mask grows, so at most once per distinct
     net.  An invariant holds at a state whose mask has none of the nets
-    that break it."""
+    that break it, so everything else is worked out per distinct mask.
+
+    Returns, per state index, its mask, or None if the state cannot reach
+    the target state.  Per mask, one cap per counter: w = -e_i, which holds
+    where no move on such a path decreases counter i, caps the counter at
+    `min(bound, target value)`, and elsewhere the cap is `bound`.  Also the
+    ratio invariants `(i, a, j, b, bad)`, w = a·e_i - b·e_j, `bad` the mask
+    of the nets that break it: each loop (a move from a state back to
+    itself) that decreases counters i and j gives `a = |net_j| / g` and `b =
+    |net_i| / g`, g their gcd, so that the loop itself has `w·net = 0`, and
+    w is kept when it holds at the loop's state."""
     bits: dict[tuple[int, ...], int] = {}
     into: list[list[tuple[int, int]]] = [[] for _ in moves]
     loops = []
@@ -345,9 +337,8 @@ def _invariants(
         m: tuple([bound if m & fall else c for fall, c in zip(falls, tight)])
         for m in set(down) if m is not None
     }
-    caps = [None if m is None else by_mask[m] for m in down]
 
-    ratios: list[tuple[int, int, int, int, list[bool]]] = []
+    ratios: list[tuple[int, int, int, int, int]] = []
     breaking: dict[tuple[int, int, int, int], int] = {}  # per w, the nets that break it
     kept = set()
     for s, net in loops:
@@ -367,18 +358,16 @@ def _invariants(
             if w not in breaking:
                 both = rises[i] & rises[j] | falls[i] & falls[j]
                 breaking[w] = signed | sum(
-                    [1 << k for k, x in enumerate(nets) if both >> k & 1 and a * x[i] > b * x[j]]
+                    [bit for x, bit in bits.items() if both & bit and a * x[i] > b * x[j]]
                 )
             bad = breaking[w]
             if not here & bad:
                 kept.add(w)
-                ratios.append((*w, [m is not None and not m & bad for m in down]))
-    return caps, ratios
+                ratios.append((*w, bad))
+    return down, by_mask, ratios
 
 
-def _explore(
-    packed: _Packed, tgt: int, max_configs: int
-) -> tuple[Verdict, dict[int, int], SearchStats]:
+def _explore(packed: _Packed, tgt: int, max_configs: int) -> tuple[Verdict, dict[int, int], SearchStats]:
     """The breadth-first search, level by level from the source, for the
     packed key `tgt` (-1 to exhaust the space).  Returns the verdict, each
     stored key mapped to the index of the first transition of the move that
@@ -450,9 +439,7 @@ def halting_reachable(v: Vass, budget: SearchBudget) -> ReachResult:
     return ReachResult(verdict, None, stats)
 
 
-def shortest_halting(
-    v: Vass, budget: SearchBudget, max_depth: int | None = None
-) -> ReachResult:
+def shortest_halting(v: Vass, budget: SearchBudget, max_depth: int | None = None) -> ReachResult:
     """A shortest halting run within the counter bound.
 
     FOUND returns a minimum-length halting run, the least in canonical
@@ -478,9 +465,7 @@ def shortest_halting(
     return ReachResult(verdict, run, stats)
 
 
-def _dial(
-    packed: _Packed, max_configs: int, max_depth: int
-) -> tuple[Verdict, dict[int, int], SearchStats]:
+def _dial(packed: _Packed, max_configs: int, max_depth: int) -> tuple[Verdict, dict[int, int], SearchStats]:
     """Dial's bucket queue (CACM 1969): keys come off buckets indexed by
     step distance, nearest first, and each is stored and expanded when it
     first comes off, at its shortest distance.  A key is checked against
@@ -865,7 +850,8 @@ class _Replay:
         self.observations: dict[int, tuple[int, int, tuple[int, ...]]] = {}  # activations, last count, last exit
         # The VASS's own transitions: a materialized run shares them, and a
         # step the VASS lacks is a fresh object that `validate_run` rejects.
-        known = {(t.src, t.delta, t.dst): t for t in compiled.vass.transitions}
+        ts = compiled.vass.transitions
+        known = dict(zip(map(operator.attrgetter("src", "delta", "dst"), ts), ts))
         zero = (0,) * len(cix)
 
         def transition(src: str, ci: int | None, amount: int, dst: str) -> Transition:
@@ -888,8 +874,10 @@ class _Replay:
                 for t in nexts:
                     if t <= ln and (t not in self.spans or self.spans[t].back != ln):
                         self.checks.add(t)
-            src = state[ln - 1]
-            self.table.append((ci, amount, {t: ((transition(src, ci, amount, state[t - 1]),), 1) for t in nexts}))
+            src, blocks = state[ln - 1], {}
+            for t in nexts:
+                blocks[t] = ((transition(src, ci, amount, state[t - 1]),), 1)
+            self.table.append((ci, amount, blocks))
         self.bodies: dict[int, tuple[dict[int, int], tuple[Transition, ...]] | None] = {}
         for s in flat.loops:
             body = self.table[s.body_start:s.back]

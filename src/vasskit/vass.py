@@ -13,6 +13,7 @@ CLI's flatness witness are built from them.
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
@@ -60,8 +61,11 @@ class Vass:
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(sorted(set(self.states))))
-        object.__setattr__(self, "transitions", tuple(sorted(
-            set(self.transitions), key=lambda t: (t.src, t.delta, t.dst))))
+        # keyed on the field tuples, which compare as the transitions do;
+        # read in reverse, so the first of equal transitions is the one kept
+        ts = tuple(self.transitions)[::-1]
+        canon = dict(zip(map(operator.attrgetter("src", "delta", "dst"), ts), ts))
+        object.__setattr__(self, "transitions", tuple(map(canon.__getitem__, sorted(canon))))
         known = set(self.states)
         for t in self.transitions:
             if t.src not in known or t.dst not in known:
@@ -286,36 +290,41 @@ class FlatnessReport:
 _Edges = list[list[tuple[int, int]]]  # per state: its (dst_ix, transition_ix) edges
 
 
-def _scc_ids(out: _Edges) -> list[int]:
-    """The strongly connected component of each state, named by its root
-    (Tarjan, SIAM J. Comput. 1972).  Iterative, so that long control graphs
-    cannot exhaust the recursion limit."""
-    index = [-1] * len(out)
-    low = [0] * len(out)
-    comp = [-1] * len(out)  # -1 while a visited state is still on `stack`
+def _scc_ids(succ: list[list[int]]) -> list[int]:
+    """The strongly connected component of each state, named by its root,
+    from each state's successors (Tarjan, SIAM J. Comput. 1972).
+    Iterative, so that long control graphs cannot exhaust the recursion
+    limit."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    comp = [-1] * len(succ)  # -1 while a visited state is still on `stack`
     stack: list[int] = []
     count = 0
-    for root in range(len(out)):
-        work = [(root, iter(out[root]))] if index[root] < 0 else []
+    for root in range(len(succ)):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            u, edges = work[-1]
-            if index[u] < 0:
-                index[u] = low[u] = count
-                count += 1
-                stack.append(u)
-            for w, _tix in edges:
+            u, ws = work[-1]
+            for w in ws:
                 if index[w] < 0:
-                    work.append((w, iter(out[w])))
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if comp[w] < 0:
-                    low[u] = min(low[u], index[w])
+                if comp[w] < 0 and index[w] < low[u]:
+                    low[u] = index[w]
             else:
                 work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
                 if low[u] == index[u]:
                     while comp[u] < 0:
                         comp[stack.pop()] = u
+                elif low[u] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[u]
     return comp
 
 
@@ -345,11 +354,16 @@ def _inner_edges(v: Vass) -> _Edges:
     """Per state index, its out-edges that stay inside its strongly
     connected component (see `_scc_ids`)."""
     index = {s: i for i, s in enumerate(v.states)}
-    out: _Edges = [[] for _ in v.states]
+    succ: list[list[int]] = [[] for _ in v.states]
+    for t in v.transitions:
+        succ[index[t.src]].append(index[t.dst])
+    comp = _scc_ids(succ)
+    inner: _Edges = [[] for _ in v.states]
     for tix, t in enumerate(v.transitions):
-        out[index[t.src]].append((index[t.dst], tix))
-    comp = _scc_ids(out)
-    return [[e for e in edges if comp[e[0]] == comp[u]] for u, edges in enumerate(out)]
+        u, w = index[t.src], index[t.dst]
+        if comp[u] == comp[w]:
+            inner[u].append((w, tix))
+    return inner
 
 
 def is_flat(v: Vass) -> FlatnessReport:

@@ -1,12 +1,15 @@
+import hashlib
 import importlib
 import inspect
 import itertools
+import json
 import math
 import random
 import re
 import time
 from collections import Counter, deque
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from vasskit.errors import BudgetExceededError, ConfigCycleError, PolicyStuckErr
 from vasskit.families import (
     NpInstance,
     exp_canonical_policy,
+    gen_double_exp,
     gen_exp,
     gen_exp_fixed,
     gen_hp,
@@ -1489,21 +1493,23 @@ class TestAgainstTupleReference:
 
     def test_widened_region_is_caught(self, monkeypatch):
         # mutation control: the first ratio invariant also holds, wrongly, at
-        # one state with a move into its region
+        # one state with a move into its region, and at every state whose
+        # breaking nets are among that state's
         real = search_module._invariants
         widened = []
 
         def wider(moves, tgt, target, bound):
-            caps, ratios = real(moves, tgt, target, bound)
-            for *_w, region in ratios[:1]:
+            down, caps, ratios = real(moves, tgt, target, bound)
+            for k, (i, a, j, b, bad) in enumerate(ratios[:1]):
+                inside = [m is not None and not m & bad for m in down]
                 upstream = [
                     s for s, ms in enumerate(moves)
-                    if caps[s] is not None and not region[s] and any(region[d] for _n, d, *_ in ms)
+                    if down[s] is not None and not inside[s] and any(inside[d] for _n, d, *_ in ms)
                 ]
                 if upstream:
-                    region[upstream[0]] = True
+                    ratios[k] = (i, a, j, b, bad & ~down[upstream[0]])
                     widened.append(upstream[0])
-            return caps, ratios
+            return down, caps, ratios
 
         monkeypatch.setattr(search_module, "_invariants", wider)
         with pytest.raises(AssertionError):
@@ -2164,3 +2170,57 @@ class TestRunCountOverLiveConfigurations:
             assert count_halting_runs(v, budget) == ref_count(v, budget) == (bound >= 3)
         # a source outside its caps counts no runs
         assert count_halting_runs(replace(v, source=Configuration("r", (0,))), budget) == 0
+
+
+# ---------------------------------------------------------------------------
+# Kernel tables, pinned by digest
+
+PACKED_GOLDEN = Path(__file__).parent / "golden" / "packed_tables.json"
+
+
+def _kernel_members():
+    """(name, compiled program, counter bound) of each pinned member."""
+    members = [(f"exp({n})", gen_exp(n), bound) for n, bound in ((1, 8), (2, 24), (3, 72))]
+    members.append(("exp_fixed(4,24)", gen_exp_fixed(4, 24), 144))
+    for target, values in ((1, (1,)), (1, (2,)), (2, (1,)), (2, (2,)), (3, (3,)), (2, (1, 1))):
+        program, meta = gen_np(NpInstance(target, values))
+        members.append((f"NP({target};{list(values)})", program, meta.search_bound))
+    members.append(("hp(3,2) from (4,0,2)",
+                    with_initial_values(gen_hp(3, 2), {"x": 4, "y": 0, "z": 2}), 15))
+    members.append(("weak_mult(3,2) from (2,3)",
+                    with_initial_values(gen_weak_mult(3, 2), {"x": 2, "y": 3}), 13))
+    members.append(("2exp(1)", gen_double_exp(1)[0], 40))
+    return [(name, compile_counter_program(program), bound) for name, program, bound in members]
+
+
+def _kernel_table_digests() -> dict[str, dict[str, str]]:
+    """Per member and per kernel setting, the sha256 of the repr of
+    `_Packed`'s adj, caps, ratios, guard, src and tgt: the searches with a
+    target (chains, prune), collection with the halt state absorbing
+    (chains), and its per-transition decode."""
+    digests = {}
+    for name, compiled, bound in _kernel_members():
+        halt = frozenset({compiled.halt_state})
+        settings = {
+            "chains, prune": _Packed(compiled.vass, bound, chains=True, prune=True),
+            "chains, halt absorbing": _Packed(compiled.vass, bound, halt, chains=True),
+            "per transition, halt absorbing": _Packed(compiled.vass, bound, halt),
+        }
+        digests[name] = {
+            setting: hashlib.sha256(
+                repr((p.adj, p.caps, p.ratios, p.guard, p.src, p.tgt)).encode()
+            ).hexdigest()
+            for setting, p in settings.items()
+        }
+    return digests
+
+
+def test_kernel_tables_match_golden():
+    """Move order fixes every tie-break of the searches, shortest runs
+    included; a change to these tables is a declared change, written with
+    `PYTHONPATH=src python tests/test_search.py`."""
+    assert _kernel_table_digests() == json.loads(PACKED_GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    PACKED_GOLDEN.write_text(json.dumps(_kernel_table_digests(), indent=2) + "\n")

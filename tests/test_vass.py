@@ -701,6 +701,49 @@ class TestVassSize:
             vass_size(v, "decimal")
 
 
+class TestCanonicalForm:
+    """A `Vass` keeps its transitions sorted by (src, delta, dst) with
+    duplicates dropped, keeps the first of several equal ones, and checks
+    them in that order."""
+
+    @staticmethod
+    def scrambled(transitions, seed):
+        # reversed, shuffled, then each repeated as a distinct equal object
+        ts = list(reversed(transitions))
+        random.Random(seed).shuffle(ts)
+        return ts + [Transition(t.src, t.delta, t.dst) for t in ts[::2]] + ts[1::3]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sorted_deduplicated_and_first_kept(self, seed):
+        v = compile_counter_program(gen_hp(3, 2)).vass
+        given = self.scrambled(v.transitions, seed)
+        again = Vass(v.dimension, v.states[::-1], tuple(given), v.source, v.target)
+        assert again.transitions == tuple(sorted(set(given), key=lambda t: (t.src, t.delta, t.dst)))
+        assert again.transitions == v.transitions and again.states == v.states
+        first = {}
+        for t in given:
+            first.setdefault(t, t)
+        assert all(t is first[t] for t in again.transitions)
+        assert again.to_json() == v.to_json()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_error_in_canonical_order(self, seed):
+        good = [Transition("p", (1, 0), "q"), Transition("q", (0, -1), "p")]
+        bad = [
+            Transition("a", (0, 0), "p"),  # endpoint, sorts first
+            Transition("p", (0,), "q"),  # dimension
+            Transition("p", (5,), "zz"),  # endpoint and dimension
+            Transition("q", (1, 1), "r"),  # endpoint
+        ]
+        for k in range(len(bad)):
+            # the first bad transition in canonical order is the one named
+            ts = self.scrambled(good + bad[k:], seed)
+            want = bad[k]
+            what = "wrong dimension" if {want.src, want.dst} <= {"p", "q"} else "endpoint not a state"
+            with pytest.raises(ValueError, match=re.escape(f"{what}: {want}")):
+                Vass(2, ("q", "p"), tuple(ts), Configuration("p", (0, 0)), Configuration("q", (0, 0)))
+
+
 class TestJson:
     def test_round_trip_bit_exact(self):
         v = compile_counter_program(gen_exp(2)).vass
