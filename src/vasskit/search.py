@@ -17,13 +17,19 @@ vectors -e_i cap single counters at their target values; the ratio vectors
 `a·e_i - b·e_j`, one per loop that lowers counters i and j, with `a·net_i =
 b·net_j` on it, catch what a cap on one counter cannot: on the exponential
 family, the last loop `x -= n+1; y -= 1` zeroes y only from `x >= (n+1)·y`.
+`shortest_halting` and `count_halting_runs` go further (`_carry`): they
+carry each ratio invariant up through the moves and loops that lead to its
+region, as a bound `w·v >= c` per state, so that on the exponential family
+a cascade stage left short is dropped where it ends, not at the last loop;
+there they store little more than the chain ends that can halt.
 
 Where each part lives:
 - `_Packed` packs a configuration into one int and holds the moves from
   each state: single transitions, or the deterministic chains of
   `_chain_moves`, each tested against per-field caps by one guard-bit
   expression; `_invariants` tightens the caps for the searches with a
-  target, and each ratio invariant gets a packed field of its own.
+  target, `_carry` adds the carried bounds, and each weight vector w gets
+  a packed field of its own.
 - `_explore` is the breadth-first search of `halting_reachable`,
   `reachable_configs` and `count_halting_runs`, `_dial` the search by step
   count of `shortest_halting`; `count_halting_runs` and `_lex_least_run`
@@ -108,27 +114,33 @@ class ReachResult:
 
 class _Packed:
     """Configurations packed into single ints: the state index in the low
-    bits, then one field per ratio invariant, then one field of `wbits` bits
-    per counter.  States in `absorbing` get no outgoing transitions.
+    bits, then one derived field per weight vector in `weights`, then one
+    field of `wbits` bits per counter.  States in `absorbing` get no
+    outgoing transitions.
 
     Caps are the bound, unless `prune` tightens them for the target (see
     `_invariants`); then moves into states that cannot reach the target
-    state are left out, and each ratio invariant `a·v_i - b·v_j` gets a
-    derived field `u = K + b·v_j - a·v_i`, capped at `K - w·target` at the
-    states of its region and at its field's top elsewhere.  A successor is
-    one integer addition and one guard test against the caps at the move's
-    end state: with `top` a field's largest value with its top bit clear,
-    `guard` holds each field's top bit and a move's `off` holds `top - cap`
-    in each field, and `nk` is kept iff `(nk | nk + off) & guard == 0`
-    (Lamport, CACM 1975).  The counter fields are wide enough that `bound +
-    largest move amount <= top`, so a field in range sets its top bit in
-    neither int, an underflow borrows and sets it in `nk`, and a value above
-    its cap sets it in `nk + off`.  No field below the lowest one out of
-    range carries or borrows into it, so that field shows its top bit and
-    the test is exact.  A derived field's `K` and width leave room for every
-    counter pair in [-amount, bound + amount], so in `nk` it never leaves
-    [0, top] and never borrows from the counters above it: `nk & guard`
-    alone is nonzero exactly when some counter went below zero.
+    state are left out, and each ratio invariant w = a·e_i - b·e_j gets a
+    derived field `u = K - w·v`, capped at `K - w·target` at the states of
+    its region and at its field's top elsewhere.  `carry` does the same and
+    more (see `_carry`): each distinct w of the bounds `w·v >= c` carried to
+    the states gets a derived field `u = K - w·v`, capped at `K - c` at each
+    state with a bound on w and at its top elsewhere, and the cap offsets
+    are built once per distinct cap tuple rather than per mask.
+
+    A successor is one integer addition and one guard test against the caps
+    at the move's end state: with `top` a field's largest value with its
+    top bit clear, `guard` holds each field's top bit and a move's `off`
+    holds `top - cap` in each field, and `nk` is kept iff `(nk | nk + off)
+    & guard == 0` (Lamport, CACM 1975).  The counter fields are wide enough
+    that `bound + largest move amount <= top`, so a field in range sets its
+    top bit in neither int, an underflow borrows and sets it in `nk`, and a
+    value above its cap sets it in `nk + off`.  No field below the lowest
+    one out of range carries or borrows into it, so that field shows its top
+    bit and the test is exact.  A derived field's `K` and width leave room
+    for every counter vector in [-amount, bound + amount], so in `nk` it
+    never leaves [0, top] and never borrows from the counters above it: `nk
+    & guard` alone is nonzero exactly when some counter went below zero.
 
     Adjacency entries are the moves of `_chain_moves`, so only states
     reachable from the source state get entries.  With `chains`, each entry
@@ -139,56 +151,82 @@ class _Packed:
     offsets, first transition index, length in transitions)`."""
 
     def __init__(self, v: Vass, bound: int, absorbing: frozenset[str] = frozenset(),
-                 chains: bool = False, prune: bool = False):
+                 chains: bool = False, prune: bool = False, carry: bool = False):
         index = self.index = dict(zip(v.states, itertools.count()))
         moves = _chain_moves(v, index, absorbing, chains)
         # a chain's net amount can exceed every single transition's
         nets = {m[0] for ms in moves for m in ms}
         amount = max(map(abs, itertools.chain.from_iterable(nets)), default=0)
         # per state its mask, per mask its caps (see `_invariants`)
-        if prune:
+        if prune or carry:
             down, caps, ratios = _invariants(moves, index[v.target.state], v.target.vector, bound)
         else:
             down, caps, ratios = [0] * len(v.states), {0: (bound,) * v.dimension}, []
         # each ratio invariant's region: the states whose mask holds no net that breaks it
         self.ratios = [(i, a, j, b, list(map({m: not m & bad for m in caps}.get, down, itertools.repeat(False))))
                        for i, a, j, b, bad in ratios]
+        # each ratio invariant's weight vector w = a·e_i - b·e_j
+        weights = [tuple([a if x == i else -b if x == j else 0 for x in range(v.dimension)])
+                   for i, a, j, b, _bad in ratios]
+        if carry:
+            # per live state, the bounds `w·v >= c` carried to it from those
+            # of the ratio invariants, `w·target` in each one's region
+            at_target = [(w, _dot(w, v.target.vector), bad) for w, (*_, bad) in zip(weights, ratios)]
+            held = _carry(moves, [None if m is None else {w: c for w, c, bad in at_target if not m & bad}
+                                  for m in down], index[v.target.state])
+            weights = sorted(set().union(*filter(None, held)))
+        self.weights = weights
         self.sbits = max(1, (len(v.states) - 1).bit_length())
         self.wbits = max(1, (2 * (bound + amount) + 1).bit_length())
         self.smask = (1 << self.sbits) - 1
         self.cmask = (1 << self.wbits) - 1
-        # one derived field per ratio invariant, between the state bits and
-        # the counters: u = K + b·v_j - a·v_i over v_i, v_j in [-amount,
-        # bound + amount] spans [0, (a + b)·(bound + 2·amount)]
+        # one derived field per weight vector w, between the state bits and
+        # the counters: u = K - w·v over every v_i in [-amount, bound +
+        # amount] spans [0, sum |w_i|·(bound + 2·amount)]
         ks, tops, shifts = [], [], []
         at = self.sbits
-        for i, a, j, b, _r in ratios:
-            ks.append(a * (bound + amount) + b * amount)
-            width = ((a + b) * (bound + 2 * amount)).bit_length() + 1
+        for w in weights:
+            ks.append(sum([x * (bound + amount) if x > 0 else -x * amount for x in w]))
+            width = (sum(map(abs, w)) * (bound + 2 * amount)).bit_length() + 1
             tops.append((1 << (width - 1)) - 1)
             shifts.append(at)
             at += width
         self.shifts = tuple(at + self.wbits * i for i in range(v.dimension))
         self.field_shifts = self.shifts + tuple(shifts)
-        tops = self.field_tops = [self.cmask >> 1] * v.dimension + tops
+        self.field_tops = [self.cmask >> 1] * v.dimension + tops
         self.ks = [0] * v.dimension + ks  # each field's K; a counter's is 0
-        self.guard = self._pack([top + 1 for top in tops])
+        self.guard = self._pack([top + 1 for top in self.field_tops])
         self._base = self._pack(self.ks)
-        # per mask, every field's cap, counters first: a derived field's
-        # binds inside its invariant's region
-        if ratios:
-            target = self._lin(v.target.vector)[v.dimension:]
-            low = [min(max(k + x, 0), top) for k, x, top in zip(ks, target, tops[v.dimension:])]
+        # a vector's fields less their Ks are linear in it: per counter, the
+        # packed fields of one unit of it
+        units = self._units = [1 << sh for sh in self.shifts]
+        for w, wsh in zip(weights, shifts):
+            for i, x in enumerate(w):
+                units[i] -= x << wsh
+        # every field's cap, counters first: a derived field's is `K - c`
+        # where a bound `w·v >= c` holds, and its top elsewhere
+        if carry:
+            # per live state; states with equal caps then share one mask
+            first: dict[tuple[int, ...], int] = {}
+            for s, bounds in enumerate(held):
+                if bounds is not None:
+                    c = caps[down[s]] + tuple([top if w not in bounds else min(max(k - bounds[w], 0), top)
+                                               for w, k, top in zip(weights, ks, tops)])
+                    down[s] = first.setdefault(c, s)
+            caps = {m: c for c, m in first.items()}
+        elif ratios:
+            # per mask: a ratio invariant's field binds inside its region
+            low = [min(max(k - _dot(w, v.target.vector), 0), top) for w, k, top in zip(weights, ks, tops)]
             caps = {
-                m: c + tuple([top if m & bad else u for u, top, (*_w, bad) in zip(low, tops[v.dimension:], ratios)])
+                m: c + tuple([top if m & bad else u for u, top, (*_w, bad) in zip(low, tops, ratios)])
                 for m, c in caps.items()
             }
         self.caps = list(map(caps.get, down))
         # the cap offsets per mask; a state whose mask is None cannot reach
         # the target state, and no move enters it
-        top = self._pack(tops)
+        top = self._pack(self.field_tops)
         offs = {m: top - self._pack(c) for m, c in caps.items()}
-        packed = {net: self._pack(self._lin(net)) for net in nets}
+        packed = {net: sum(map(operator.mul, net, units)) for net in nets}
         self.adj = [
             [
                 (dst - s + packed[delta], offs[down[dst]], tix, n)
@@ -207,11 +245,11 @@ class _Packed:
         return sum(map(operator.lshift, values, self.field_shifts))
 
     def _lin(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        """The counters, then `-(a·v_i - b·v_j)` per ratio invariant: the
-        fields of a vector less their `K`s, or of a move's net effect."""
-        if not self.ratios:
+        """The counters, then `-w·v` per weight vector: the fields of a
+        vector less their `K`s, or of a move's net effect."""
+        if not self.weights:
             return vec
-        return (*vec, *[b * vec[j] - a * vec[i] for i, a, j, b, _r in self.ratios])
+        return (*vec, *[-_dot(w, vec) for w in self.weights])
 
     def admits(self, cfg: Configuration) -> bool:
         """Whether cfg is within the caps of its state, derived fields
@@ -222,7 +260,7 @@ class _Packed:
         )
 
     def encode(self, cfg: Configuration) -> int:
-        return self.index[cfg.state] + self._base + self._pack(self._lin(cfg.vector))
+        return self.index[cfg.state] + self._base + sum(map(operator.mul, cfg.vector, self._units))
 
     def into(self) -> list[list[tuple[int, int]]]:
         """Per state index, `(packed delta, length)` of each move into it.
@@ -367,6 +405,95 @@ def _invariants(moves: list[list[tuple[tuple[int, ...], int, int, int]]], tgt: i
     return down, by_mask, ratios
 
 
+def _carry(moves: list[list[tuple[tuple[int, ...], int, int, int]]], held: list[dict[tuple[int, ...], int] | None],
+           tgt: int) -> list[dict[tuple[int, ...], int] | None]:
+    """Lower bounds `w·v >= c` that every configuration at a state must meet
+    to reach the target, carried upstream from the ratio invariants, for
+    `shortest_halting` and `count_halting_runs`.  `held` gives per state
+    index the ratio invariants whose region holds it, each at `c =
+    w·target`, or None if the state cannot reach the target state (see
+    `_invariants`); every ratio invariant holds at the target state.
+
+    The states are taken in Kahn's order over the moves between live states
+    (CACM 1962), each after every state its moves lead to, and get what
+    every way out of them carries:
+    - a move with net d turns `w·v >= c` at its end into `w·v >= c - w·d`;
+    - a state with several ways out keeps the w every one carries, each at
+      its smallest c;
+    - at the target state, stopping, with `v = target`, is the one way out,
+      which gives `w·v >= w·target` for every ratio invariant;
+    - then the state's one loop L, run k times first: `w·L <= 0` leaves the
+      bound as it is, and `w·L > 0` with L lowering one counter j alone
+      bounds k by `v_j / |L_j|`, which gives `(|L_j|·w + (w·L)·e_j)·v >=
+      |L_j|·c`, divided by the gcd of the new w with c rounded up; any other
+      loop drops the bound.
+    This is the weakest precondition of reaching the target (Cousot and
+    Halbwachs, POPL 1978) over the rationals, weakened where a bound is
+    dropped, so it rejects no configuration that can reach the target.  A
+    state on a cycle of two or more states, or upstream of one, and a state
+    with two or more loops keep only the ratio invariants whose region holds
+    them, as without the carry.
+
+    On the exponential family the last loop's `x >= (n+1)·y` becomes, one
+    cascade stage up at a time, the potential that no stage may fall short
+    on, down to `x + z >= y` at the pump.  Returns `held` with the carried
+    bounds in place of those of every state so reached."""
+    held = list(held)
+    exits: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in moves]
+    loops: list[list[tuple[int, ...]]] = [[] for _ in moves]
+    into: list[list[int]] = [[] for _ in moves]
+    for s, ms in enumerate(moves):
+        if held[s] is not None:
+            for net, d, _tix, _n in ms:
+                if d == s:
+                    loops[s].append(net)
+                elif held[d] is not None:
+                    exits[s].append((net, d))
+                    into[d].append(s)
+    pending = list(map(len, exits))
+    order = [s for s, bounds in enumerate(held) if bounds is not None and not pending[s]]
+    for s in order:
+        if len(loops[s]) < 2:
+            # any other live state has a move out, and the target state none:
+            # a move from it to a live state would close a cycle
+            bounds = held[s] if s == tgt else None
+            for net, d in exits[s]:
+                moved = {w: c - _dot(w, net) for w, c in held[d].items()}
+                bounds = moved if bounds is None else {w: min(c, moved[w]) for w, c in bounds.items() if w in moved}
+            held[s] = _through_loop(bounds, loops[s][0]) if loops[s] else bounds
+        for p in into[s]:
+            pending[p] -= 1
+            if not pending[p]:
+                order.append(p)
+    return held
+
+
+def _through_loop(bounds: dict[tuple[int, ...], int], loop: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The bounds `w·v >= c` that hold before a loop with net `loop` runs
+    any number of times, given those that hold after it (see `_carry`)."""
+    lowered = [j for j, x in enumerate(loop) if x < 0]
+    out: dict[tuple[int, ...], int] = {}
+    for w, c in bounds.items():
+        gain = _dot(w, loop)
+        if gain > 0:
+            if len(lowered) != 1:
+                continue
+            j = lowered[0]
+            scaled = [-loop[j] * x for x in w]
+            scaled[j] += gain
+            g = math.gcd(*scaled)
+            if not g:  # 0 >= c: nothing left to test
+                continue
+            w, c = tuple([x // g for x in scaled]), -(loop[j] * c // g)
+        if out.get(w, c) <= c:
+            out[w] = c
+    return out
+
+
+def _dot(w: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return sum(map(operator.mul, w, v))
+
+
 def _explore(packed: _Packed, tgt: int, max_configs: int) -> tuple[Verdict, dict[int, int], SearchStats]:
     """The breadth-first search, level by level from the source, for the
     packed key `tgt` (-1 to exhaust the space).  Returns the verdict, each
@@ -448,17 +575,18 @@ def shortest_halting(v: Vass, budget: SearchBudget, max_depth: int | None = None
     on run length), cut search off.
 
     The search (`_dial`) runs over the moves of halting_reachable, chains
-    included, each costing its length.  A run is a sequence of chains, and
-    two runs first differ at a chain's first transition, so whenever no
-    budget cuts it the run is the one a per-transition breadth-first search
-    without the target rule returns.  `max_configs` counts the chain ends
+    included, each costing its length, and also drops the configurations
+    that break a bound `_carry` carries up from the ratio invariants.  A
+    run is a sequence of chains, and two runs first differ at a chain's
+    first transition, so whenever no budget cuts it the run is the one a
+    per-transition breadth-first search without the target rule returns.  `max_configs` counts the chain ends
     met.  The depth cap drops each chain end farther than `max_depth` steps,
     and gives BUDGET_EXCEEDED only if one it dropped is never stored from a
     closer start; if every one is, the space is EXHAUSTED.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
+    packed = _Packed(v, budget.counter_bound, chains=True, carry=True)
     cap = sys.maxsize if max_depth is None else max_depth
     verdict, dist, stats = _dial(packed, budget.max_configs, cap)
     run = _lex_least_run(v, packed, dist) if verdict == Verdict.FOUND else None
@@ -688,9 +816,10 @@ def count_halting_runs(v: Vass, budget: SearchBudget) -> int:
 
     `_explore` exhausts the space as for halting_reachable, stepping along
     maximal deterministic chains and dropping configurations that cannot
-    reach the target by the counter caps and ratio invariants of
-    `_invariants` (on `gen_exp_fixed(4, 24)` at bound 144 it stores 7,215
-    chain ends, where the caps alone leave 38,687); the target state is a
+    reach the target by the counter caps of `_invariants` and the bounds
+    `_carry` carries up from its ratio invariants (on `gen_exp_fixed(4,
+    24)` at bound 144 it stores 286 chain ends, where the ratio invariants
+    alone leave 7,215 and the caps alone 38,687); the target state is a
     cut, so halting paths map one to one onto chain paths.  A pass back from
     the target finds the live configurations, those on a path to it, and
     the paths to each are summed in Kahn's order (CACM 1962), parallel moves
@@ -706,7 +835,7 @@ def count_halting_runs(v: Vass, budget: SearchBudget) -> int:
     every reachable configuration, so it never needs a larger budget to
     finish than a per-transition search would.
     """
-    packed = _Packed(v, budget.counter_bound, chains=True, prune=True)
+    packed = _Packed(v, budget.counter_bound, chains=True, carry=True)
     verdict, stored, _stats = _explore(packed, -1, budget.max_configs)
     if verdict == Verdict.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"run counting exceeded {budget.max_configs} configurations")

@@ -134,10 +134,10 @@ class TestPipeline:
         solve = ("solve", str(path), "--bound", "12")
         code, out, _ = run_cli(capsys, *solve, "--max-depth", "5")
         assert code == 3  # the depth cap cuts the search
-        assert out == "verdict: budget-exceeded\nexpanded: 3  frontier peak: 1  depth: 4\n"
+        assert out == "verdict: budget-exceeded\nexpanded: 2  frontier peak: 1  depth: 3\n"
         code, out, _ = run_cli(capsys, *solve, "--max-depth", "100")
         assert code == 0
-        assert out == "verdict: found\nlength: 31\nexpanded: 14  frontier peak: 2  depth: 31\n"
+        assert out == "verdict: found\nlength: 31\nexpanded: 11  frontier peak: 1  depth: 31\n"
         assert run_cli(capsys, *solve) == (code, out, "")
         code, out, err = run_cli(capsys, *solve, "--max-depth", "-1")
         assert (code, out, err) == (2, "", "vasskit: max_depth must be >= 0\n")

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import math
+import operator
 import random
 import re
 import time
@@ -1227,14 +1228,12 @@ def ref_count(v, budget, keep=None):
     return count(src)
 
 
-def ref_live_count(v, budget):
-    """ref_count over the configurations that can reach the target within
-    the bound, with no node budget: the bounded reachable set, closed
-    backwards from the target.  A cycle among them raises ConfigCycleError,
-    since through it the count is infinite."""
-    bound = budget.counter_bound
+def ref_live(v, bound):
+    """The configurations the plain reference reaches from the source
+    within the bound and from which it reaches the target: the bounded
+    reachable set, closed backwards from the target."""
     if max(v.source.vector, default=0) > bound:
-        return 0
+        return set()
     successors = _ref_successors(v, bound)
     src = (v.source.state, v.source.vector)
     preds = {src: set()}
@@ -1253,7 +1252,15 @@ def ref_live_count(v, budget):
         for cfg in preds[todo.pop()] - live:
             live.add(cfg)
             todo.append(cfg)
-    return ref_count(v, SearchBudget(bound, len(preds) + 1), live)
+    return live
+
+
+def ref_live_count(v, budget):
+    """ref_count over the configurations that can reach the target within
+    the bound (ref_live), with no node budget.  A cycle among them raises
+    ConfigCycleError, since through it the count is infinite."""
+    live = ref_live(v, budget.counter_bound)
+    return ref_count(v, SearchBudget(budget.counter_bound, len(live) + 1), live)
 
 
 def ref_finals(v, budget, state):
@@ -1373,6 +1380,30 @@ def random_lowering_vass(rng):
     return Vass(dim, states, tuple(transitions), source, target)
 
 
+def random_transfer_vass(rng):
+    """A row of states, each with one loop that moves amounts out of one
+    counter into others, as the exponential family's cascade does, then a
+    loop that lowers two counters at once at the last: the loops a ratio
+    invariant is carried up through."""
+    dim = rng.randint(2, 3)
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 4)))
+    transitions = []
+    for k, state in enumerate(states):
+        delta = [rng.randint(0, 2) for _ in range(dim)]
+        if k < len(states) - 1:
+            delta[rng.randrange(dim)] = -rng.randint(1, 2)
+        else:
+            delta = [0] * dim
+            for i in rng.sample(range(dim), 2):
+                delta[i] = -rng.randint(1, 3)
+        transitions.append(Transition(state, tuple(delta), state))
+        if k:
+            transitions.append(Transition(states[k - 1], tuple(rng.randint(-1, 1) for _ in range(dim)), state))
+    source = Configuration(states[0], tuple(rng.randint(0, 4) for _ in range(dim)))
+    target = Configuration(states[-1], tuple(rng.randint(0, 1) for _ in range(dim)))
+    return Vass(dim, states, tuple(transitions), source, target)
+
+
 def random_budget(rng):
     """A node budget, and a depth cap for shortest_halting alone."""
     budget = SearchBudget(rng.randint(0, 5), rng.choice((1, 2, 5, 20, 1_000_000)))
@@ -1429,11 +1460,14 @@ class TestAgainstTupleReference:
         keeps the plain reference's verdict and least run, and so do
         shortest_halting and halting_reachable; count_halting_runs gives the
         live reference's count, and the count over what the reference rule
-        keeps wherever that meets no cycle; and on a flat VASS, no chain end
+        keeps wherever that meets no cycle; on a flat VASS, no chain end
         the plain reference reaches and the reference rule keeps is outside
-        the caps of the searches.  Returns how many fewer configurations the
-        reference rule expands, and how many ratio fields the searches
-        carry."""
+        the caps of the searches; and every configuration the plain
+        reference reaches and halts from passes the carried caps of
+        shortest_halting and count_halting_runs at every chain end.
+        Returns how many fewer configurations the reference rule expands,
+        how many ratio fields the searches carry, and how many fewer chain
+        ends the carried caps leave than the ratio invariants alone."""
         budget = SearchBudget(bound, 2_000_000)
         dead = ref_ratio_rule(v, bound)
         plain = ref_shortest(v, budget)
@@ -1454,7 +1488,13 @@ class TestAgainstTupleReference:
                     for vec in vectors:
                         cfg = Configuration(state, vec)
                         assert dead((state, vec)) or packed.admits(cfg), cfg
-        return plain[2] - ruled[2], len(packed.ratios)
+        carried = _Packed(v, bound, chains=True, carry=True)
+        for state, vec in ref_live(v, bound):
+            if carried.caps[carried.index[state]] is not None:  # a chain end
+                cfg = Configuration(state, vec)
+                assert carried.admits(cfg), f"carried caps reject {cfg}, which halts"
+        fewer = len(_explore(packed, -1, budget.max_configs)[1]) - len(_explore(carried, -1, budget.max_configs)[1])
+        return plain[2] - ruled[2], len(packed.ratios), fewer
 
     @staticmethod
     def family_members():
@@ -1475,47 +1515,114 @@ class TestAgainstTupleReference:
         rng = random.Random(20261021)
         seen = Counter()
         for _ in range(200):
-            for v in (random_flat_vass(rng), random_lowering_vass(rng)):
+            for v in (random_flat_vass(rng), random_lowering_vass(rng), random_transfer_vass(rng)):
                 assert is_flat(v).is_flat
                 for bound in range(5):
-                    dropped, fields = self.check_ratio_rule(v, bound)
+                    dropped, fields, fewer = self.check_ratio_rule(v, bound)
                     seen["the reference rule drops"] += dropped > 0
                     seen["ratio fields"] += fields > 0
+                    seen["the carry drops"] += fewer > 0
         assert min(seen.values()) > 20, seen
 
     def test_ratio_rule_on_family_members(self):
         seen = Counter()
         for v, bound in self.family_members():
-            dropped, fields = self.check_ratio_rule(v, bound)
+            dropped, fields, fewer = self.check_ratio_rule(v, bound)
             seen["the reference rule drops"] += dropped > 0
             seen["ratio fields"] += fields > 0
-        assert seen == {"the reference rule drops": 13, "ratio fields": 13}, seen
+            seen["the carry drops"] += fewer > 0
+        # the carry drops chain ends on every exponential member, none on the
+        # Subset-Sum members at these bounds
+        assert seen == {"the reference rule drops": 13, "ratio fields": 13, "the carry drops": 9}, seen
+
+    @staticmethod
+    def mutated_tables(monkeypatch, mutate):
+        """Every `_Packed` built from here on passes through `mutate(packed,
+        v, carry)` after it is built, which returns a (state index, field,
+        new cap) to apply or None; the offsets of the moves into that state
+        follow the new cap.  Returns the list of mutations applied."""
+        real = _Packed.__init__
+        applied = []
+
+        def init(self, v, bound, *args, **kwargs):
+            real(self, v, bound, *args, **kwargs)
+            change = mutate(self, v, kwargs.get("carry", False))
+            if change is None:
+                return
+            at, field, cap = change
+            caps = list(self.caps[at])
+            caps[field] = cap
+            self.caps[at] = tuple(caps)
+            off = self._pack(self.field_tops) - self._pack(caps)
+            self.adj = [
+                [(pd, off if (s + pd) & self.smask == at else o, tix, n) for pd, o, tix, n in ms]
+                for s, ms in enumerate(self.adj)
+            ]
+            applied.append(change)
+
+        monkeypatch.setattr(_Packed, "__init__", init)
+        return applied
 
     def test_widened_region_is_caught(self, monkeypatch):
-        # mutation control: the first ratio invariant also holds, wrongly, at
-        # one state with a move into its region, and at every state whose
-        # breaking nets are among that state's
-        real = search_module._invariants
-        widened = []
+        # mutation control on the tables without the carry: the first ratio
+        # invariant's field also binds, wrongly, at the first state outside
+        # its region with a move into it
+        def widen(packed, v, carry):
+            if carry or not packed.ratios:
+                return None
+            region = packed.ratios[0][4]
+            field = v.dimension
+            for s, ms in enumerate(packed.adj):
+                if packed.caps[s] is not None and not region[s] and any(
+                    region[(s + pd) & packed.smask] for pd, *_ in ms
+                ):
+                    inside = region.index(True)
+                    return s, field, packed.caps[inside][field]
+            return None
 
-        def wider(moves, tgt, target, bound):
-            down, caps, ratios = real(moves, tgt, target, bound)
-            for k, (i, a, j, b, bad) in enumerate(ratios[:1]):
-                inside = [m is not None and not m & bad for m in down]
-                upstream = [
-                    s for s, ms in enumerate(moves)
-                    if down[s] is not None and not inside[s] and any(inside[d] for _n, d, *_ in ms)
-                ]
-                if upstream:
-                    ratios[k] = (i, a, j, b, bad & ~down[upstream[0]])
-                    widened.append(upstream[0])
-            return down, caps, ratios
-
-        monkeypatch.setattr(search_module, "_invariants", wider)
+        widened = self.mutated_tables(monkeypatch, widen)
         with pytest.raises(AssertionError):
             for v, bound in self.family_members():
                 self.check_ratio_rule(v, bound)
         assert widened
+
+    def test_raised_carried_bound_is_caught(self, monkeypatch):
+        # mutation control on the carried tables: one carried c is raised by
+        # 1, its field's cap lowered by 1, at the first state where the
+        # field of a w that is no ratio invariant binds
+        def raise_one(packed, v, carry):
+            if not carry:
+                return None
+            ratios = {
+                tuple([a if x == i else -b if x == j else 0 for x in range(v.dimension)])
+                for i, a, j, b, _region in packed.ratios
+            }
+            for s, caps in enumerate(packed.caps):
+                for field, w in enumerate(packed.weights, start=v.dimension):
+                    if caps is not None and w not in ratios and 0 < caps[field] < packed.field_tops[field]:
+                        return s, field, caps[field] - 1
+            return None
+
+        raised = self.mutated_tables(monkeypatch, raise_one)
+        with pytest.raises(AssertionError, match="carried caps reject"):
+            for v, bound in self.family_members():
+                self.check_ratio_rule(v, bound)
+        assert raised
+
+    def test_state_with_two_loops_carries_no_bound(self):
+        # t's loop keeps x - y, so x - y >= 0 holds at t; p's first loop
+        # (0, 1) alone would carry that up unchanged, but its second loop
+        # (1, 0) raises x - y, so p gets no bound: from (p, (0, 1)) the run
+        # (1, 0), then t's loop once, halts
+        v = Vass(2, ("p", "t"), (
+            Transition("p", (0, 1), "p"), Transition("p", (1, 0), "p"), Transition("p", (0, 0), "t"),
+            Transition("t", (-1, -1), "t"),
+        ), Configuration("p", (0, 1)), Configuration("t", (0, 0)))
+        packed = _Packed(v, 3, chains=True, carry=True)
+        assert packed.weights and packed.caps[packed.index["p"]][2:] == tuple(packed.field_tops[2:])
+        res = shortest_halting(v, SearchBudget(3))
+        assert (res.verdict, res.run) == ref_shortest(v, SearchBudget(3))[:2]
+        assert [t.delta for t in res.run.steps] == [(1, 0), (0, 0), (-1, -1)]
 
     def test_pruned_shortest_keeps_unpruned_runs(self):
         rng = random.Random(20261019)
@@ -1681,8 +1788,10 @@ class TestPacking:
         # move's start state: the guard test keeps a successor iff each
         # counter lands in [0, its cap at the move's end state] and each
         # ratio invariant whose region holds that state stays at or above its
-        # target value, `nk & guard` is set iff some counter went below zero,
-        # and every derived field of `nk` holds its exact value, top bit clear
+        # target value (with the carried bounds, each derived field stays
+        # within its cap there), `nk & guard` is set iff some counter went
+        # below zero, and every derived field of `nk` holds its exact value,
+        # top bit clear
         rng = random.Random(20261020)
         states = ("p", "q", "r")
         seen = Counter()
@@ -1702,7 +1811,8 @@ class TestPacking:
                 ts += (Transition(target.state, (-rng.randint(1, 3), -rng.randint(1, 3), *[0] * (dim - 2)),
                                   target.state),)
             v = Vass(dim, states, ts, Configuration("p", (0,) * dim), target)
-            packed = _Packed(v, bound, prune=trial % 2 == 1)
+            carry = trial % 8 == 7
+            packed = _Packed(v, bound, prune=trial % 2 == 1, carry=carry)
             guard = packed.guard
             amounts = [abs(d) for ms in packed.adj for *_, tix, _n in ms for d in v.transitions[tix].delta]
             assert bound + max(amounts, default=0) <= packed.cmask >> 1
@@ -1717,7 +1827,8 @@ class TestPacking:
                         nk = packed.encode(Configuration(v.states[s], x)) + pd
                         y = [a + d for a, d in zip(x, t.delta)]
                         within = all(0 <= b <= c for b, c in zip(y, caps))
-                        ratios_hold = all(
+                        derived = [k - sum(map(operator.mul, w, y)) for w, k in zip(packed.weights, packed.ks[dim:])]
+                        ratios_hold = all(u <= c for u, c in zip(derived, packed.caps[dst][dim:])) if carry else all(
                             a * y[i] - b * y[j] >= a * target.vector[i] - b * target.vector[j]
                             for i, a, j, b, region in packed.ratios if region[dst]
                         )
@@ -1728,8 +1839,8 @@ class TestPacking:
                         assert (nk & guard != 0) == any(under)
                         if dim and under[-1]:
                             assert nk < 0  # nothing above the top field to borrow from
-                        for (i, a, j, b, _region), k, (sh, top) in zip(packed.ratios, packed.ks[dim:], fields):
-                            assert (nk >> sh) & (2 * top + 1) == k + b * y[j] - a * y[i] <= top
+                        for u, (sh, top) in zip(derived, fields):
+                            assert (nk >> sh) & (2 * top + 1) == u <= top
                         if kept:
                             assert nk == packed.encode(Configuration(t.dst, tuple(y)))
                         seen["dimension 0"] += dim == 0
@@ -1744,7 +1855,8 @@ class TestPacking:
                         seen["top field underflows"] += dim > 0 and under[-1]
                         seen["a ratio invariant alone rejects"] += within and not ratios_hold
                         seen["derived fields next to an underflow"] += bool(packed.ratios) and any(under)
-        assert len(seen) == 9 and min(seen.values()) > 50, seen
+                        seen["a carried bound alone rejects"] += carry and within and not ratios_hold
+        assert len(seen) == 10 and min(seen.values()) > 50, seen
 
 
 class TestChains:
@@ -1911,7 +2023,8 @@ class TestTargetCaps:
         """At every state the source state reaches, the counter caps are
         ref_target_caps'.  The caps and ratio invariants reject no
         configuration that can reach the target, over single transitions
-        and at chain ends; every configuration the pruned chain search
+        and at chain ends, and the bounds carried up from them reject none
+        at chain ends; every configuration the pruned chain search
         stores passes them, and the verdict is the reference's.  Returns
         the counter caps by state, and how many configurations within them
         at the states the source state reaches a ratio invariant rejects."""
@@ -1919,6 +2032,7 @@ class TestTargetCaps:
         want = ref_target_caps(v, bound)
         per_step = _Packed(v, bound, prune=True)
         chains = _Packed(v, bound, chains=True, prune=True)
+        carried = _Packed(v, bound, chains=True, carry=True)
         caps = {s: c and c[:v.dimension] for s, c in zip(v.states, per_step.caps)}
         assert {s: caps[s] for s in reached} == {s: want[s] for s in reached}
         for state, vec in ref_coreachable(v, bound):
@@ -1927,6 +2041,7 @@ class TestTargetCaps:
             assert per_step.admits(Configuration(state, vec)), (state, vec)
             if chains.caps[chains.index[state]] is not None:  # a live chain end
                 assert chains.admits(Configuration(state, vec)), (state, vec)
+                assert carried.admits(Configuration(state, vec)), (state, vec)
         budget = SearchBudget(bound, 1_000_000)
         assert halting_reachable(v, budget).verdict == ref_shortest(v, budget)[0]
         if chains.src is not None:
@@ -2108,9 +2223,10 @@ class TestRunCountOverLiveConfigurations:
     def test_pruned_count_fits_a_smaller_budget(self):
         # the full chain search stores 102,979 configurations here, and with
         # the counter caps alone 38,687; the ratio invariant x - 5y >= 0 at
-        # the last loop leaves 7,215
+        # the last loop leaves 7,215, and the bounds carried up from it
+        # through the cascade 286
         v = compile_counter_program(gen_exp_fixed(4, 24)).vass
-        assert count_halting_runs(v, SearchBudget(144, 7_300)) == 1
+        assert count_halting_runs(v, SearchBudget(144, 300)) == 1
 
     def test_cycle_that_cannot_halt_is_not_counted(self):
         # p and q pump x up and down, and from p the run ends at t with
@@ -2195,14 +2311,16 @@ def _kernel_members():
 
 def _kernel_table_digests() -> dict[str, dict[str, str]]:
     """Per member and per kernel setting, the sha256 of the repr of
-    `_Packed`'s adj, caps, ratios, guard, src and tgt: the searches with a
-    target (chains, prune), collection with the halt state absorbing
-    (chains), and its per-transition decode."""
+    `_Packed`'s adj, caps, ratios, guard, src and tgt: the existence search
+    (chains, prune), the shortest-run search and the run count (chains,
+    carry), collection with the halt state absorbing (chains), and its
+    per-transition decode."""
     digests = {}
     for name, compiled, bound in _kernel_members():
         halt = frozenset({compiled.halt_state})
         settings = {
             "chains, prune": _Packed(compiled.vass, bound, chains=True, prune=True),
+            "chains, carry": _Packed(compiled.vass, bound, chains=True, carry=True),
             "chains, halt absorbing": _Packed(compiled.vass, bound, halt, chains=True),
             "per transition, halt absorbing": _Packed(compiled.vass, bound, halt),
         }
